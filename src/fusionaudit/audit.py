@@ -220,11 +220,12 @@ def verify_claims(covector: Optional[int] = None,
 
     # Structural facts about G itself.
     c_g_h = centralizer_of_set(G, cg.h_subgroup)
+    quotient_ok = construction._check_quotient_is_q8(cg)
     report.claims.append(ClaimResult(
         "setup_group_structure",
-        G.order == 128 and c_g_h == cg.h_subgroup,
+        G.order == 128 and c_g_h == cg.h_subgroup and quotient_ok,
         {"order": G.order, "centralizer_of_H_is_H": c_g_h == cg.h_subgroup,
-         "quotient_is_q8": True}))
+         "quotient_is_q8": quotient_ok}))
 
     # Claim 4: |H0| = 2 and |C_H(z)| = 8.
     h0 = construction.compute_h0(cg)
@@ -438,9 +439,9 @@ def table_to_dict(table: CharacterTable) -> Dict:
             for i, cl in enumerate(classes)],
         "irreducibles": [
             {"degree": int(chi.degree()),
-             "indicator": int(fs_indicator(chi)),
+             "indicator": nu,
              "values": [v.render() for v in chi.values]}
-            for chi in table.irreducibles],
+            for chi, nu in zip(table.irreducibles, table.indicators())],
     }
 
 

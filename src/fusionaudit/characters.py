@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cyclotomic import Cyclotomic, _power_reductions
+from .cyclotomic import Cyclotomic
 from .groups import FiniteGroup, is_subgroup
 
 
@@ -151,13 +152,19 @@ class CharacterTable:
         return tuple(int(chi.degree()) for chi in self.irreducibles)
 
     def indicators(self) -> Tuple[int, ...]:
+        """Frobenius-Schur indicators, one per row; computed once per table."""
+        cached = self.__dict__.get("_indicators")
+        if cached is not None:
+            return cached
         out = []
         for chi in self.irreducibles:
             nu = fs_indicator(chi)
             if nu.denominator != 1 or nu.numerator not in (-1, 0, 1):
                 raise AssertionError(f"indicator {nu} outside {{-1,0,1}}")
             out.append(nu.numerator)
-        return tuple(out)
+        out = tuple(out)
+        object.__setattr__(self, "_indicators", out)
+        return out
 
     def row_of(self, c: ClassFunction) -> Optional[int]:
         """Index of an irreducible equal to c as a class function, if any."""
@@ -191,7 +198,7 @@ def _inv_mod(a: int, p: int) -> int:
 
 def _primitive_root(p: int) -> int:
     factors = [f for f in range(2, p) if (p - 1) % f == 0 and _is_prime(f)]
-    for g in range(2, p):
+    for g in range(1, p):               # 1 is a primitive root only mod 2
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
     raise AssertionError(f"no primitive root mod {p}")
@@ -328,7 +335,8 @@ def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
                 if m_k:
                     powers[k] = m_k
             values.append(Cyclotomic.from_powers(n, powers))
-        assert values[0] == deg
+        if values[0] != deg:
+            raise AssertionError(f"lifted degree {values[0].render()} != {deg}")
         chars.append(ClassFunction(G, tuple(values)))
 
     chars.sort(key=lambda c: (c.degree(), tuple(v.render() for v in c.values)))
@@ -346,61 +354,63 @@ def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
 # Fusion rules
 # ---------------------------------------------------------------------------
 
+def _fusion_prime(order: int, n: int) -> int:
+    """Least prime P = 1 mod n with P > order."""
+    P = order + 1 + (-order) % n
+    while not _is_prime(P):
+        P += n
+    return P
+
+
 def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
-    """N[p][q][r] = <chi_p chi_q, chi_r>; nonnegative rational integers."""
+    """N[p][q][r] = <chi_p chi_q, chi_r>, computed exactly in F_P.
+
+    P is the least prime = 1 (mod n), n = root_order, with P > |G|, and
+    omega a primitive n-th root of unity mod P.  zeta_n -> omega is a ring
+    homomorphism Z[zeta_n] -> F_P, so
+
+        N_pq^r = |G|^-1 sum_j |C_j| chi_p(g_j) chi_q(g_j) chi_r(g_j^-1)  mod P.
+
+    Exactness bound: N_pq^r is an integer with sum_r N_pq^r d_r = d_p d_q
+    and every term nonnegative, so 0 <= N_pq^r <= d_p d_q / d_r <= |G| < P
+    and the residue is N_pq^r itself.  Two exact checks per (p, q) guard the
+    table: every residue satisfies N d_r <= d_p d_q, and the sum rule
+    holds.  A table that is not a character table fails them.
+    """
     n = table.root_order
-    r_count = len(table.irreducibles)
-    sizes = table.class_sizes
-    order = table.group.order
-    red = _power_reductions(n)
-    deg = len(red[0])
+    G = table.group
+    order = G.order
+    P = _fusion_prime(order, n)
+    omega = pow(_primitive_root(P), (P - 1) // n, P)
+    omega_pows = [pow(omega, i, P) for i in range(n)]
+    degrees = table.degrees()
+    r_count = len(degrees)
+    order_inv = _inv_mod(order % P, P)
+    weights = [size * order_inv % P for size in table.class_sizes]
+    inv_class = [G.class_of(G.inv(cl[0])) for cl in G.conjugacy_classes()]
 
-    def raw(chi: ClassFunction) -> List[Tuple[int, ...]]:
-        out = []
-        for v in chi.values:
-            if v.den != 1:
-                raise AssertionError("character value is not an algebraic integer")
-            out.append(v.num)
-        return out
+    def residue(v: Cyclotomic) -> int:
+        if v.den != 1:
+            raise AssertionError("character value is not an algebraic integer")
+        return sum(c * w for c, w in zip(v.num, omega_pows)) % P
 
-    def vmul(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-        conv = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = [0] * deg
-        for k, c in enumerate(conv):
-            if c:
-                row = red[k]
-                for j in range(deg):
-                    out[j] += c * row[j]
-        return tuple(out)
-
-    rows = [raw(chi) for chi in table.irreducibles]
-    conj_rows = [[Cyclotomic(n, list(v), 1).conjugate().num for v in row]
-                 for row in rows]
+    rows = [[residue(v) for v in chi.values] for chi in table.irreducibles]
+    inv_rows = [[row[j] for j in inv_class] for row in rows]
     N = [[[0] * r_count for _ in range(r_count)] for _ in range(r_count)]
-    nclasses = len(sizes)
     for pi in range(r_count):
         for qi in range(pi, r_count):
-            prod = [vmul(rows[pi][j], rows[qi][j]) for j in range(nclasses)]
+            prod = [a * b % P * w for a, b, w in zip(rows[pi], rows[qi], weights)]
+            bound = degrees[pi] * degrees[qi]
+            total = 0
             for ri in range(r_count):
-                acc = [0] * deg
-                cr = conj_rows[ri]
-                for j in range(nclasses):
-                    term = vmul(prod[j], cr[j])
-                    sz = sizes[j]
-                    for m in range(deg):
-                        acc[m] += sz * term[m]
-                if any(acc[1:]) or acc[0] % order:
+                val = sum(map(mul, prod, inv_rows[ri])) % P
+                if val * degrees[ri] > bound:
                     raise AssertionError(
-                        f"fusion multiplicity at ({pi},{qi},{ri}) is not an integer")
-                val = acc[0] // order
-                if val < 0:
-                    raise AssertionError(
-                        f"negative fusion multiplicity at ({pi},{qi},{ri})")
+                        f"fusion multiplicity at ({pi},{qi},{ri}) exceeds d_p d_q / d_r")
+                total += val * degrees[ri]
                 N[pi][qi][ri] = val
                 N[qi][pi][ri] = val
+            if total != bound:
+                raise AssertionError(
+                    f"sum rule fails at ({pi},{qi}): {total} != {bound}")
     return N

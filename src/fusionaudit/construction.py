@@ -1,7 +1,8 @@
 """The order-128 counterexample group and its distinguished data.
 
 Builds G = H x| Q with H = Z2^4 and Q the quaternion group acting
-faithfully through an embedding Q8 -> GL4(2) found by exhaustive search.
+faithfully through the canonical embedding Q8 -> GL4(2), found by a
+search that solves the defining relations by linear algebra over GF(2).
 Also computes H0 = [H, z], the commutator-intersection identity, and the
 linear character lambda of H driving the induced-character construction.
 """
@@ -49,8 +50,10 @@ class Q8Embedding:
     rho: Tuple[gf2.GF2Matrix, ...]
 
     def check(self) -> None:
-        assert self.rho[0] == gf2.IDENTITY
-        assert self.rho[Q8_MINUS_ONE] != gf2.IDENTITY
+        if self.rho[0] != gf2.IDENTITY:
+            raise AssertionError("rho(1) is not the identity matrix")
+        if self.rho[Q8_MINUS_ONE] == gf2.IDENTITY:
+            raise AssertionError("rho(-1) is the identity; the kernel is nontrivial")
         for a in range(8):
             for b in range(8):
                 if gf2.mat_mul(self.rho[a], self.rho[b]) != self.rho[Q8_TABLE[a][b]]:
@@ -60,24 +63,42 @@ class Q8Embedding:
 
 
 def find_q8_in_gl42() -> Q8Embedding:
-    """Exhaustive, canonical search for Q8 inside GL4(2).
+    """Canonical search for Q8 inside GL4(2), by linear algebra over GF(2).
 
     Returns the embedding generated by the lexicographically least pair
-    (A, B) of invertible matrices with A^4 = I, A^2 != I, B^2 = A^2 and
-    A*B = B*A^-1 (equivalently B^-1 A B = A^-1).  The quaternion
-    presentation forces <A, B> to be a faithful copy of Q8.
+    (A, B) of invertible matrices, in mat_key order, with A^4 = I,
+    A^2 != I, B^2 = A^2 and A*B = B*A^-1 (equivalently B^-1 A B = A^-1).
+    The quaternion presentation forces <A, B> to be a faithful copy of Q8.
+
+    No sweep over GL4(2) is needed to find that pair:
+
+    - A^4 = I makes A invertible with A^-1 = A^2 * A, so walking all
+      matrices in key order and keeping those with A^2 != I and A^4 = I
+      visits exactly the invertible candidates for A, in the same order.
+    - For fixed A, the condition A*B = B*A^-1 is linear in the 16 bits
+      of B: its solutions are the kernel of B -> A*B + B*A^-1, listed by
+      gf2.kernel_span in increasing key order.
+    - B^2 = A^2 gives B^4 = I, so every solution with B^2 = A^2 is
+      invertible; the first one in key order is the least valid B.
+
+    The candidates for A and, for each A, the candidates for B are thus
+    the same sets in the same order as in a search over GL4(2), and the
+    first hit is the same pair.
     """
-    candidates = gf2.invertible_matrices()
-    by_square: Dict[gf2.GF2Matrix, List[gf2.GF2Matrix]] = {}
-    for m in candidates:
-        by_square.setdefault(gf2.mat_mul(m, m), []).append(m)
-    for a in candidates:
+    for key in range(1 << 16):
+        a = gf2.mat_from_key(key)
         a2 = gf2.mat_mul(a, a)
         if a2 == gf2.IDENTITY or gf2.mat_mul(a2, a2) != gf2.IDENTITY:
             continue
-        a_inv = gf2.mat_inverse(a)
-        for b in by_square.get(a2, ()):
-            if gf2.mat_mul(a, b) == gf2.mat_mul(b, a_inv):
+        a_inv = gf2.mat_mul(a2, a)
+        images = []
+        for k in range(16):
+            e = gf2.mat_from_key(1 << k)
+            images.append(gf2.mat_key(gf2.mat_mul(a, e))
+                          ^ gf2.mat_key(gf2.mat_mul(e, a_inv)))
+        for b_key in gf2.kernel_span(images):
+            b = gf2.mat_from_key(b_key)
+            if gf2.mat_mul(b, b) == a2:
                 return _embedding_from_generators(a, b)
     raise AssertionError("no Q8 inside GL4(2); search is broken")
 
@@ -140,18 +161,17 @@ def build_g(embedding: Q8Embedding) -> ConstructedGroup:
 
     if centralizer_of_set(G, H) != H:
         raise AssertionError("C_G(H) != H; the action is not faithful")
-    _check_quotient_is_q8(cg)
+    if not _check_quotient_is_q8(cg):
+        raise AssertionError("G/H does not multiply like Q8")
     return cg
 
 
-def _check_quotient_is_q8(cg: ConstructedGroup) -> None:
+def _check_quotient_is_q8(cg: ConstructedGroup) -> bool:
     # Cosets of H are indexed by the Q8 component; their multiplication
     # must reproduce the Q8 Cayley table.
     G = cg.group
-    for q1 in range(8):
-        for q2 in range(8):
-            if G.mul(q1, q2) & 7 != Q8_TABLE[q1][q2]:
-                raise AssertionError("G/H does not multiply like Q8")
+    return all(G.mul(q1, q2) & 7 == Q8_TABLE[q1][q2]
+               for q1 in range(8) for q2 in range(8))
 
 
 def compute_h0(cg: ConstructedGroup) -> Tuple[int, ...]:

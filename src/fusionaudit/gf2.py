@@ -9,7 +9,7 @@ ordering.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 GF2Vector = int                      # 0..15
 GF2Matrix = Tuple[int, int, int, int]
@@ -54,13 +54,6 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
                 acc ^= b[j]
         rows.append(acc)
     return tuple(rows)
-
-
-def mat_pow(a: GF2Matrix, k: int) -> GF2Matrix:
-    r = IDENTITY
-    for _ in range(k):
-        r = mat_mul(r, a)
-    return r
 
 
 def is_invertible(a: GF2Matrix) -> bool:
@@ -132,6 +125,32 @@ def mat_key(a: GF2Matrix) -> int:
 
 def mat_from_key(key: int) -> GF2Matrix:
     return ((key >> 12) & 15, (key >> 8) & 15, (key >> 4) & 15, key & 15)
+
+
+def kernel_span(images: Sequence[int]) -> List[int]:
+    """Kernel of a GF(2)-linear map, every element, in increasing order.
+
+    images[k] is the (packed) image of the basis vector 1 << k; x lies in
+    the kernel when the XOR of images[k] over the set bits k of x is 0.
+    """
+    pivots = {}                      # leading bit -> (image, preimage)
+    basis = []
+    for k, img in enumerate(images):
+        pre = 1 << k
+        while img:
+            top = img.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (img, pre)
+                break
+            pimg, ppre = pivots[top]
+            img ^= pimg
+            pre ^= ppre
+        else:
+            basis.append(pre)
+    span = [0]
+    for v in basis:
+        span += [s ^ v for s in span]
+    return sorted(span)
 
 
 def iter_matrices() -> Iterator[GF2Matrix]:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from fusionaudit.characters import (
     trivial_character,
 )
 from fusionaudit.construction import compute_h0
-from fusionaudit.cyclotomic import Cyclotomic
+from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
+from fusionaudit.groupfile import load_group_file
 from fusionaudit.groups import subgroup_as_group
 
 
@@ -262,3 +264,108 @@ def test_dixon_trivial_group():
     t = dixon_table(FiniteGroup([[0]]))
     assert t.degrees() == (1,)
     assert t.indicators() == (1,)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the fusion tensor by exact convolution in Z[zeta_n]
+# ---------------------------------------------------------------------------
+
+def exact_fusion_tensor(table):
+    """N[p][q][r] = <chi_p chi_q, chi_r>, summed exactly in Z[zeta_n]."""
+    n = table.root_order
+    r_count = len(table.irreducibles)
+    sizes = table.class_sizes
+    order = table.group.order
+    red = _power_reductions(n)
+    deg = len(red[0])
+
+    def vmul(a, b):
+        conv = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+        out = [0] * deg
+        for k, c in enumerate(conv):
+            for j in range(deg):
+                out[j] += c * red[k][j]
+        return out
+
+    rows = [[v.num for v in chi.values] for chi in table.irreducibles]
+    assert all(v.den == 1 for chi in table.irreducibles for v in chi.values)
+    conj_rows = [[v.conjugate().num for v in chi.values]
+                 for chi in table.irreducibles]
+    N = [[[0] * r_count for _ in range(r_count)] for _ in range(r_count)]
+    for pi in range(r_count):
+        for qi in range(pi, r_count):
+            prod = [vmul(a, b) for a, b in zip(rows[pi], rows[qi])]
+            for ri in range(r_count):
+                acc = [0] * deg
+                for pj, cj, sz in zip(prod, conj_rows[ri], sizes):
+                    for m, t in enumerate(vmul(pj, cj)):
+                        acc[m] += sz * t
+                assert not any(acc[1:]) and acc[0] % order == 0
+                N[pi][qi][ri] = N[qi][pi][ri] = acc[0] // order
+    return N
+
+
+def _dihedral_table(m):
+    """Cayley table of D_m: index i + m*e stands for r^i s^e."""
+    def mul(x, y):
+        (i, e), (j, f) = divmod(x, m)[::-1], divmod(y, m)[::-1]
+        return (i + (j if e == 0 else -j)) % m + m * ((e + f) % 2)
+    n = 2 * m
+    return "table %d\n" % n + "\n".join(
+        " ".join(str(mul(x, y)) for y in range(n)) for x in range(n)) + "\n"
+
+
+@pytest.fixture(scope="module")
+def d10_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("groups") / "d10.grp"
+    path.write_text(_dihedral_table(10))
+    return dixon_table(load_group_file(str(path)))
+
+
+@pytest.mark.parametrize("name", ["q8_table", "h16_table", "g128_table",
+                                  "d10_table"])
+def test_fusion_tensor_matches_exact_oracle(name, request):
+    table = request.getfixturevalue(name)
+    assert fusion_tensor(table) == exact_fusion_tensor(table)
+
+
+def _corrupt(table, row, cls, value):
+    chi = table.irreducibles[row]
+    values = list(chi.values)
+    values[cls] = value
+    rows = list(table.irreducibles)
+    rows[row] = ClassFunction(chi.group, tuple(values))
+    return replace(table, irreducibles=tuple(rows))
+
+
+@pytest.mark.parametrize("row, cls, delta", [
+    (4, 1, 1), (4, 2, -1), (0, 3, 2), (2, 4, 1),
+])
+def test_fusion_tensor_rejects_corrupted_q8_table(q8_table, row, cls, delta):
+    old = q8_table.irreducibles[row].values[cls]
+    bad = _corrupt(q8_table, row, cls, old + delta)
+    with pytest.raises(AssertionError):
+        fusion_tensor(bad)
+
+
+def test_fusion_tensor_rejects_corrupted_g128_table(g128_table):
+    n = g128_table.root_order
+    last = len(g128_table.irreducibles) - 1
+    for row, cls in ((last, 5), (8, 3), (1, 7)):
+        old = g128_table.irreducibles[row].values[cls]
+        bad = _corrupt(g128_table, row, cls, old + Cyclotomic.zeta(n))
+        with pytest.raises(AssertionError):
+            fusion_tensor(bad)
+
+
+def test_fusion_tensor_rejects_non_integral_value(q8_table):
+    bad = _corrupt(q8_table, 4, 1, Cyclotomic.from_rational(4, Fraction(1, 2)))
+    with pytest.raises(AssertionError, match="algebraic integer"):
+        fusion_tensor(bad)
+
+
+def test_indicators_are_computed_once(g128_table):
+    assert g128_table.indicators() is g128_table.indicators()

@@ -1,10 +1,17 @@
 import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import fusionaudit
 from fusionaudit import gf2
 from fusionaudit.construction import (
     LambdaChoice,
+    Q8Embedding,
+    _check_quotient_is_q8,
     build_g,
     choose_lambda,
     compute_h0,
@@ -14,7 +21,7 @@ from fusionaudit.construction import (
     q8_regular_embedding,
     valid_covectors,
 )
-from fusionaudit.groups import Q8_TABLE, centralizer_of_set, q8_group
+from fusionaudit.groups import Q8_TABLE, FiniteGroup, centralizer_of_set, q8_group
 
 
 def test_regular_embedding_is_left_multiplication():
@@ -69,6 +76,27 @@ def _cycles(perm):
 
 def test_search_is_reproducible():
     assert find_q8_in_gl42() == find_q8_in_gl42()
+
+
+def test_search_matches_exhaustive_sweep_over_gl42():
+    """Oracle: the least (A, B) of a sweep over all of GL4(2), by key order."""
+    candidates = gf2.invertible_matrices()
+    by_square = {}
+    for m in candidates:
+        by_square.setdefault(gf2.mat_mul(m, m), []).append(m)
+
+    def sweep():
+        for a in candidates:
+            a2 = gf2.mat_mul(a, a)
+            if a2 == gf2.IDENTITY or gf2.mat_mul(a2, a2) != gf2.IDENTITY:
+                continue
+            a_inv = gf2.mat_inverse(a)
+            for b in by_square.get(a2, ()):
+                if gf2.mat_mul(a, b) == gf2.mat_mul(b, a_inv):
+                    return a, b
+
+    emb = find_q8_in_gl42()
+    assert (emb.rho[2], emb.rho[4]) == sweep()
 
 
 def test_embedding_satisfies_presentation():
@@ -213,8 +241,30 @@ def test_lambda_choice_direct_construction(cg):
 
 
 def test_build_rejects_broken_embedding(cg):
-    from fusionaudit.construction import Q8Embedding
     rho = list(cg.embedding.rho)
     rho[1] = gf2.IDENTITY  # kill faithfulness
     with pytest.raises(AssertionError):
         build_g(Q8Embedding(tuple(rho)))
+
+
+@pytest.mark.parametrize("index, replacement, message", [
+    (0, 1, "rho(1) is not the identity"),
+    (1, 0, "rho(-1) is the identity"),
+])
+def test_embedding_check_survives_python_O(cg, index, replacement, message):
+    rho = list(cg.embedding.rho)
+    rho[index] = rho[replacement]
+    code = ("from fusionaudit.construction import Q8Embedding\n"
+            f"Q8Embedding({tuple(rho)!r}).check()\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(fusionaudit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr and message in proc.stderr
+
+
+def test_quotient_check_is_a_verdict(cg):
+    assert _check_quotient_is_q8(cg) is True
+    cyclic = FiniteGroup.from_mul(128, lambda x, y: (x + y) % 128)
+    assert _check_quotient_is_q8(replace(cg, group=cyclic)) is False

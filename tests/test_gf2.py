@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -108,3 +109,19 @@ def test_mat_key_roundtrip_and_order():
 
 def test_gl42_size():
     assert len(gf2.invertible_matrices()) == 20160
+
+
+def test_kernel_span_matches_brute_force():
+    rng = random.Random(7)
+    for bits in (1, 3, 6, 8):
+        for _ in range(20):
+            images = [rng.randrange(1 << bits) for _ in range(bits)]
+            expected = []
+            for x in range(1 << bits):
+                acc = 0
+                for k in range(bits):
+                    if x >> k & 1:
+                        acc ^= images[k]
+                if acc == 0:
+                    expected.append(x)
+            assert gf2.kernel_span(images) == expected
