@@ -9,7 +9,7 @@ odd-multiplicity rule (which must never fail).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import construction
@@ -60,11 +60,7 @@ class AuditReport:
 
     @property
     def ok(self) -> bool:
-        if any(not c.passed for c in self.claims):
-            return False
-        if self.scans.get("odd_rule"):
-            return False
-        return True
+        return all(c.passed for c in self.claims) and not self.scans.get("odd_rule")
 
     def to_dict(self) -> Dict:
         out = {
@@ -164,14 +160,21 @@ class ConstructiveData:
 def constructive_data(cg: ConstructedGroup,
                       covector: Optional[int] = None) -> ConstructiveData:
     G = cg.group
-    n = G.exponent()
-    lam = construction.choose_lambda(cg, covector)
-    chi = induce(G, cg.h_subgroup, lambda_class_function_values(cg, lam, n), n=n)
+    lam_chi = _lambda_and_chi(cg, covector)
     quot, proj = quotient_group(G, cg.h_subgroup)
     qtab = dixon_table(quot)
     lifts = tuple(lift_from_quotient(c, G, proj) for c in qtab.irreducibles)
     phi = next(l for l, c in zip(lifts, qtab.irreducibles) if c.degree() == 2)
-    return ConstructiveData(cg, lam, chi, quot, proj, qtab, lifts, phi)
+    return ConstructiveData(cg, quotient=quot, proj=proj, quotient_table=qtab,
+                            lifts=lifts, phi=phi, **lam_chi)
+
+
+def _lambda_and_chi(cg: ConstructedGroup, covector: Optional[int]) -> Dict:
+    """The fields of ConstructiveData that depend on the covector."""
+    n = cg.group.exponent()
+    lam = construction.choose_lambda(cg, covector)
+    return {"lam": lam, "chi": induce(cg.group, cg.h_subgroup,
+                                      lambda_class_function_values(cg, lam, n), n=n)}
 
 
 def induced_square_constituent(data: ConstructiveData) -> ClassFunction:
@@ -194,23 +197,28 @@ def induced_square_constituent(data: ConstructiveData) -> ClassFunction:
 def verify_claims(covector: Optional[int] = None,
                   cg: Optional[ConstructedGroup] = None) -> AuditReport:
     cg = cg or construction.build_default()
-    G = cg.group
     data = constructive_data(cg, covector)
-    lam, chi, phi = data.lam, data.chi, data.phi
-    report = AuditReport(command="verify", group_label="builtin:g128")
+    return _claims_report(data, _covector_free_claims(data))
+
+
+def _covector_free_claims(data: ConstructiveData) -> Dict:
+    """Claims 3, setup and 4, and the facts of claims 5 and 2 that do not
+    depend on the covector: lambda^2 = 1_H, so even (lambda^2)^G is fixed."""
+    cg, G = data.cg, data.cg.group
+    claims = []
 
     # Claim 3 first in dependency order: the embedding exists.
     regular = construction.q8_regular_embedding()
     evens = all(construction.permutation_is_even(p) for p in regular.values())
     order4_cycles = all(
-        _cycle_type(regular[q]) == (4, 4)
+        construction.cycle_type(regular[q]) == (4, 4)
         for q in range(8) if q8_group().element_order(q) == 4)
     try:
         cg.embedding.check()
         hom_ok = True
     except AssertionError:
         hom_ok = False
-    report.claims.append(ClaimResult(
+    claims.append(ClaimResult(
         "claim3_embedding_exists", evens and order4_cycles and hom_ok,
         {"regular_rep_all_even": evens,
          "order4_elements_are_double_4_cycles": order4_cycles,
@@ -221,7 +229,7 @@ def verify_claims(covector: Optional[int] = None,
     # Structural facts about G itself.
     c_g_h = centralizer_of_set(G, cg.h_subgroup)
     quotient_ok = construction._check_quotient_is_q8(cg)
-    report.claims.append(ClaimResult(
+    claims.append(ClaimResult(
         "setup_group_structure",
         G.order == 128 and c_g_h == cg.h_subgroup and quotient_ok,
         {"order": G.order, "centralizer_of_H_is_H": c_g_h == cg.h_subgroup,
@@ -231,21 +239,33 @@ def verify_claims(covector: Optional[int] = None,
     h0 = construction.compute_h0(cg)
     c_h_z = [g for g in G.centralizer(cg.z_lift) if g in set(cg.h_subgroup)]
     center = set(G.center())
-    report.claims.append(ClaimResult(
+    claims.append(ClaimResult(
         "claim4_h0",
         len(h0) == 2 and len(c_h_z) == 8 and set(h0) <= center,
         {"h0": list(h0), "centralizer_of_z_in_H_size": len(c_h_z),
          "h0_central": set(h0) <= center}))
 
+    ind_sq = induced_square_constituent(data)
+    return {"claims": claims, "h0": h0,
+            "inter": construction.intersect_commutators(cg),
+            "valid": construction.valid_covectors(cg),
+            "reg_mult": inner_product(ind_sq, data.phi).as_rational(),
+            "nu_phi": fs_indicator(data.phi)}
+
+
+def _claims_report(data: ConstructiveData, fixed: Dict) -> AuditReport:
+    """The six claims for data's covector, given its covector-free facts."""
+    cg, lam, chi, phi = data.cg, data.lam, data.chi, data.phi
+    report = AuditReport(command="verify", group_label="builtin:g128",
+                         claims=list(fixed["claims"]))
+
     # Claim 5 / Eq. (2): lambda exists; the commutator intersection is H0.
-    inter = construction.intersect_commutators(cg)
-    valid = construction.valid_covectors(cg)
     lam_at_h0 = lam.value_sign(lam.h0_element)
     report.claims.append(ClaimResult(
         "claim5_lambda_exists",
-        inter == h0 and len(valid) == 8 and lam_at_h0 == -1,
-        {"commutator_intersection": list(inter), "h0": list(h0),
-         "valid_covectors": valid, "chosen_covector": lam.covector,
+        fixed["inter"] == fixed["h0"] and len(fixed["valid"]) == 8 and lam_at_h0 == -1,
+        {"commutator_intersection": list(fixed["inter"]), "h0": list(fixed["h0"]),
+         "valid_covectors": fixed["valid"], "chosen_covector": lam.covector,
          "lambda_at_h0": lam_at_h0}))
 
     # Claim 1: chi is irreducible, by both criteria.
@@ -260,9 +280,7 @@ def verify_claims(covector: Optional[int] = None,
     # Claim 2: chi^2 contains the lifted 2-dimensional quaternion character.
     chi2 = pointwise_product(chi, chi)
     mult = inner_product(chi2, phi).as_rational()
-    ind_sq = induced_square_constituent(data)
-    reg_mult = inner_product(ind_sq, phi).as_rational()
-    nu_phi = fs_indicator(phi)
+    reg_mult, nu_phi = fixed["reg_mult"], fixed["nu_phi"]
     report.claims.append(ClaimResult(
         "claim2_constituent_phi",
         mult is not None and mult >= 1 and nu_phi == -1 and phi.degree() == 2
@@ -283,22 +301,6 @@ def verify_claims(covector: Optional[int] = None,
 
     report.extra["lambda_covector"] = lam.covector
     return report
-
-
-def _cycle_type(perm: Tuple[int, ...]) -> Tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        ln, x = 0, s
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            ln += 1
-        if ln > 1:
-            lengths.append(ln)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def claim6_breakdown(data: ConstructiveData) -> Dict:
@@ -334,15 +336,22 @@ def claim6_breakdown(data: ConstructiveData) -> Dict:
 
 
 def verify_all_lambdas(cg: Optional[ConstructedGroup] = None) -> AuditReport:
-    """Run the full pipeline once per valid covector; all 8 must pass."""
+    """Run the six claims once per valid covector; all 8 must pass.
+
+    The quotient, its Dixon table, the lifts, phi and the covector-free
+    claims are built once; only lambda and chi change per covector.
+    """
     cg = cg or construction.build_default()
+    base = constructive_data(cg)
+    fixed = _covector_free_claims(base)
     runs = []
-    all_ok = True
-    for v in construction.valid_covectors(cg):
-        sub = verify_claims(covector=v, cg=cg)
+    for v in fixed["valid"]:
+        data = (base if v == base.lam.covector
+                else replace(base, **_lambda_and_chi(cg, v)))
+        sub = _claims_report(data, fixed)
         runs.append({"covector": v, "ok": sub.ok,
                      "claims": [c.to_dict() for c in sub.claims]})
-        all_ok = all_ok and sub.ok
+    all_ok = all(r["ok"] for r in runs)
     report = AuditReport(command="verify", group_label="builtin:g128")
     report.claims.append(ClaimResult(
         "all_lambdas", all_ok,
@@ -394,18 +403,8 @@ def wang_scan(table: CharacterTable,
 def odd_rule_scan(table: CharacterTable,
                   N: Optional[List[List[List[int]]]] = None) -> List[Dict]:
     """Positivity violations with odd N_pq^r.  Must be empty, always."""
-    N = N if N is not None else fusion_tensor(table)
-    nus = table.indicators()
-    out = []
-    k = len(nus)
-    for p in range(k):
-        for q in range(p, k):
-            for r in range(k):
-                if N[p][q][r] % 2 == 1 and nus[p] * nus[q] * nus[r] < 0:
-                    out.append({"tag": "odd_rule", "p": p, "q": q, "r": r,
-                                "N": N[p][q][r], "nu_p": nus[p],
-                                "nu_q": nus[q], "nu_r": nus[r]})
-    return out
+    return [{**rec, "tag": "odd_rule"} for rec in positivity_scan(table, N)
+            if rec["N"] % 2]
 
 
 def scan_report(group_label: str, G: FiniteGroup,
@@ -485,11 +484,8 @@ def table_report(group_label: str, G: FiniteGroup, method: str = "dixon",
 
     report.table = table_to_dict(dix)
     report.extra["constructive_rows"] = matches
-    if any(v is None for v in matches.values()):
-        missing = [k for k, v in matches.items() if v is None]
-        report.claims.append(ClaimResult(
-            "constructive_matches_dixon", False, {"missing": missing}))
-    else:
-        report.claims.append(ClaimResult(
-            "constructive_matches_dixon", True, {"rows": matches}))
+    missing = [k for k, v in matches.items() if v is None]
+    report.claims.append(ClaimResult(
+        "constructive_matches_dixon", not missing,
+        {"missing": missing} if missing else {"rows": matches}))
     return report

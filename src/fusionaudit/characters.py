@@ -198,7 +198,7 @@ def _inv_mod(a: int, p: int) -> int:
 
 def _primitive_root(p: int) -> int:
     factors = [f for f in range(2, p) if (p - 1) % f == 0 and _is_prime(f)]
-    for g in range(1, p):               # 1 is a primitive root only mod 2
+    for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
     raise AssertionError(f"no primitive root mod {p}")
@@ -354,38 +354,29 @@ def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
 # Fusion rules
 # ---------------------------------------------------------------------------
 
-def _fusion_prime(order: int, n: int) -> int:
-    """Least prime P = 1 mod n with P > order."""
-    P = order + 1 + (-order) % n
-    while not _is_prime(P):
-        P += n
-    return P
-
-
 def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
     """N[p][q][r] = <chi_p chi_q, chi_r>, computed exactly in F_P.
 
-    P is the least prime = 1 (mod n), n = root_order, with P > |G|, and
-    omega a primitive n-th root of unity mod P.  zeta_n -> omega is a ring
-    homomorphism Z[zeta_n] -> F_P, so
+    P = table.prime and omega = g0^((P-1)/n), n = root_order, exactly as
+    dixon_table took them.  zeta_n -> omega is a ring homomorphism
+    Z[zeta_n] -> F_P, and P does not divide |G| (P = 1 mod n), so
 
         N_pq^r = |G|^-1 sum_j |C_j| chi_p(g_j) chi_q(g_j) chi_r(g_j^-1)  mod P.
 
-    Exactness bound: N_pq^r is an integer with sum_r N_pq^r d_r = d_p d_q
-    and every term nonnegative, so 0 <= N_pq^r <= d_p d_q / d_r <= |G| < P
-    and the residue is N_pq^r itself.  Two exact checks per (p, q) guard the
-    table: every residue satisfies N d_r <= d_p d_q, and the sum rule
-    holds.  A table that is not a character table fails them.
+    Exactness bound: N_pq^r = N_{r q*}^p gives N <= d_p d_q / d_r and
+    N <= d_r d_q / d_p, so N <= d_q, and N <= d_p by symmetry.  As
+    sum d^2 = |G|, 0 <= N <= min(d_p, d_q) <= sqrt|G| < P: the residue is N.
+    Two exact checks per (p, q) guard the table: every residue satisfies
+    N d_r <= d_p d_q, and the sum rule sum_r N_pq^r d_r = d_p d_q holds.
     """
     n = table.root_order
     G = table.group
-    order = G.order
-    P = _fusion_prime(order, n)
+    P = table.prime
     omega = pow(_primitive_root(P), (P - 1) // n, P)
     omega_pows = [pow(omega, i, P) for i in range(n)]
     degrees = table.degrees()
     r_count = len(degrees)
-    order_inv = _inv_mod(order % P, P)
+    order_inv = _inv_mod(G.order % P, P)
     weights = [size * order_inv % P for size in table.class_sizes]
     inv_class = [G.class_of(G.inv(cl[0])) for cl in G.conjugacy_classes()]
 

@@ -28,20 +28,23 @@ def q8_regular_embedding() -> Dict[int, Permutation]:
     return {q: tuple(Q8_TABLE[q][x] for x in range(8)) for q in range(8)}
 
 
-def permutation_is_even(perm: Permutation) -> bool:
+def cycle_type(perm: Permutation) -> Tuple[int, ...]:
+    """Lengths of the cycles of length > 1, longest first."""
     seen = [False] * len(perm)
-    transpositions = 0
+    lengths = []
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
+        length, x = 0, start
         while not seen[x]:
             seen[x] = True
             x = perm[x]
             length += 1
-        transpositions += length - 1
-    return transpositions % 2 == 0
+        if length > 1:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def permutation_is_even(perm: Permutation) -> bool:
+    return sum(length - 1 for length in cycle_type(perm)) % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -184,12 +187,9 @@ def compute_h0(cg: ConstructedGroup) -> Tuple[int, ...]:
 
 def intersect_commutators(cg: ConstructedGroup) -> Tuple[int, ...]:
     """Intersection of [H, x] over the 7 nontrivial cosets xH."""
-    common = set(range(cg.group.order))
-    for x in cg.q_subgroup:
-        if x == 0:
-            continue
-        common &= set(commutator_span(cg.group, cg.h_subgroup, x))
-    return tuple(sorted(common))
+    spans = [set(commutator_span(cg.group, cg.h_subgroup, x))
+             for x in filter(None, cg.q_subgroup)]
+    return tuple(sorted(set.intersection(*spans)))
 
 
 @dataclass(frozen=True)
@@ -231,11 +231,8 @@ def choose_lambda(cg: ConstructedGroup, covector: int | None = None) -> LambdaCh
     h0 = compute_h0(cg)
     kernel = tuple(8 * h for h in range(16) if gf2.dot(covector, h) == 0)
     kernel_set = set(kernel)
-    for x in cg.q_subgroup:
-        if x == 0:
-            continue
-        span = commutator_span(cg.group, cg.h_subgroup, x)
-        if set(span) <= kernel_set:
+    for x in filter(None, cg.q_subgroup):           # the nontrivial cosets
+        if set(commutator_span(cg.group, cg.h_subgroup, x)) <= kernel_set:
             raise AssertionError(f"[H, x] lies in ker lambda for coset of {x}")
     return LambdaChoice(covector=covector, kernel=kernel, h0_element=h0[1])
 

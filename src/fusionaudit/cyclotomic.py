@@ -34,11 +34,13 @@ def _poly_divexact(num: List[int], den: List[int]) -> List[int]:
     quot = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i] // lead
-        assert c * lead == num[i]
+        if c * lead != num[i]:
+            raise AssertionError("polynomial division is not exact")
         quot[i - dd] = c
         for j in range(dd + 1):
             num[i - dd + j] -= c * den[j]
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise AssertionError("polynomial division leaves a remainder")
     return quot
 
 
@@ -114,7 +116,7 @@ class Cyclotomic:
         d = len(red[0])
         num = [0] * d
         for k, c in powers.items():
-            row = _reduce_power(n, k % n)
+            row = red[k % n]
             for j in range(d):
                 num[j] += c * row[j]
         return Cyclotomic(n, num)
@@ -189,7 +191,7 @@ class Cyclotomic:
         num = [0] * d
         for i, c in enumerate(self.num):
             if c:
-                row = _reduce_power(self.n, (i * k) % self.n)
+                row = red[(i * k) % self.n]
                 for j in range(d):
                     num[j] += c * row[j]
         return Cyclotomic(self.n, num, self.den)
@@ -284,8 +286,3 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.n}, {self.render()!r})"
-
-
-def _reduce_power(n: int, k: int) -> Tuple[int, ...]:
-    """Reduced coefficient vector of z^k, any 0 <= k < n."""
-    return _power_reductions(n)[k]

@@ -57,19 +57,10 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
 
 
 def is_invertible(a: GF2Matrix) -> bool:
-    # Gaussian elimination on packed rows.
-    rows = list(a)
-    rank = 0
-    for col in range(DIM):
-        bit = 1 << (DIM - 1 - col)
-        pivot = next((i for i in range(rank, DIM) if rows[i] & bit), None)
-        if pivot is None:
-            return False
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(DIM):
-            if i != rank and rows[i] & bit:
-                rows[i] ^= rows[rank]
-        rank += 1
+    try:
+        mat_inverse(a)
+    except ValueError:
+        return False
     return True
 
 
@@ -163,5 +154,6 @@ def iter_matrices() -> Iterator[GF2Matrix]:
 def invertible_matrices() -> tuple:
     """All of GL4(2), canonically ordered.  Cached; |GL4(2)| = 20160."""
     mats = tuple(m for m in iter_matrices() if is_invertible(m))
-    assert len(mats) == GL4_ORDER
+    if len(mats) != GL4_ORDER:
+        raise AssertionError(f"found {len(mats)} invertible matrices, not {GL4_ORDER}")
     return mats

@@ -93,9 +93,9 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
         raise GroupFileError(extra[1], f"unexpected trailing token {extra[0]!r}")
     try:
         G = FiniteGroup(table, name="file:table")
-    except ValueError as exc:
+        G.check_axioms()
+    except (ValueError, AssertionError) as exc:
         raise GroupFileError(1, f"not a group table: {exc}")
-    G.check_axioms()
     return G
 
 

@@ -26,6 +26,16 @@ table 4
 3 0 1 2
 """
 
+# identity and two-sided inverses, but not associative
+LOOP5_TABLE = """
+table 5
+0 1 2 3 4
+1 0 3 4 2
+2 4 0 1 3
+3 2 4 0 1
+4 3 1 2 0
+"""
+
 G128_SEMIDIRECT = """
 # F2^4 semidirect the quaternion matrix group <A, B>
 semidirect-gf2
@@ -76,6 +86,13 @@ def test_verify_all_lambdas(cg):
     runs = report.extra["lambda_runs"]
     assert len(runs) == 8
     assert all(r["ok"] for r in runs)
+
+
+def test_all_lambdas_runs_match_single_covector_runs(cg):
+    runs = audit.verify_all_lambdas(cg).extra["lambda_runs"]
+    for run in runs:
+        single = audit.verify_claims(covector=run["covector"], cg=cg)
+        assert run["claims"] == [c.to_dict() for c in single.claims]
 
 
 def test_report_json_is_deterministic(cg):
@@ -135,6 +152,20 @@ def test_clean_groups_have_empty_scans(q8_table, h16_table):
         assert audit.positivity_scan(table, N) == []
         assert audit.wang_scan(table, N) == []
         assert audit.odd_rule_scan(table, N) == []
+
+
+def test_odd_rule_scan_keeps_only_odd_violations(q8_table):
+    # q8's indicators are (1, 1, 1, 1, -1); the only row with nu = -1 is 4.
+    assert q8_table.indicators() == (1, 1, 1, 1, -1)
+    N = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    N[0][1][4] = 3                    # odd violation: 1 * 1 * (-1) < 0
+    N[1][2][4] = 2                    # even violation
+    N[4][4][0] = 1                    # nu product 1: not a violation
+    pos = audit.positivity_scan(q8_table, N)
+    assert [(r["p"], r["q"], r["r"]) for r in pos] == [(0, 1, 4), (1, 2, 4)]
+    assert audit.odd_rule_scan(q8_table, N) == [
+        {"tag": "odd_rule", "p": 0, "q": 1, "r": 4, "N": 3,
+         "nu_p": 1, "nu_q": 1, "nu_r": -1}]
 
 
 def test_scan_report_q8(q8):
@@ -202,6 +233,7 @@ def test_loaded_g128_scans_like_the_builtin(g128_table):
     ("table 2\n0 1\n1 0\n7", "trailing token"),
     ("table 2\n0 1", "unexpected end of file"),
     ("table 2\n1 0\n0 1", "not a group table"),
+    (LOOP5_TABLE, "not a group table: associativity fails"),
     ("semidirect-gf2\ngen A\n0001\n0010\n0100\n1110\nrel C^2",
      "unknown generator"),
     ("semidirect-gf2\ngen A\n0001\n0010\n0100\n1110\nrel A^3",
@@ -302,6 +334,10 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     bad.write_text("table 2\n0 1\n1 9\n")
     assert main(["scan", "--group", f"file:{bad}"]) == 2
     assert "line 3" in capsys.readouterr().err
+    loop = tmp_path / "loop.grp"
+    loop.write_text(LOOP5_TABLE)
+    assert main(["scan", "--group", f"file:{loop}"]) == 2
+    assert "not a group table" in capsys.readouterr().err
     assert main(["scan", "--group", "q8"]) == 2
 
 

@@ -332,6 +332,18 @@ def test_fusion_tensor_matches_exact_oracle(name, request):
     assert fusion_tensor(table) == exact_fusion_tensor(table)
 
 
+@pytest.mark.parametrize("name", ["q8_table", "h16_table", "g128_table",
+                                  "d10_table"])
+def test_fusion_bound_is_below_dixon_prime(name, request):
+    # N <= min(d_p, d_q) <= sqrt|G| < prime is what makes the residue exact.
+    table = request.getfixturevalue(name)
+    d = table.degrees()
+    N = fusion_tensor(table)
+    assert all(N[p][q][r] <= min(d[p], d[q])
+               for p in range(len(d)) for q in range(len(d)) for r in range(len(d)))
+    assert max(d) ** 2 <= table.group.order < table.prime ** 2
+
+
 def _corrupt(table, row, cls, value):
     chi = table.irreducibles[row]
     values = list(chi.values)
