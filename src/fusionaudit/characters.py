@@ -147,6 +147,7 @@ class CharacterTable:
     class_rep_orders: Tuple[int, ...]
     root_order: int
     prime: int
+    omega: int  # the primitive root_order-th root of unity mod prime used to lift
 
     def degrees(self) -> Tuple[int, ...]:
         return tuple(int(chi.degree()) for chi in self.irreducibles)
@@ -256,6 +257,88 @@ def _class_matrices(G: FiniteGroup) -> List[List[List[int]]]:
     return mats
 
 
+def _charpoly_mod(M: List[List[int]], p: int) -> List[int]:
+    """Coefficients of det(xI - M) over F_p, constant term first.
+
+    M is reduced to upper Hessenberg form H by similarity transforms, then
+    q_0 = 1 and, 1-indexed,
+        q_m = (x - h_mm) q_{m-1} - sum_{i<m} h_im h_{i+1,i} ... h_{m,m-1} q_{i-1},
+    so q_d = det(xI - M).  Only nonzero pivots are inverted, never the
+    integers 1..d that Faddeev-LeVerrier divides by, so it holds for d >= p.
+    """
+    d = len(M)
+    H = [[x % p for x in row] for row in M]
+    for m in range(d - 2):
+        piv = next((i for i in range(m + 1, d) if H[i][m]), None)
+        if piv is None:
+            continue
+        if piv != m + 1:
+            H[piv], H[m + 1] = H[m + 1], H[piv]
+            for row in H:
+                row[piv], row[m + 1] = row[m + 1], row[piv]
+        inv = _inv_mod(H[m + 1][m], p)
+        for i in range(m + 2, d):
+            u = H[i][m] * inv % p
+            if u:
+                H[i] = [(a - u * b) % p for a, b in zip(H[i], H[m + 1])]
+                for row in H:
+                    row[m + 1] = (row[m + 1] + u * row[i]) % p
+    polys = [[1]]
+    for m in range(1, d + 1):
+        prev, h = polys[-1], H[m - 1][m - 1]
+        q = [0] + prev
+        for k, c in enumerate(prev):
+            q[k] = (q[k] - h * c) % p
+        t = 1
+        for i in range(m - 1, 0, -1):
+            t = t * H[i][i - 1] % p
+            if not t:
+                break
+            c = H[i - 1][m - 1] * t % p
+            for k, a in enumerate(polys[i - 1]):
+                q[k] = (q[k] - c * a) % p
+        polys.append(q)
+    return polys[d]
+
+
+def _roots_mod(coeffs: List[int], p: int) -> List[int]:
+    """Roots in F_p, ascending, of the polynomial with these coefficients."""
+    roots = []
+    for lam in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * lam + c) % p
+        if not acc:
+            roots.append(lam)
+    return roots
+
+
+def _split_eigenspaces(A: List[List[int]], basis: List[List[int]],
+                       pivots: List[int], p: int) -> List[Tuple[List[List[int]], List[int]]]:
+    """Eigenspaces, in increasing eigenvalue, of A on an A-invariant subspace.
+
+    The subspace is given by its rref basis.  Only the roots of A's
+    characteristic polynomial on it are tried: any other lambda has a
+    trivial nullspace.  Raises AssertionError unless the eigenspaces fill
+    the subspace, i.e. unless A splits and is diagonalizable on it mod p.
+    """
+    d = len(basis)
+    # A b_m = sum_l (A b_m)[pivot_l] b_l, so M[l][m] = (A b_m)[pivot_l].
+    M = [[sum(map(mul, A[pc], b)) % p for b in basis] for pc in pivots]
+    out = []
+    split_total = 0
+    for lam in _roots_mod(_charpoly_mod(M, p), p):
+        shifted = [[(M[i][j] - (lam if i == j else 0)) % p for j in range(d)]
+                   for i in range(d)]
+        null = _nullspace_mod(shifted, p)
+        vecs = [[sum(map(mul, c, col)) % p for col in zip(*basis)] for c in null]
+        out.append(_rref_mod(vecs, p))
+        split_total += len(null)
+    if split_total != d:
+        raise AssertionError("class matrix not diagonalizable mod p")
+    return out
+
+
 def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
     """Exact character table via the Burnside-Dixon method.
 
@@ -263,77 +346,86 @@ def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
     characters mod p; degrees come from the orthogonality relation and
     values are lifted to Z[zeta_n] by discrete Fourier inversion of the
     eigenvalue multiplicities.
+
+    Split: each subspace of dimension d > 1 is split by the next class
+    matrix only at the roots in F_p of its characteristic polynomial on the
+    subspace (Hessenberg form, O(d^3), then Horner at every lambda, O(p d)).
+    This is exact: lambda has a nontrivial nullspace iff det(lambda I - M)
+    = 0.  If the eigenspaces found do not fill the subspace, the matrix does
+    not split or is not diagonalizable mod p, and an AssertionError is raised.
+
+    Lift: with omega of order n in F_p and o = ord(g), the multiplicity of
+    omega^k as an eigenvalue of g is m_k = n^-1 sum_{t<n} chi(g^t) omega^-tk.
+    chi(g^t) depends on t mod o only, so the sum is
+    sum_{t<o} chi(g^t) omega^-tk times the geometric sum
+    sum_{s<n/o} omega^-oks, which is n/o if (n/o) | k and 0 otherwise
+    (omega^ok != 1 but (omega^ok)^(n/o) = 1).  Hence
+    m_k = o^-1 sum_{t<o} chi(g^t) omega^-tk, nonzero only at k = (n/o) k',
+    k' < o: one o x o kernel per distinct element order.  m_k <= deg < p/2,
+    so each residue is the multiplicity itself.
     """
     if G.order > size_cap:
         raise ValueError(f"|G| = {G.order} exceeds size cap {size_cap}")
     classes = G.conjugacy_classes()
     reps = [cl[0] for cl in classes]
-    sizes = [len(cl) for cl in classes]
     r = len(classes)
     n = G.exponent()
     p = dixon_prime(G.order, n)
-    mats = _class_matrices(G)
 
-    # Split the common eigenspaces of all class matrices over F_p.
-    spaces: List[Tuple[List[List[int]], List[int]]] = [_rref_mod(
-        [[1 if i == j else 0 for j in range(r)] for i in range(r)], p)]
-    for mi in range(1, r):
-        A = mats[mi]
+    # Split the common eigenspaces of all class matrices over F_p.  The
+    # matrices are not kept past the split, which lowers the lift's peak memory.
+    spaces = [_rref_mod([[1 if i == j else 0 for j in range(r)] for i in range(r)], p)]
+    for A in _class_matrices(G)[1:]:
         new_spaces: List[Tuple[List[List[int]], List[int]]] = []
         for basis, pivots in spaces:
-            d = len(basis)
-            if d == 1:
+            if len(basis) == 1:
                 new_spaces.append((basis, pivots))
-                continue
-            # Matrix of A on the subspace, in rref coordinates.
-            T = []
-            for b in basis:
-                w = [sum(A[j][k] * b[k] for k in range(r)) % p for j in range(r)]
-                T.append([w[pc] for pc in pivots])
-            M = [[T[m][l] for m in range(d)] for l in range(d)]  # transpose
-            split_total = 0
-            for lam in range(p):
-                shifted = [[(M[i][j] - (lam if i == j else 0)) % p
-                            for j in range(d)] for i in range(d)]
-                null = _nullspace_mod(shifted, p)
-                if not null:
-                    continue
-                vecs = [[sum(c[m] * basis[m][k] for m in range(d)) % p
-                         for k in range(r)] for c in null]
-                new_spaces.append(_rref_mod(vecs, p))
-                split_total += len(null)
-            if split_total != d:
-                raise AssertionError("class matrix not diagonalizable mod p")
+            else:
+                new_spaces.extend(_split_eigenspaces(A, basis, pivots, p))
         spaces = new_spaces
     if any(len(b) != 1 for b, _ in spaces):
         raise AssertionError("eigenspace splitting did not terminate")
 
-    # Power map on classes, for both degrees and the Fourier lift.
-    power_class = [[G.class_of(G.power(g, t)) for t in range(n)] for g in reps]
-    inv_class = [G.class_of(G.inv(g)) for g in reps]
+    # power_class[j][t] = class of g_j^t for t < ord(g_j); the last entry
+    # is the class of g_j^-1.
+    power_class = []
+    for g in reps:
+        row, x = [0], g
+        while x != 0:
+            row.append(G.class_of(x))
+            x = G.mul(x, g)
+        power_class.append(row)
+    size_inv = [_inv_mod(len(cl), p) for cl in classes]
 
-    g0 = _primitive_root(p)
-    omega = pow(g0, (p - 1) // n, p)
-    n_inv = _inv_mod(n % p, p)
+    omega = pow(_primitive_root(p), (p - 1) // n, p)
+    omega_pows = [1]
+    for _ in range(n - 1):
+        omega_pows.append(omega_pows[-1] * omega % p)
+    # kernels[o][k'][t] = o^-1 omega^(-t k' n/o): the order-o DFT.
+    kernels = {}
+    for o in {len(row) for row in power_class}:
+        step, o_inv = n // o, _inv_mod(o, p)
+        kernels[o] = [[o_inv * omega_pows[-t * k * step % n] % p for t in range(o)]
+                      for k in range(o)]
 
     chars: List[ClassFunction] = []
     for basis, _ in spaces:
-        v = basis[0]
-        v = [(x * _inv_mod(v[0], p)) % p for x in v]
-        s = sum(v[j] * v[inv_class[j]] * _inv_mod(sizes[j], p) for j in range(r)) % p
+        v0_inv = _inv_mod(basis[0][0], p)
+        v = [x * v0_inv % p for x in basis[0]]
+        s = sum(x * v[row[-1]] * si
+                for x, row, si in zip(v, power_class, size_inv)) % p
         d_sq = (G.order * _inv_mod(s, p)) % p
         deg = next(t for t in range(1, p) if t * t % p == d_sq and 2 * t < p)
-        chi_mod = [(deg * v[j] * _inv_mod(sizes[j], p)) % p for j in range(r)]
+        chi_mod = [deg * x * si % p for x, si in zip(v, size_inv)]
         values = []
-        for j in range(r):
+        for row in power_class:
+            step = n // len(row)
+            samples = [chi_mod[c] for c in row]
             powers = {}
-            for k in range(n):
-                m_k = 0
-                for t in range(n):
-                    m_k += chi_mod[power_class[j][t]] * pow(omega, (-t * k) % (p - 1), p)
-                m_k = (m_k * n_inv) % p
+            for k, kernel in enumerate(kernels[len(row)]):
+                m_k = sum(map(mul, kernel, samples)) % p
                 if m_k:
-                    powers[k] = m_k
+                    powers[k * step] = m_k
             values.append(Cyclotomic.from_powers(n, powers))
         if values[0] != deg:
             raise AssertionError(f"lifted degree {values[0].render()} != {deg}")
@@ -343,10 +435,11 @@ def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
     return CharacterTable(
         group=G,
         irreducibles=tuple(chars),
-        class_sizes=tuple(sizes),
-        class_rep_orders=tuple(G.element_order(g) for g in reps),
+        class_sizes=tuple(len(cl) for cl in classes),
+        class_rep_orders=tuple(len(row) for row in power_class),
         root_order=n,
         prime=p,
+        omega=omega,
     )
 
 
@@ -357,9 +450,10 @@ def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
 def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
     """N[p][q][r] = <chi_p chi_q, chi_r>, computed exactly in F_P.
 
-    P = table.prime and omega = g0^((P-1)/n), n = root_order, exactly as
-    dixon_table took them.  zeta_n -> omega is a ring homomorphism
-    Z[zeta_n] -> F_P, and P does not divide |G| (P = 1 mod n), so
+    P = table.prime and omega = table.omega, the primitive n-th root of
+    unity (n = root_order) that dixon_table lifted with.  zeta_n -> omega
+    is a ring homomorphism Z[zeta_n] -> F_P, and P does not divide |G|
+    (P = 1 mod n), so
 
         N_pq^r = |G|^-1 sum_j |C_j| chi_p(g_j) chi_q(g_j) chi_r(g_j^-1)  mod P.
 
@@ -372,8 +466,7 @@ def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
     n = table.root_order
     G = table.group
     P = table.prime
-    omega = pow(_primitive_root(P), (P - 1) // n, P)
-    omega_pows = [pow(omega, i, P) for i in range(n)]
+    omega_pows = [pow(table.omega, i, P) for i in range(n)]
     degrees = table.degrees()
     r_count = len(degrees)
     order_inv = _inv_mod(G.order % P, P)

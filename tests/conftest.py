@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fusionaudit import audit, construction
@@ -43,3 +45,44 @@ def h16():
 @pytest.fixture(scope="session")
 def h16_table(h16):
     return dixon_table(h16)
+
+
+def dihedral_mul(m):
+    """Multiplication of D_m: index i + m*e stands for r^i s^e."""
+    def mul(x, y):
+        (e, i), (f, j) = divmod(x, m), divmod(y, m)
+        return (i + (j if e == 0 else -j)) % m + m * ((e + f) % 2)
+    return mul
+
+
+def cayley_file(tmp_path_factory, name, n, mul, seed=None):
+    """Write mul on range(n) as a `table` group file; with a seed, relabel
+    the elements at random, keeping 0 the identity."""
+    perm = list(range(n))
+    if seed is not None:
+        rest = perm[1:]
+        random.Random(seed).shuffle(rest)
+        perm = [0] + rest
+    back = [0] * n
+    for x, px in enumerate(perm):
+        back[px] = x
+    rows = [" ".join(str(perm[mul(back[a], back[b])]) for b in range(n))
+            for a in range(n)]
+    path = tmp_path_factory.mktemp("groups") / f"{name}.grp"
+    path.write_text(f"table {n}\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.fixture(scope="session")
+def d10_file(tmp_path_factory):
+    return cayley_file(tmp_path_factory, "d10", 20, dihedral_mul(10))
+
+
+@pytest.fixture(scope="session")
+def d30_file(tmp_path_factory):
+    return cayley_file(tmp_path_factory, "d30", 30, dihedral_mul(15), seed=7)
+
+
+@pytest.fixture(scope="session")
+def c30_file(tmp_path_factory):
+    return cayley_file(tmp_path_factory, "c30", 30, lambda x, y: (x + y) % 30)

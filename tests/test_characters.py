@@ -1,11 +1,22 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionaudit import audit
 from fusionaudit.characters import (
+    CharacterTable,
     ClassFunction,
+    _charpoly_mod,
+    _class_matrices,
+    _inv_mod,
+    _nullspace_mod,
+    _primitive_root,
+    _rref_mod,
+    _split_eigenspaces,
     dixon_prime,
     dixon_table,
     dual_character,
@@ -308,21 +319,9 @@ def exact_fusion_tensor(table):
     return N
 
 
-def _dihedral_table(m):
-    """Cayley table of D_m: index i + m*e stands for r^i s^e."""
-    def mul(x, y):
-        (i, e), (j, f) = divmod(x, m)[::-1], divmod(y, m)[::-1]
-        return (i + (j if e == 0 else -j)) % m + m * ((e + f) % 2)
-    n = 2 * m
-    return "table %d\n" % n + "\n".join(
-        " ".join(str(mul(x, y)) for y in range(n)) for x in range(n)) + "\n"
-
-
 @pytest.fixture(scope="module")
-def d10_table(tmp_path_factory):
-    path = tmp_path_factory.mktemp("groups") / "d10.grp"
-    path.write_text(_dihedral_table(10))
-    return dixon_table(load_group_file(str(path)))
+def d10_table(d10_file):
+    return dixon_table(load_group_file(str(d10_file)))
 
 
 @pytest.mark.parametrize("name", ["q8_table", "h16_table", "g128_table",
@@ -381,3 +380,182 @@ def test_fusion_tensor_rejects_non_integral_value(q8_table):
 
 def test_indicators_are_computed_once(g128_table):
     assert g128_table.indicators() is g128_table.indicators()
+
+
+# ---------------------------------------------------------------------------
+# Oracle: Dixon by trying every lambda and lifting over all of Z/n
+# ---------------------------------------------------------------------------
+
+def naive_dixon_table(G):
+    """dixon_table's algorithm without its shortcuts: every lambda in F_p
+    gets a nullspace solve, and each value is lifted by the length-n
+    Fourier sum over t < exp G with one pow call per term."""
+    classes = G.conjugacy_classes()
+    reps = [cl[0] for cl in classes]
+    sizes = [len(cl) for cl in classes]
+    r = len(classes)
+    n = G.exponent()
+    p = dixon_prime(G.order, n)
+    mats = _class_matrices(G)
+    spaces = [_rref_mod([[int(i == j) for j in range(r)] for i in range(r)], p)]
+    for A in mats[1:]:
+        new_spaces = []
+        for basis, pivots in spaces:
+            d = len(basis)
+            if d == 1:
+                new_spaces.append((basis, pivots))
+                continue
+            T = []
+            for b in basis:
+                w = [sum(A[j][k] * b[k] for k in range(r)) % p for j in range(r)]
+                T.append([w[pc] for pc in pivots])
+            M = [[T[m][l] for m in range(d)] for l in range(d)]
+            split_total = 0
+            for lam in range(p):
+                shifted = [[(M[i][j] - (lam if i == j else 0)) % p
+                            for j in range(d)] for i in range(d)]
+                null = _nullspace_mod(shifted, p)
+                if not null:
+                    continue
+                vecs = [[sum(c[m] * basis[m][k] for m in range(d)) % p
+                         for k in range(r)] for c in null]
+                new_spaces.append(_rref_mod(vecs, p))
+                split_total += len(null)
+            assert split_total == d
+        spaces = new_spaces
+    assert all(len(b) == 1 for b, _ in spaces)
+
+    power_class = [[G.class_of(G.power(g, t)) for t in range(n)] for g in reps]
+    inv_class = [G.class_of(G.inv(g)) for g in reps]
+    omega = pow(_primitive_root(p), (p - 1) // n, p)
+    n_inv = _inv_mod(n % p, p)
+    chars = []
+    for basis, _ in spaces:
+        v = [(x * _inv_mod(basis[0][0], p)) % p for x in basis[0]]
+        s = sum(v[j] * v[inv_class[j]] * _inv_mod(sizes[j], p) for j in range(r)) % p
+        d_sq = (G.order * _inv_mod(s, p)) % p
+        deg = next(t for t in range(1, p) if t * t % p == d_sq and 2 * t < p)
+        chi_mod = [(deg * v[j] * _inv_mod(sizes[j], p)) % p for j in range(r)]
+        values = []
+        for j in range(r):
+            powers = {}
+            for k in range(n):
+                m_k = sum(chi_mod[power_class[j][t]] * pow(omega, (-t * k) % (p - 1), p)
+                          for t in range(n)) * n_inv % p
+                if m_k:
+                    powers[k] = m_k
+            values.append(Cyclotomic.from_powers(n, powers))
+        assert values[0] == deg
+        chars.append(ClassFunction(G, tuple(values)))
+    chars.sort(key=lambda c: (c.degree(), tuple(v.render() for v in c.values)))
+    return CharacterTable(
+        group=G, irreducibles=tuple(chars), class_sizes=tuple(sizes),
+        class_rep_orders=tuple(G.element_order(g) for g in reps),
+        root_order=n, prime=p, omega=omega)
+
+
+@pytest.fixture(scope="module")
+def d30_table(d30_file):
+    return dixon_table(load_group_file(str(d30_file)))
+
+
+@pytest.fixture(scope="module")
+def c30_table(c30_file):
+    return dixon_table(load_group_file(str(c30_file)))
+
+
+# h16 has 16 classes and prime 11 (r > p); in C30, 22 of the 30 elements
+# have order below exp G = 30, so most lifts are shorter than n.
+@pytest.mark.parametrize("name", ["q8_table", "h16_table", "g128_table",
+                                  "d10_table", "d30_table", "c30_table"])
+def test_dixon_matches_naive_oracle(name, request):
+    table = request.getfixturevalue(name)
+    assert naive_dixon_table(table.group) == table
+
+
+def _brute_det(M, p):
+    """Leibniz expansion of det(M) mod p."""
+    d = len(M)
+    total = 0
+    for perm in permutations(range(d)):
+        sign = 1
+        for i in range(d):
+            for j in range(i + 1, d):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total % p
+
+
+@st.composite
+def _square_mod_p(draw):
+    p = draw(st.sampled_from([2, 3, 11, 13]))
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "zero", "scalar", "nilpotent"]))
+    entry = st.integers(0, p - 1)
+    if kind == "random":
+        M = [[draw(entry) for _ in range(d)] for _ in range(d)]
+    elif kind == "zero":
+        M = [[0] * d for _ in range(d)]
+    elif kind == "scalar":
+        c = draw(entry)
+        M = [[c * (i == j) for j in range(d)] for i in range(d)]
+    else:
+        # strictly upper triangular, conjugated by a random permutation
+        U = [[draw(entry) if j > i else 0 for j in range(d)] for i in range(d)]
+        perm = draw(st.permutations(range(d)))
+        M = [[U[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
+    return M, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_mod_p())
+def test_charpoly_matches_brute_force_determinant(case):
+    M, p = case
+    coeffs = _charpoly_mod(M, p)
+    d = len(M)
+    assert len(coeffs) == d + 1 and coeffs[-1] == 1
+    for lam in range(p):
+        value = sum(c * lam ** k for k, c in enumerate(coeffs)) % p
+        shifted = [[(lam * (i == j) - M[i][j]) % p for j in range(d)]
+                   for i in range(d)]
+        assert value == _brute_det(shifted, p)
+
+
+def _full_space(d, p):
+    return _rref_mod([[int(i == j) for j in range(d)] for i in range(d)], p)
+
+
+@pytest.mark.parametrize("M, p", [
+    ([[3, 1], [0, 3]], 11),                    # Jordan block: one eigenvector
+    ([[2, 1, 0], [0, 2, 1], [0, 0, 2]], 13),
+    ([[0, 1], [0, 0]], 3),                     # nilpotent, not zero
+    ([[0, 2], [1, 0]], 3),                     # x^2 + 1 has no root mod 3
+])
+def test_split_rejects_matrices_that_do_not_diagonalize(M, p):
+    with pytest.raises(AssertionError, match="not diagonalizable"):
+        _split_eigenspaces(M, *_full_space(len(M), p), p)
+
+
+def test_split_tries_only_charpoly_roots(monkeypatch, d30_file):
+    from fusionaudit import characters
+    solved = []
+    real = characters._nullspace_mod
+
+    def spy(mat, p):
+        null = real(mat, p)
+        solved.append((mat, null))
+        return null
+
+    monkeypatch.setattr(characters, "_nullspace_mod", spy)
+    # diag(5, 5, 7) mod 13: two roots, so two solves in increasing lambda
+    M = [[5, 0, 0], [0, 5, 0], [0, 0, 7]]
+    parts = _split_eigenspaces(M, *_full_space(3, 13), 13)
+    assert [len(b) for b, _ in parts] == [2, 1]
+    assert [m[0][0] for m, _ in solved] == [0, 11]
+    solved.clear()
+    dixon_table(load_group_file(str(d30_file)))
+    assert solved and all(null for _, null in solved)

@@ -1,6 +1,9 @@
-"""Checks on the source tree itself."""
+"""Checks on the source tree itself and on how it runs."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fusionaudit"
 
@@ -12,3 +15,17 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_table_report_is_identical_under_python_O(d30_file):
+    # The Dixon guards raise explicitly, so -O changes nothing in the report.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    args = ["-m", "fusionaudit.cli", "table", "--group", f"file:{d30_file}",
+            "--report", "json"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *args], env=env,
+                       capture_output=True, timeout=120)
+        for flags in ([], ["-O"]))
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+    assert b'"dixon_prime"' in plain.stdout
