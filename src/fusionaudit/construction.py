@@ -9,6 +9,7 @@ linear character lambda of H driving the induced-character construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Tuple
 
 from . import gf2
@@ -78,6 +79,9 @@ def find_q8_in_gl42() -> Q8Embedding:
     - A^4 = I makes A invertible with A^-1 = A^2 * A, so walking all
       matrices in key order and keeping those with A^2 != I and A^4 = I
       visits exactly the invertible candidates for A, in the same order.
+      A matrix with a zero row is singular and never has A^4 = I, so the
+      walk takes rows from 1..15 only; their lexicographic product is
+      key order on the matrices that remain.
     - For fixed A, the condition A*B = B*A^-1 is linear in the 16 bits
       of B: its solutions are the kernel of B -> A*B + B*A^-1, listed by
       gf2.kernel_span in increasing key order.
@@ -88,8 +92,7 @@ def find_q8_in_gl42() -> Q8Embedding:
     the same sets in the same order as in a search over GL4(2), and the
     first hit is the same pair.
     """
-    for key in range(1 << 16):
-        a = gf2.mat_from_key(key)
+    for a in product(range(1, 16), repeat=4):
         a2 = gf2.mat_mul(a, a)
         if a2 == gf2.IDENTITY or gf2.mat_mul(a2, a2) != gf2.IDENTITY:
             continue
@@ -148,16 +151,13 @@ class ConstructedGroup:
 
 
 def build_g(embedding: Q8Embedding) -> ConstructedGroup:
-    """Semidirect product with (h1,q1)(h2,q2) = (h1 + rho(q1)h2, q1q2)."""
+    """Semidirect product with (h1,q1)(h2,q2) = (h1 + rho(q1)h2, q1q2).
+
+    The checked embedding is a faithful homomorphism, so gf2.semidirect_table
+    on rho multiplies the Q8 parts by Q8_TABLE and puts (h, q) at 8h + q.
+    """
     embedding.check()
-    rho = embedding.rho
-
-    def mul(x: int, y: int) -> int:
-        h1, q1 = x >> 3, x & 7
-        h2, q2 = y >> 3, y & 7
-        return ((h1 ^ gf2.mat_vec(rho[q1], h2)) << 3) | Q8_TABLE[q1][q2]
-
-    G = FiniteGroup.from_mul(128, mul, name="g128")
+    G = FiniteGroup(gf2.semidirect_table(embedding.rho), name="g128")
     H = tuple(8 * h for h in range(16))
     Q = tuple(range(8))
     cg = ConstructedGroup(G, embedding, H, Q, z_lift=Q8_MINUS_ONE)

@@ -9,6 +9,7 @@ ordering.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, List, Sequence, Tuple
 
 GF2Vector = int                      # 0..15
@@ -142,6 +143,25 @@ def kernel_span(images: Sequence[int]) -> List[int]:
     for v in basis:
         span += [s ^ v for s in span]
     return sorted(span)
+
+
+def semidirect_table(mats: Sequence[GF2Matrix]) -> Tuple[Tuple[int, ...], ...]:
+    """Multiplication table of F2^4 x| K for a list of matrices K.
+
+    mats must be closed under multiplication with mats[0] the identity;
+    element h * k + m (k = len(mats)) stands for (h, mats[m]), and
+    (h1, A)(h2, B) = (h1 + A h2, A B).  Each matrix acts once on each
+    vector and each pair of matrices is multiplied once: 16k + k^2 GF(2)
+    products, after which every entry of the table is a lookup.
+    """
+    k = len(mats)
+    index_of = {m: i for i, m in enumerate(mats)}
+    act = [[mat_vec(m, h) for h in range(16)] for m in mats]
+    ktab = [[index_of[mat_mul(a, b)] for b in mats] for a in mats]
+    # blocks[m1][v] is the run of entries (v, mats[m1] mats[m2]) over m2.
+    blocks = [[[v * k + t for t in row] for v in range(16)] for row in ktab]
+    return tuple(tuple(chain.from_iterable(blocks[m1][h1 ^ v] for v in act[m1]))
+                 for h1 in range(16) for m1 in range(k))
 
 
 def iter_matrices() -> Iterator[GF2Matrix]:

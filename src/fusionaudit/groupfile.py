@@ -11,7 +11,7 @@ comment running to end of line.  See docs/group-file-format.md.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NoReturn, Tuple
 
 from . import gf2
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
@@ -75,19 +75,18 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
         raise GroupFileError(line, f"group order must be positive, got {n}")
     if n > max_order:
         raise GroupFileError(line, f"group order {n} exceeds the cap {max_order}")
+    start = stream.pos
     table = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            tok, line = stream.next(f"table entry ({i},{j})")
-            try:
-                v = int(tok)
-            except ValueError:
-                raise GroupFileError(line, f"entry ({i},{j}) is not an integer: {tok!r}")
-            if not 0 <= v < n:
-                raise GroupFileError(line, f"entry ({i},{j}) = {v} out of range 0..{n-1}")
-            row.append(v)
+        toks = stream.tokens[start + i * n:start + (i + 1) * n]
+        try:
+            row = [int(tok) for tok, _ in toks]
+        except ValueError:
+            row = []
+        if len(row) < n or min(row) < 0 or max(row) >= n:
+            _reject_row(stream, start + i * n, i, n)
         table.append(row)
+    stream.pos = start + n * n
     extra = stream.peek()
     if extra is not None:
         raise GroupFileError(extra[1], f"unexpected trailing token {extra[0]!r}")
@@ -97,6 +96,19 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
     except (ValueError, AssertionError) as exc:
         raise GroupFileError(1, f"not a group table: {exc}")
     return G
+
+
+def _reject_row(stream: _Stream, pos: int, i: int, n: int) -> NoReturn:
+    """Raise the error for the first bad or missing entry of row i."""
+    stream.pos = pos
+    for j in range(n):
+        tok, line = stream.next(f"table entry ({i},{j})")
+        try:
+            v = int(tok)
+        except ValueError:
+            raise GroupFileError(line, f"entry ({i},{j}) is not an integer: {tok!r}")
+        if not 0 <= v < n:
+            raise GroupFileError(line, f"entry ({i},{j}) = {v} out of range 0..{n-1}")
 
 
 def _parse_matrix_rows(stream: _Stream, name: str) -> gf2.GF2Matrix:
@@ -141,16 +153,7 @@ def _load_semidirect(stream: _Stream, max_order: int) -> FiniteGroup:
     order = 16 * len(mats)
     if order > max_order:
         raise GroupFileError(1, f"group order {order} exceeds the cap {max_order}")
-    index_of = {m: i for i, m in enumerate(mats)}
-    k = len(mats)
-
-    def mul(x: int, y: int) -> int:
-        h1, m1 = divmod(x, k)
-        h2, m2 = divmod(y, k)
-        h = h1 ^ gf2.mat_vec(mats[m1], h2)
-        return h * k + index_of[gf2.mat_mul(mats[m1], mats[m2])]
-
-    return FiniteGroup.from_mul(order, mul, name="file:semidirect-gf2")
+    return FiniteGroup(gf2.semidirect_table(mats), name="file:semidirect-gf2")
 
 
 def _evaluate_word(word: str, line: int, gens: Dict[str, gf2.GF2Matrix]) -> gf2.GF2Matrix:

@@ -8,6 +8,7 @@ computations are instant and correctness is auditable.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 DEFAULT_ORDER_CAP = 1024
@@ -62,16 +63,14 @@ class FiniteGroup:
         return cls([[mul(a, b) for b in range(n)] for a in range(n)], name=name)
 
     def _compute_inverses(self) -> Tuple[int, ...]:
-        inv = [-1] * self.order
-        for g in range(self.order):
-            for h in range(self.order):
-                if self.table[g][h] == 0:
-                    if self.table[h][g] != 0:
-                        raise ValueError(f"one-sided inverse at element {g}")
-                    inv[g] = h
-                    break
-            else:
+        inv = []
+        for g, row in enumerate(self.table):
+            if 0 not in row:
                 raise ValueError(f"element {g} has no inverse")
+            h = row.index(0)
+            if self.table[h][g] != 0:
+                raise ValueError(f"one-sided inverse at element {g}")
+            inv.append(h)
         return tuple(inv)
 
     def mul(self, a: int, b: int) -> int:
@@ -139,21 +138,38 @@ class FiniteGroup:
                             for x in range(self.order)))
 
     def check_axioms(self) -> None:
-        """Exhaustive closure/associativity/identity/inverse check."""
+        """Closure and associativity check by Light's test.
+
+        The constructor has checked the two-sided identity 0 and the
+        inverses.  The set S of elements s with (a*s)*c = a*(s*c) for all
+        a, c contains 0 and is closed under multiplication, in any table
+        with a two-sided identity.  So the identity is checked only for
+        s = the least element not yet reached; the reached set is then
+        closed under right multiplication by the checked elements, and
+        this repeats until every element is reached.  Each reached
+        element is a product of checked elements, so it lies in S.  In a
+        group each new s at least doubles the reached subgroup, so at most
+        log2(n) rounds of n^2 lookups run.
+        """
         n = self.order
-        for row in self.table:
-            for v in row:
-                if not 0 <= v < n:
-                    raise AssertionError("not closed")
         t = self.table
-        for a in range(n):
-            ta = t[a]
-            for b in range(n):
-                tab = ta[b]
-                tb = t[b]
-                for c in range(n):
-                    if t[tab][c] != ta[tb[c]]:
-                        raise AssertionError(f"associativity fails at {(a, b, c)}")
+        if min(map(min, t)) < 0 or max(map(max, t)) >= n:
+            raise AssertionError("not closed")
+        reached = {0}
+        gens: List[int] = []
+        while len(reached) < n:
+            s = next(x for x in range(n) if x not in reached)
+            right = itemgetter(*t[s])      # a row ta -> (ta[s*c] for all c)
+            for a, ta in enumerate(t):
+                lhs, rhs = t[ta[s]], right(ta)
+                if lhs != rhs:
+                    c = next(c for c in range(n) if lhs[c] != rhs[c])
+                    raise AssertionError(f"associativity fails at {(a, s, c)}")
+            gens.append(s)
+            frontier = reached
+            while frontier:
+                frontier = {t[x][g] for x in frontier for g in gens} - reached
+                reached |= frontier
 
 
 def q8_group() -> FiniteGroup:

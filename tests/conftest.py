@@ -55,19 +55,25 @@ def dihedral_mul(m):
     return mul
 
 
-def cayley_file(tmp_path_factory, name, n, mul, seed=None):
-    """Write mul on range(n) as a `table` group file; with a seed, relabel
-    the elements at random, keeping 0 the identity."""
+def cayley_table(n, mul, rnd=None):
+    """mul on range(n) as a table; with a random.Random, the elements
+    relabelled at random, keeping 0 the identity."""
     perm = list(range(n))
-    if seed is not None:
+    if rnd is not None:
         rest = perm[1:]
-        random.Random(seed).shuffle(rest)
+        rnd.shuffle(rest)
         perm = [0] + rest
     back = [0] * n
     for x, px in enumerate(perm):
         back[px] = x
-    rows = [" ".join(str(perm[mul(back[a], back[b])]) for b in range(n))
-            for a in range(n)]
+    return [[perm[mul(back[a], back[b])] for b in range(n)] for a in range(n)]
+
+
+def cayley_file(tmp_path_factory, name, n, mul, seed=None):
+    """Write mul on range(n) as a `table` group file; with a seed, relabel
+    the elements at random, keeping 0 the identity."""
+    table = cayley_table(n, mul, None if seed is None else random.Random(seed))
+    rows = [" ".join(map(str, row)) for row in table]
     path = tmp_path_factory.mktemp("groups") / f"{name}.grp"
     path.write_text(f"table {n}\n" + "\n".join(rows) + "\n")
     return path

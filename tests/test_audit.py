@@ -1,11 +1,16 @@
 import json
+import pathlib
+import random
 
 import pytest
 
-from fusionaudit import audit
+from fusionaudit import audit, gf2
 from fusionaudit.characters import fusion_tensor
 from fusionaudit.cli import main
-from fusionaudit.groupfile import GroupFileError, load_group
+from fusionaudit.groupfile import GroupFileError, _matrix_closure, load_group, \
+    load_group_file
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 CLAIM_NAMES = [
     "claim3_embedding_exists",
@@ -226,6 +231,52 @@ def test_loaded_g128_scans_like_the_builtin(g128_table):
     assert len(audit.positivity_scan(table)) == len(audit.positivity_scan(g128_table))
 
 
+def semidirect_mul(mats):
+    """The product of F2^4 x| mats, one mat_vec and one mat_mul per call:
+    the loader's multiplication before gf2.semidirect_table."""
+    index_of = {m: i for i, m in enumerate(mats)}
+    k = len(mats)
+
+    def mul(x, y):
+        h1, m1 = divmod(x, k)
+        h2, m2 = divmod(y, k)
+        h = h1 ^ gf2.mat_vec(mats[m1], h2)
+        return h * k + index_of[gf2.mat_mul(mats[m1], mats[m2])]
+    return mul
+
+
+def file_matrices(text):
+    """The matrix group of a semidirect-gf2 file, listed as the loader
+    lists it."""
+    toks = [tok for line in text.splitlines() for tok in line.split("#")[0].split()]
+    gens = [tuple(int(row, 2) for row in toks[i + 2:i + 6])
+            for i, tok in enumerate(toks) if tok == "gen"]
+    return _matrix_closure(gens, 1024)
+
+
+def test_semidirect_table_matches_per_product_oracle(cg):
+    rho = cg.embedding.rho
+    mul = semidirect_mul(rho)
+    expected = tuple(tuple(mul(x, y) for y in range(128)) for x in range(128))
+    assert gf2.semidirect_table(rho) == expected
+    assert cg.group.table == expected
+    mul = semidirect_mul(file_matrices(G128_SEMIDIRECT))
+    assert load_group(G128_SEMIDIRECT).table \
+        == tuple(tuple(mul(x, y) for y in range(128)) for x in range(128))
+
+
+def test_unitriangular_1024_example():
+    path = EXAMPLES / "unitriangular-1024.grp"
+    G = load_group_file(str(path))
+    assert G.order == 1024
+    assert len(G.conjugacy_classes()) == 61
+    mul = semidirect_mul(file_matrices(path.read_text()))
+    rnd = random.Random(1024)
+    for _ in range(10_000):
+        x, y = rnd.randrange(1024), rnd.randrange(1024)
+        assert G.mul(x, y) == mul(x, y)
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("rubbish 4", "unknown format"),
     ("table x", "must be an integer"),
@@ -233,6 +284,8 @@ def test_loaded_g128_scans_like_the_builtin(g128_table):
     ("table 2\n0 1\n1 0\n7", "trailing token"),
     ("table 2\n0 1", "unexpected end of file"),
     ("table 2\n1 0\n0 1", "not a group table"),
+    ("table 3\n0 1 2\n1 2 0\n2 1 1", "one-sided inverse at element 1"),
+    ("table 3\n0 1 2\n1 0 2\n2 2 1", "element 2 has no inverse"),
     (LOOP5_TABLE, "not a group table: associativity fails"),
     ("semidirect-gf2\ngen A\n0001\n0010\n0100\n1110\nrel C^2",
      "unknown generator"),

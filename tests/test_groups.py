@@ -1,6 +1,11 @@
+import ast
 from itertools import product
 
 import pytest
+from conftest import cayley_table, dihedral_mul
+from test_audit import LOOP5_TABLE
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fusionaudit import groups
 from fusionaudit.groups import (
@@ -196,3 +201,124 @@ def test_q8_table_symmetry_of_inverses():
 def test_q8_associativity_exhaustive():
     for a, b, c in product(range(8), repeat=3):
         assert Q8_TABLE[Q8_TABLE[a][b]][c] == Q8_TABLE[a][Q8_TABLE[b][c]]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the exhaustive check over all n^3 triples
+# ---------------------------------------------------------------------------
+
+def exhaustive_check_axioms(G):
+    """check_axioms before Light's test: closure, then every triple."""
+    n = G.order
+    for row in G.table:
+        for v in row:
+            if not 0 <= v < n:
+                raise AssertionError("not closed")
+    t = G.table
+    for a in range(n):
+        ta = t[a]
+        for b in range(n):
+            tab = ta[b]
+            tb = t[b]
+            for c in range(n):
+                if t[tab][c] != ta[tb[c]]:
+                    raise AssertionError(f"associativity fails at {(a, b, c)}")
+
+
+_GROUPS = ([(n, lambda a, b, n=n: (a + b) % n) for n in range(1, 13)]
+           + [(2 * m, dihedral_mul(m)) for m in range(1, 7)]
+           + [(8, lambda a, b: Q8_TABLE[a][b])])
+
+
+@st.composite
+def _relabelled_groups(draw):
+    n, mul = draw(st.sampled_from(_GROUPS))
+    return cayley_table(n, mul, draw(st.randoms()))
+
+
+@st.composite
+def _corrupted_groups(draw):
+    """One entry (a, b), a, b != 0, changed; the entries 0 stay where they
+    are, so the identity and the inverses survive."""
+    table = draw(_relabelled_groups().filter(lambda t: len(t) > 2))
+    n = len(table)
+    a, b = draw(st.tuples(st.integers(1, n - 1), st.integers(1, n - 1))
+                .filter(lambda ab: table[ab[0]][ab[1]] != 0))
+    table[a][b] = draw(st.integers(1, n - 1).filter(lambda v: v != table[a][b]))
+    return table
+
+
+def _inverse_pairing(rnd, n):
+    """A random involution of 1..n-1 (g -> g^-1), 0 fixed."""
+    rest = list(range(1, n))
+    rnd.shuffle(rest)
+    inv = list(range(n))
+    while len(rest) > 1 and rnd.random() < 0.7:
+        g, h = rest.pop(), rest.pop()
+        inv[g], inv[h] = h, g
+    return inv
+
+
+@st.composite
+def _magmas(draw):
+    """Tables with identity 0 and two-sided inverses, otherwise random."""
+    n = draw(st.integers(1, 8))
+    inv = _inverse_pairing(draw(st.randoms()), n)
+    return [[a + b if a == 0 or b == 0 else 0 if b == inv[a]
+             else draw(st.integers(1, n - 1)) for b in range(n)] for a in range(n)]
+
+
+@st.composite
+def _loops(draw):
+    """Latin squares with identity 0 and two-sided inverses: loops."""
+    n = draw(st.integers(2, 7))
+    rnd = draw(st.randoms())
+    inv = _inverse_pairing(rnd, n)
+    table = [[a + b if a == 0 or b == 0 else 0 if b == inv[a] else None
+              for b in range(n)] for a in range(n)]
+    cells = [(a, b) for a in range(n) for b in range(n) if table[a][b] is None]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        a, b = cells[k]
+        values = list(range(1, n))
+        rnd.shuffle(values)
+        for v in values:
+            if v not in table[a] and all(table[x][b] != v for x in range(n)):
+                table[a][b] = v
+                if fill(k + 1):
+                    return True
+                table[a][b] = None
+        return False
+
+    assume(fill(0))
+    return table
+
+
+def _failure(check):
+    """The message of the AssertionError check() raises, else None."""
+    try:
+        check()
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+LOOP5 = [[int(v) for v in line.split()]
+         for line in LOOP5_TABLE.strip().splitlines()[1:]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_magmas(), _loops(), _relabelled_groups(), _corrupted_groups()))
+@example(LOOP5)
+def test_light_check_agrees_with_exhaustive_oracle(table):
+    G = FiniteGroup(table)
+    light = _failure(G.check_axioms)
+    oracle = _failure(lambda: exhaustive_check_axioms(G))
+    assert (light is None) == (oracle is None)
+    if light is not None:
+        # the witness Light's test names is a real failure
+        a, b, c = ast.literal_eval(light.split(" at ", 1)[1])
+        t = G.table
+        assert t[t[a][b]][c] != t[a][t[b][c]]

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+from test_audit import LOOP5_TABLE
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fusionaudit"
 
 
@@ -29,3 +31,15 @@ def test_table_report_is_identical_under_python_O(d30_file):
     assert plain.returncode == 0 and optimized.returncode == 0
     assert plain.stdout == optimized.stdout
     assert b'"dixon_prime"' in plain.stdout
+
+
+def test_non_associative_table_exits_2_under_python_O(tmp_path):
+    # Light's test raises explicitly, so -O cannot let a loop through.
+    loop = tmp_path / "loop5.grp"
+    loop.write_text(LOOP5_TABLE)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-O", "-m", "fusionaudit.cli", "table",
+                          "--group", f"file:{loop}"], env=env,
+                         capture_output=True, timeout=120)
+    assert run.returncode == 2
+    assert b"associativity fails" in run.stderr
