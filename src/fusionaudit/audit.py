@@ -9,7 +9,6 @@ odd-multiplicity rule (which must never fail).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import construction
@@ -39,24 +38,31 @@ from .groups import (
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class ClaimResult:
-    name: str
-    passed: bool
-    witness: Dict
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: Dict):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
 
     def to_dict(self) -> Dict:
         return {"name": self.name, "passed": self.passed, "witness": self.witness}
 
 
-@dataclass
 class AuditReport:
-    command: str
-    group_label: str
-    claims: List[ClaimResult] = field(default_factory=list)
-    scans: Dict[str, List[Dict]] = field(default_factory=dict)
-    table: Optional[Dict] = None
-    extra: Dict = field(default_factory=dict)
+    __slots__ = ("command", "group_label", "claims", "scans", "table", "extra")
+
+    def __init__(self, command: str, group_label: str,
+                 claims: Optional[List[ClaimResult]] = None,
+                 scans: Optional[Dict[str, List[Dict]]] = None,
+                 table: Optional[Dict] = None, extra: Optional[Dict] = None):
+        self.command = command
+        self.group_label = group_label
+        self.claims = [] if claims is None else claims
+        self.scans = {} if scans is None else scans
+        self.table = table
+        self.extra = {} if extra is None else extra
 
     @property
     def ok(self) -> bool:
@@ -145,16 +151,22 @@ def conjugate_stabilizer_check(cg: ConstructedGroup, lam: LambdaChoice) -> bool:
     return True
 
 
-@dataclass
 class ConstructiveData:
-    cg: ConstructedGroup
-    lam: LambdaChoice
-    chi: ClassFunction
-    quotient: FiniteGroup
-    proj: List[int]
-    quotient_table: CharacterTable
-    lifts: Tuple[ClassFunction, ...]   # the 5 quotient irreducibles, lifted
-    phi: ClassFunction                 # the lifted 2-dimensional irreducible
+    __slots__ = ("cg", "lam", "chi", "quotient", "proj", "quotient_table",
+                 "lifts", "phi")
+
+    def __init__(self, cg: ConstructedGroup, lam: LambdaChoice, chi: ClassFunction,
+                 quotient: FiniteGroup, proj: List[int],
+                 quotient_table: CharacterTable, lifts: Tuple[ClassFunction, ...],
+                 phi: ClassFunction):
+        self.cg = cg
+        self.lam = lam
+        self.chi = chi
+        self.quotient = quotient
+        self.proj = proj
+        self.quotient_table = quotient_table
+        self.lifts = lifts      # the 5 quotient irreducibles, lifted
+        self.phi = phi          # the lifted 2-dimensional irreducible
 
 
 def constructive_data(cg: ConstructedGroup,
@@ -347,7 +359,10 @@ def verify_all_lambdas(cg: Optional[ConstructedGroup] = None) -> AuditReport:
     runs = []
     for v in fixed["valid"]:
         data = (base if v == base.lam.covector
-                else replace(base, **_lambda_and_chi(cg, v)))
+                else ConstructiveData(cg, quotient=base.quotient, proj=base.proj,
+                                      quotient_table=base.quotient_table,
+                                      lifts=base.lifts, phi=base.phi,
+                                      **_lambda_and_chi(cg, v)))
         sub = _claims_report(data, fixed)
         runs.append({"covector": v, "ok": sub.ok,
                      "claims": [c.to_dict() for c in sub.claims]})
@@ -403,8 +418,12 @@ def wang_scan(table: CharacterTable,
 def odd_rule_scan(table: CharacterTable,
                   N: Optional[List[List[List[int]]]] = None) -> List[Dict]:
     """Positivity violations with odd N_pq^r.  Must be empty, always."""
-    return [{**rec, "tag": "odd_rule"} for rec in positivity_scan(table, N)
-            if rec["N"] % 2]
+    return _odd_rule(positivity_scan(table, N))
+
+
+def _odd_rule(positivity: List[Dict]) -> List[Dict]:
+    """The positivity records with odd N, retagged as odd-rule findings."""
+    return [{**rec, "tag": "odd_rule"} for rec in positivity if rec["N"] % 2]
 
 
 def scan_report(group_label: str, G: FiniteGroup,
@@ -412,10 +431,11 @@ def scan_report(group_label: str, G: FiniteGroup,
     table = dixon_table(G, size_cap=size_cap)
     N = fusion_tensor(table)
     report = AuditReport(command="scan", group_label=group_label)
+    positivity = positivity_scan(table, N)
     report.scans = {
-        "positivity": positivity_scan(table, N),
+        "positivity": positivity,
         "wang": wang_scan(table, N),
-        "odd_rule": odd_rule_scan(table, N),
+        "odd_rule": _odd_rule(positivity),
     }
     report.extra["degrees"] = list(table.degrees())
     report.extra["indicators"] = list(table.indicators())

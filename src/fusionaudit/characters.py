@@ -7,7 +7,6 @@ lifted exactly into Z[zeta_n].  All arithmetic is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -17,15 +16,15 @@ from .cyclotomic import Cyclotomic
 from .groups import FiniteGroup, is_subgroup
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """A function constant on conjugacy classes, one Cyclotomic per class."""
-    group: FiniteGroup
-    values: Tuple[Cyclotomic, ...]
+    __slots__ = ("group", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.group.conjugacy_classes()):
+    def __init__(self, group: FiniteGroup, values: Tuple[Cyclotomic, ...]):
+        if len(values) != len(group.conjugacy_classes()):
             raise ValueError("one value per conjugacy class required")
+        self.group = group
+        self.values = values
 
     def value_at(self, g: int) -> Cyclotomic:
         return self.values[self.group.class_of(g)]
@@ -48,12 +47,6 @@ class ClassFunction:
         return hash((id(self.group), self.values))
 
 
-def trivial_character(G: FiniteGroup, n: Optional[int] = None) -> ClassFunction:
-    n = n or G.exponent()
-    one = Cyclotomic.from_rational(n, 1)
-    return ClassFunction(G, tuple(one for _ in G.conjugacy_classes()))
-
-
 def regular_character(G: FiniteGroup, n: Optional[int] = None) -> ClassFunction:
     n = n or G.exponent()
     vals = [Cyclotomic.from_rational(n, G.order if cl == (0,) else 0)
@@ -63,23 +56,30 @@ def regular_character(G: FiniteGroup, n: Optional[int] = None) -> ClassFunction:
 
 def induce(G: FiniteGroup, sub: Sequence[int], values: Dict[int, Cyclotomic],
            n: Optional[int] = None) -> ClassFunction:
-    """Induced class function: g -> |S|^-1 sum_t value(t^-1 g t), zero off S."""
+    """Induced class function: g -> |S|^-1 sum_{t in G} value(t^-1 g t), zero off S.
+
+    Computed from class sums.  t -> t^-1 g t maps G onto cl(g), and the
+    t with t^-1 g t = x form a coset of C_G(g), so each x in cl(g) is hit
+    exactly |C_G(g)| = |G| / |cl(g)| times.  Hence
+
+        chi(g) = |G| / (|cl(g)| |S|) * sum_{x in cl(g) & S} value(x),
+
+    for any subgroup S and any values on it (S need not be normal).  The
+    values stay exact in Z[zeta_n].
+    """
     sub_set = set(sub)
     if not is_subgroup(G, sub_set):
         raise ValueError("induction subgroup is not a subgroup")
     if set(values) != sub_set:
         raise ValueError("values must cover exactly the subgroup")
     n = n or G.exponent()
-    vals = []
-    for cl in G.conjugacy_classes():
-        g = cl[0]
-        acc = Cyclotomic.zero(n)
-        for t in range(G.order):
-            x = G.conj(g, t)
-            if x in sub_set:
-                acc = acc + values[x].to_order(n)
-        vals.append(acc * Fraction(1, len(sub_set)))
-    return ClassFunction(G, tuple(vals))
+    classes = G.conjugacy_classes()
+    sums = [Cyclotomic.zero(n)] * len(classes)
+    for x, v in values.items():
+        c = G.class_of(x)
+        sums[c] = sums[c] + v.to_order(n)
+    return ClassFunction(G, tuple(
+        acc * Fraction(G.order, len(cl) * len(sub_set)) for acc, cl in zip(sums, classes)))
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
@@ -99,10 +99,6 @@ def pointwise_product(a: ClassFunction, b: ClassFunction) -> ClassFunction:
     n = lcm(a.root_order(), b.root_order())
     return ClassFunction(a.group, tuple(
         av.to_order(n) * bv.to_order(n) for av, bv in zip(a.values, b.values)))
-
-
-def dual_character(a: ClassFunction) -> ClassFunction:
-    return ClassFunction(a.group, tuple(v.conjugate() for v in a.values))
 
 
 def fs_indicator(a: ClassFunction) -> Fraction:
@@ -129,43 +125,41 @@ def lift_from_quotient(c: ClassFunction, G: FiniteGroup,
         c.value_at(proj[cl[0]]) for cl in G.conjugacy_classes()))
 
 
-def restrict(a: ClassFunction, H: FiniteGroup, embed: Sequence[int]) -> ClassFunction:
-    """Restrict along an embedding H -> G given by G-indices."""
-    return ClassFunction(H, tuple(
-        a.value_at(embed[cl[0]]) for cl in H.conjugacy_classes()))
-
-
 # ---------------------------------------------------------------------------
 # Burnside-Dixon character table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CharacterTable:
-    group: FiniteGroup
-    irreducibles: Tuple[ClassFunction, ...]
-    class_sizes: Tuple[int, ...]
-    class_rep_orders: Tuple[int, ...]
-    root_order: int
-    prime: int
-    omega: int  # the primitive root_order-th root of unity mod prime used to lift
+    __slots__ = ("group", "irreducibles", "class_sizes", "class_rep_orders",
+                 "root_order", "prime", "omega", "_indicators")
+
+    def __init__(self, group: FiniteGroup, irreducibles: Tuple[ClassFunction, ...],
+                 class_sizes: Tuple[int, ...], class_rep_orders: Tuple[int, ...],
+                 root_order: int, prime: int, omega: int):
+        self.group = group
+        self.irreducibles = irreducibles
+        self.class_sizes = class_sizes
+        self.class_rep_orders = class_rep_orders
+        self.root_order = root_order
+        self.prime = prime
+        self.omega = omega  # the primitive root_order-th root of unity mod prime used to lift
+        self._indicators: Optional[Tuple[int, ...]] = None  # set by indicators()
 
     def degrees(self) -> Tuple[int, ...]:
         return tuple(int(chi.degree()) for chi in self.irreducibles)
 
     def indicators(self) -> Tuple[int, ...]:
         """Frobenius-Schur indicators, one per row; computed once per table."""
-        cached = self.__dict__.get("_indicators")
-        if cached is not None:
-            return cached
+        if self._indicators is not None:
+            return self._indicators
         out = []
         for chi in self.irreducibles:
             nu = fs_indicator(chi)
             if nu.denominator != 1 or nu.numerator not in (-1, 0, 1):
                 raise AssertionError(f"indicator {nu} outside {{-1,0,1}}")
             out.append(nu.numerator)
-        out = tuple(out)
-        object.__setattr__(self, "_indicators", out)
-        return out
+        self._indicators = tuple(out)
+        return self._indicators
 
     def row_of(self, c: ClassFunction) -> Optional[int]:
         """Index of an irreducible equal to c as a class function, if any."""

@@ -14,7 +14,7 @@ import sys
 import time
 from typing import Optional, Tuple
 
-from . import audit, groupfile
+from . import audit
 from .construction import ConstructedGroup
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
 
@@ -25,6 +25,8 @@ def _resolve_group(spec: str, max_order: int) -> Tuple[str, FiniteGroup,
         G, cg = audit.builtin_group(spec.split(":", 1)[1])
         return spec, G, cg
     if spec.startswith("file:"):
+        # Imported here so the builtin groups never load the file parser.
+        from . import groupfile
         path = spec.split(":", 1)[1]
         G = groupfile.load_group_file(path, max_order=max_order)
         return spec, G, None
@@ -40,6 +42,17 @@ def _emit(report: audit.AuditReport, fmt: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _order_cap(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 1 <= n <= DEFAULT_ORDER_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 1 to {DEFAULT_ORDER_CAP}, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusion-audit",
@@ -51,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="builtin:<g128|q8|h16> or file:<path>")
         p.add_argument("--report", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report to a file")
-        p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP,
-                       help="size cap for loaded groups (default 1024)")
+        p.add_argument("--max-order", type=_order_cap, default=DEFAULT_ORDER_CAP,
+                       help="size cap for loaded groups, 1..1024 (default 1024)")
 
     p_verify = sub.add_parser("verify", help="run the six-claim pipeline")
     common(p_verify)
@@ -88,10 +101,10 @@ def main(argv=None) -> int:
             label, G, cg = _resolve_group(args.group, args.max_order)
             report = audit.table_report(label, G, method=args.table_method,
                                         cg=cg, size_cap=args.max_order)
+        _emit(report, args.report, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.report, args.out)
     print(f"elapsed: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return 0 if report.ok else 1
 

@@ -8,7 +8,6 @@ linear character lambda of H driving the induced-character construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Tuple
 
@@ -48,10 +47,12 @@ def permutation_is_even(perm: Permutation) -> bool:
     return sum(length - 1 for length in cycle_type(perm)) % 2 == 0
 
 
-@dataclass(frozen=True)
 class Q8Embedding:
     """A faithful homomorphism Q8 -> GL4(2), indexed by Q8 element."""
-    rho: Tuple[gf2.GF2Matrix, ...]
+    __slots__ = ("rho",)
+
+    def __init__(self, rho: Tuple[gf2.GF2Matrix, ...]):
+        self.rho = rho
 
     def check(self) -> None:
         if self.rho[0] != gf2.IDENTITY:
@@ -127,18 +128,22 @@ def _embedding_from_generators(a: gf2.GF2Matrix, b: gf2.GF2Matrix) -> Q8Embeddin
     return emb
 
 
-@dataclass(frozen=True)
 class ConstructedGroup:
     """The 128-element group H x| Q with its distinguished subgroups.
 
     Element index = 8 * (vector bits as 0..15) + (Q8 index 0..7); the
     identity (0, 1) is index 0.
     """
-    group: FiniteGroup
-    embedding: Q8Embedding
-    h_subgroup: Tuple[int, ...]       # all (h, 1)
-    q_subgroup: Tuple[int, ...]       # all (0, q)
-    z_lift: int                       # (0, -1)
+    __slots__ = ("group", "embedding", "h_subgroup", "q_subgroup", "z_lift")
+
+    def __init__(self, group: FiniteGroup, embedding: Q8Embedding,
+                 h_subgroup: Tuple[int, ...], q_subgroup: Tuple[int, ...],
+                 z_lift: int):
+        self.group = group
+        self.embedding = embedding
+        self.h_subgroup = h_subgroup      # all (h, 1)
+        self.q_subgroup = q_subgroup      # all (0, q)
+        self.z_lift = z_lift              # (0, -1)
 
     def index(self, hbits: int, qidx: int) -> int:
         return 8 * hbits + qidx
@@ -192,16 +197,18 @@ def intersect_commutators(cg: ConstructedGroup) -> Tuple[int, ...]:
     return tuple(sorted(set.intersection(*spans)))
 
 
-@dataclass(frozen=True)
 class LambdaChoice:
     """A linear character lambda_v of H with h -> (-1)^(v.h).
 
     kernel holds the G-indices of ker(lambda), a hyperplane of H not
     containing H0.
     """
-    covector: int
-    kernel: Tuple[int, ...]
-    h0_element: int                   # G-index of the nonidentity element of H0
+    __slots__ = ("covector", "kernel", "h0_element")
+
+    def __init__(self, covector: int, kernel: Tuple[int, ...], h0_element: int):
+        self.covector = covector
+        self.kernel = kernel
+        self.h0_element = h0_element      # G-index of the nonidentity element of H0
 
     def value_sign(self, g: int) -> int:
         """+1/-1 on H (g must be an H index, i.e. q-part trivial)."""

@@ -227,9 +227,6 @@ class Cyclotomic:
             raise ValueError(f"{self} is not a rational integer")
         return r.numerator
 
-    def is_real(self) -> bool:
-        return self.conjugate() == self
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic.from_rational(self.n, other)

@@ -8,9 +8,8 @@ ordering.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 GF2Vector = int                      # 0..15
 GF2Matrix = Tuple[int, int, int, int]
@@ -20,18 +19,6 @@ DIM = 4
 IDENTITY: GF2Matrix = (0b1000, 0b0100, 0b0010, 0b0001)
 
 GL4_ORDER = 20160
-
-
-def vec_bits(v: GF2Vector) -> Tuple[int, int, int, int]:
-    """Unpack to the bit tuple (b0, b1, b2, b3)."""
-    return ((v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1)
-
-
-def vec_from_bits(bits) -> GF2Vector:
-    b = tuple(bits)
-    if len(b) != DIM or any(x not in (0, 1) for x in b):
-        raise ValueError(f"need 4 bits in {{0,1}}, got {bits!r}")
-    return (b[0] << 3) | (b[1] << 2) | (b[2] << 1) | b[3]
 
 
 def dot(u: GF2Vector, v: GF2Vector) -> int:
@@ -82,32 +69,9 @@ def mat_inverse(a: GF2Matrix) -> GF2Matrix:
     return tuple(r & 0b1111 for r in rows)
 
 
-def mat_order(a: GF2Matrix) -> int:
-    if not is_invertible(a):
-        raise ValueError(f"matrix {a} is not invertible")
-    k = 1
-    b = a
-    while b != IDENTITY:
-        b = mat_mul(b, a)
-        k += 1
-        if k > GL4_ORDER:
-            raise AssertionError("order exceeds |GL4(2)|; broken matrix")
-    return k
-
-
 def enumerate_functionals() -> list:
     """All 15 nonzero covectors, in lexicographic (= numeric) order."""
     return list(range(1, 16))
-
-
-def kernel_of(f: Functional) -> list:
-    """Vectors annihilated by the covector; a hyperplane when f != 0."""
-    return [v for v in range(16) if dot(f, v) == 0]
-
-
-def fixed_space(a: GF2Matrix) -> list:
-    """All v with a.v = v; a subspace of F2^4."""
-    return [v for v in range(16) if mat_vec(a, v) == v]
 
 
 def mat_key(a: GF2Matrix) -> int:
@@ -162,18 +126,3 @@ def semidirect_table(mats: Sequence[GF2Matrix]) -> Tuple[Tuple[int, ...], ...]:
     blocks = [[[v * k + t for t in row] for v in range(16)] for row in ktab]
     return tuple(tuple(chain.from_iterable(blocks[m1][h1 ^ v] for v in act[m1]))
                  for h1 in range(16) for m1 in range(k))
-
-
-def iter_matrices() -> Iterator[GF2Matrix]:
-    """All 65536 matrices in canonical order."""
-    for key in range(1 << 16):
-        yield mat_from_key(key)
-
-
-@lru_cache(maxsize=1)
-def invertible_matrices() -> tuple:
-    """All of GL4(2), canonically ordered.  Cached; |GL4(2)| = 20160."""
-    mats = tuple(m for m in iter_matrices() if is_invertible(m))
-    if len(mats) != GL4_ORDER:
-        raise AssertionError(f"found {len(mats)} invertible matrices, not {GL4_ORDER}")
-    return mats

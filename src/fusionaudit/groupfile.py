@@ -167,8 +167,12 @@ def _evaluate_word(word: str, line: int, gens: Dict[str, gf2.GF2Matrix]) -> gf2.
         except ValueError:
             raise GroupFileError(line, f"bad exponent {exp_s!r} in relation {word!r}")
         m = gens[name] if exp >= 0 else gf2.mat_inverse(gens[name])
-        for _ in range(abs(exp)):
-            result = gf2.mat_mul(result, m)
+        exp = abs(exp)
+        while exp:                      # square and multiply: O(log |exp|)
+            if exp & 1:
+                result = gf2.mat_mul(result, m)
+            m = gf2.mat_mul(m, m)
+            exp >>= 1
     return result
 
 

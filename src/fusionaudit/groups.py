@@ -251,18 +251,3 @@ def quotient_group(G: FiniteGroup, N: Iterable[int]) -> Tuple[FiniteGroup, List[
     reps = [c[0] for c in cosets]
     table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
     return FiniteGroup(table, name=f"{G.name}/N"), proj
-
-
-def subgroup_as_group(G: FiniteGroup, S: Iterable[int]) -> Tuple[FiniteGroup, List[int]]:
-    """Reindex a subgroup as a standalone FiniteGroup.
-
-    Returns (H, embed) with embed[i] the G-index of H's element i;
-    embed is sorted except that the identity comes first (it is element 0
-    of G, hence first anyway).
-    """
-    members = sorted(set(S))
-    if not is_subgroup(G, members):
-        raise ValueError("not a subgroup")
-    pos = {g: i for i, g in enumerate(members)}
-    table = [[pos[G.mul(a, b)] for b in members] for a in members]
-    return FiniteGroup(table), members

@@ -1,0 +1,124 @@
+"""Test-side helpers: small reference functions with no production caller,
+and field-by-field access to the program's record classes."""
+from functools import lru_cache
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+from fusionaudit import gf2
+from fusionaudit.characters import ClassFunction
+from fusionaudit.cyclotomic import Cyclotomic
+from fusionaudit.groups import FiniteGroup, is_subgroup
+
+
+# ---------------------------------------------------------------------------
+# Record classes
+# ---------------------------------------------------------------------------
+
+def fields(obj) -> Tuple[Tuple[str, object], ...]:
+    """Every constructor field of a record class, as (name, value) pairs.
+
+    The record classes keep their fields in __slots__; slots starting with
+    an underscore are caches, not fields.
+    """
+    return tuple((name, getattr(obj, name))
+                 for name in type(obj).__slots__ if not name.startswith("_"))
+
+
+def rebuild(obj, **changes):
+    """A copy of obj through its constructor, with some fields replaced."""
+    values = dict(fields(obj))
+    unknown = set(changes) - set(values)
+    if unknown:
+        raise TypeError(f"not a field of {type(obj).__name__}: {sorted(unknown)}")
+    values.update(changes)
+    return type(obj)(**values)
+
+
+# ---------------------------------------------------------------------------
+# Characters and groups
+# ---------------------------------------------------------------------------
+
+def trivial_character(G: FiniteGroup, n: Optional[int] = None) -> ClassFunction:
+    n = n or G.exponent()
+    one = Cyclotomic.from_rational(n, 1)
+    return ClassFunction(G, tuple(one for _ in G.conjugacy_classes()))
+
+
+def dual_character(a: ClassFunction) -> ClassFunction:
+    return ClassFunction(a.group, tuple(v.conjugate() for v in a.values))
+
+
+def restrict(a: ClassFunction, H: FiniteGroup, embed: Sequence[int]) -> ClassFunction:
+    """Restrict along an embedding H -> G given by G-indices."""
+    return ClassFunction(H, tuple(
+        a.value_at(embed[cl[0]]) for cl in H.conjugacy_classes()))
+
+
+def subgroup_as_group(G: FiniteGroup, S) -> Tuple[FiniteGroup, List[int]]:
+    """Reindex a subgroup as a standalone FiniteGroup.
+
+    Returns (H, embed) with embed[i] the G-index of H's element i; embed is
+    sorted, so the identity (element 0 of G) comes first.
+    """
+    members = sorted(set(S))
+    if not is_subgroup(G, members):
+        raise ValueError("not a subgroup")
+    pos = {g: i for i, g in enumerate(members)}
+    table = [[pos[G.mul(a, b)] for b in members] for a in members]
+    return FiniteGroup(table), members
+
+
+def is_real(v: Cyclotomic) -> bool:
+    return v.conjugate() == v
+
+
+# ---------------------------------------------------------------------------
+# GF(2)
+# ---------------------------------------------------------------------------
+
+def vec_bits(v: gf2.GF2Vector) -> Tuple[int, int, int, int]:
+    """Unpack to the bit tuple (b0, b1, b2, b3)."""
+    return ((v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1)
+
+
+def vec_from_bits(bits) -> gf2.GF2Vector:
+    b = tuple(bits)
+    if len(b) != gf2.DIM or any(x not in (0, 1) for x in b):
+        raise ValueError(f"need 4 bits in {{0,1}}, got {bits!r}")
+    return (b[0] << 3) | (b[1] << 2) | (b[2] << 1) | b[3]
+
+
+def mat_order(a: gf2.GF2Matrix) -> int:
+    if not gf2.is_invertible(a):
+        raise ValueError(f"matrix {a} is not invertible")
+    k, b = 1, a
+    while b != gf2.IDENTITY:
+        b = gf2.mat_mul(b, a)
+        k += 1
+        if k > gf2.GL4_ORDER:
+            raise AssertionError("order exceeds |GL4(2)|; broken matrix")
+    return k
+
+
+def kernel_of(f: gf2.Functional) -> list:
+    """Vectors annihilated by the covector; a hyperplane when f != 0."""
+    return [v for v in range(16) if gf2.dot(f, v) == 0]
+
+
+def fixed_space(a: gf2.GF2Matrix) -> list:
+    """All v with a.v = v; a subspace of F2^4."""
+    return [v for v in range(16) if gf2.mat_vec(a, v) == v]
+
+
+def iter_matrices() -> Iterator[gf2.GF2Matrix]:
+    """All 65536 matrices in canonical order."""
+    for key in range(1 << 16):
+        yield gf2.mat_from_key(key)
+
+
+@lru_cache(maxsize=1)
+def invertible_matrices() -> tuple:
+    """All of GL4(2), canonically ordered; |GL4(2)| = 20160."""
+    mats = tuple(m for m in iter_matrices() if gf2.is_invertible(m))
+    if len(mats) != gf2.GL4_ORDER:
+        raise AssertionError(f"found {len(mats)} invertible matrices, not {gf2.GL4_ORDER}")
+    return mats

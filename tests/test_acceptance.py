@@ -14,11 +14,10 @@ from fusionaudit.characters import (
     ClassFunction,
     fs_indicator,
     inner_product,
-    restrict,
 )
 from fusionaudit.cli import main
 from fusionaudit.cyclotomic import Cyclotomic, cyclotomic_polynomial
-from fusionaudit.groups import subgroup_as_group
+from oracles import restrict, subgroup_as_group
 
 
 def _report(name, ok):

@@ -308,6 +308,20 @@ def test_group_file_error_line_numbers():
     assert exc.value.line == 3
 
 
+def test_huge_relation_exponents_are_cheap(tmp_path, capsys):
+    # A has order 4: A^99999999999 = A^3 fails, A^400000000000 = I holds.
+    # A power walk would take |exp| products; square and multiply, about 80.
+    text = (EXAMPLES / "g128.grp").read_text()
+    bad, good = tmp_path / "bad.grp", tmp_path / "good.grp"
+    bad.write_text(text + "rel A^99999999999\n")
+    good.write_text(text + "rel A^400000000000\n")
+    assert main(["scan", "--group", f"file:{bad}"]) == 2
+    err = capsys.readouterr().err
+    assert "relation 'A^99999999999' does not hold" in err
+    assert "line 22" in err
+    assert load_group(good.read_text()).order == 128
+
+
 def test_order_cap_enforced():
     with pytest.raises(GroupFileError) as exc:
         load_group(Z4_TABLE, max_order=2)
@@ -392,6 +406,11 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert main(["scan", "--group", f"file:{loop}"]) == 2
     assert "not a group table" in capsys.readouterr().err
     assert main(["scan", "--group", "q8"]) == 2
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["scan", "--group", "builtin:q8", "--out", str(missing)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_cli_json_reports_are_byte_identical(tmp_path):
@@ -426,3 +445,13 @@ def test_cli_max_order_cap(tmp_path, capsys):
     path.write_text(Z4_TABLE)
     assert main(["scan", "--group", f"file:{path}", "--max-order", "2"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "1025", "100000000", "two"])
+def test_cli_max_order_must_be_within_the_cap(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--group", "builtin:q8", "--max-order", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--max-order: must be an integer from 1 to 1024" in err

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,7 +19,6 @@ from fusionaudit.characters import (
     _split_eigenspaces,
     dixon_prime,
     dixon_table,
-    dual_character,
     fs_indicator,
     fusion_tensor,
     induce,
@@ -27,13 +26,19 @@ from fusionaudit.characters import (
     lift_from_quotient,
     pointwise_product,
     regular_character,
-    restrict,
-    trivial_character,
 )
-from fusionaudit.construction import compute_h0
+from fusionaudit.construction import choose_lambda, compute_h0, valid_covectors
 from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
 from fusionaudit.groupfile import load_group_file
-from fusionaudit.groups import subgroup_as_group
+from oracles import (
+    dual_character,
+    fields,
+    is_real,
+    rebuild,
+    restrict,
+    subgroup_as_group,
+    trivial_character,
+)
 
 
 def test_induced_chi_values(cg, data):
@@ -116,7 +121,7 @@ def test_fs_indicator_range_and_reality(g128_table, q8_table, h16_table):
         for chi in table.irreducibles:
             nu = fs_indicator(chi)
             assert nu in (Fraction(-1), Fraction(0), Fraction(1))
-            real = all(v.is_real() for v in chi.values)
+            real = all(is_real(v) for v in chi.values)
             assert (nu == 0) == (not real)
 
 
@@ -270,6 +275,61 @@ def test_induce_validates_inputs(cg):
         induce(cg.group, cg.h_subgroup, bad)
 
 
+# ---------------------------------------------------------------------------
+# Oracle: induction by the defining sum over every conjugator
+# ---------------------------------------------------------------------------
+
+def naive_induce(G, sub, values, n=None):
+    """g -> |S|^-1 sum_{t in G} value(t^-1 g t), one walk over G per class."""
+    sub_set = set(sub)
+    n = n or G.exponent()
+    vals = []
+    for cl in G.conjugacy_classes():
+        g = cl[0]
+        acc = Cyclotomic.zero(n)
+        for t in range(G.order):
+            x = G.conj(g, t)
+            if x in sub_set:
+                acc = acc + values[x].to_order(n)
+        vals.append(acc * Fraction(1, len(sub_set)))
+    return ClassFunction(G, tuple(vals))
+
+
+def test_induce_matches_naive_oracle_for_every_lambda(cg):
+    G, H = cg.group, cg.h_subgroup
+    n = G.exponent()
+    covectors = valid_covectors(cg)
+    assert len(covectors) == 8
+    for v in covectors:
+        lam = choose_lambda(cg, v)
+        values = audit.lambda_class_function_values(cg, lam, n)
+        assert induce(G, H, values, n=n) == naive_induce(G, H, values, n=n)
+        squares = {g: Cyclotomic.from_rational(n, lam.value_sign(g) ** 2) for g in H}
+        assert induce(G, H, squares, n=n) == naive_induce(G, H, squares, n=n)
+
+
+def _is_normal(G, S):
+    return all(G.conj(s, t) in S for s in S for t in range(G.order))
+
+
+def test_induce_matches_naive_oracle_on_non_normal_subgroups(cg, d10_table):
+    rnd = random.Random(2017)
+    G, Q = cg.group, cg.q_subgroup
+    D = d10_table.group
+    reflection = (0, 10)                 # {1, s} in D_10, s = index 10
+    cases = [(G, Q), (D, reflection)]
+    for K, S in cases:
+        assert not _is_normal(K, set(S))
+        n = K.exponent()
+        for _ in range(3):
+            ints = {x: Cyclotomic.from_rational(n, rnd.randint(-9, 9)) for x in S}
+            assert induce(K, S, ints) == naive_induce(K, S, ints)
+            cyc = {x: Cyclotomic.from_powers(n, {rnd.randrange(n): rnd.randint(-3, 3),
+                                                 0: rnd.randint(-3, 3)})
+                   for x in S}
+            assert induce(K, S, cyc) == naive_induce(K, S, cyc)
+
+
 def test_dixon_trivial_group():
     from fusionaudit.groups import FiniteGroup
     t = dixon_table(FiniteGroup([[0]]))
@@ -349,7 +409,7 @@ def _corrupt(table, row, cls, value):
     values[cls] = value
     rows = list(table.irreducibles)
     rows[row] = ClassFunction(chi.group, tuple(values))
-    return replace(table, irreducibles=tuple(rows))
+    return rebuild(table, irreducibles=tuple(rows))
 
 
 @pytest.mark.parametrize("row, cls, delta", [
@@ -470,7 +530,7 @@ def c30_table(c30_file):
                                   "d10_table", "d30_table", "c30_table"])
 def test_dixon_matches_naive_oracle(name, request):
     table = request.getfixturevalue(name)
-    assert naive_dixon_table(table.group) == table
+    assert fields(naive_dixon_table(table.group)) == fields(table)
 
 
 def _brute_det(M, p):

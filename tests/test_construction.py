@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +21,7 @@ from fusionaudit.construction import (
     valid_covectors,
 )
 from fusionaudit.groups import Q8_TABLE, FiniteGroup, centralizer_of_set, q8_group
+from oracles import fields, fixed_space, invertible_matrices, mat_order, rebuild
 
 
 def test_regular_embedding_is_left_multiplication():
@@ -75,12 +75,12 @@ def _cycles(perm):
 
 
 def test_search_is_reproducible():
-    assert find_q8_in_gl42() == find_q8_in_gl42()
+    assert fields(find_q8_in_gl42()) == fields(find_q8_in_gl42())
 
 
 def test_search_matches_exhaustive_sweep_over_gl42():
     """Oracle: the least (A, B) of a sweep over all of GL4(2), by key order."""
-    candidates = gf2.invertible_matrices()
+    candidates = invertible_matrices()
     by_square = {}
     for m in candidates:
         by_square.setdefault(gf2.mat_mul(m, m), []).append(m)
@@ -109,7 +109,7 @@ def test_embedding_satisfies_presentation():
     assert gf2.mat_mul(gf2.mat_mul(gf2.mat_inverse(b), a), b) == gf2.mat_inverse(a)
     assert emb.rho[0] == gf2.IDENTITY
     assert emb.rho[1] == a2
-    assert gf2.mat_order(a) == 4
+    assert mat_order(a) == 4
 
 
 def test_embedding_homomorphism_table(cg):
@@ -196,7 +196,7 @@ def test_every_presentation_pair_yields_the_counterexample_structure():
     centralizer of z in H is the fixed space of rho(z), and [H, x-lift]
     is the image of I + rho(x).
     """
-    candidates = gf2.invertible_matrices()
+    candidates = invertible_matrices()
     by_square = {}
     for m in candidates:
         by_square.setdefault(gf2.mat_mul(m, m), []).append(m)
@@ -216,7 +216,7 @@ def test_every_presentation_pair_yields_the_counterexample_structure():
             }
             image_z = {gf2.mat_vec(a2, v) ^ v for v in range(16)}
             assert len(image_z) == 2
-            assert len(gf2.fixed_space(a2)) == 8
+            assert len(fixed_space(a2)) == 8
             inter = set(range(16))
             for m in (a, b, rho["k"], a2,
                       gf2.mat_mul(a2, a), gf2.mat_mul(a2, b),
@@ -267,4 +267,4 @@ def test_embedding_check_survives_python_O(cg, index, replacement, message):
 def test_quotient_check_is_a_verdict(cg):
     assert _check_quotient_is_q8(cg) is True
     cyclic = FiniteGroup.from_mul(128, lambda x, y: (x + y) % 128)
-    assert _check_quotient_is_q8(replace(cg, group=cyclic)) is False
+    assert _check_quotient_is_q8(rebuild(cg, group=cyclic)) is False

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 from conftest import cayley_table, dihedral_mul
+from oracles import subgroup_as_group
 from test_audit import LOOP5_TABLE
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from fusionaudit.groups import (
     is_subgroup,
     quotient_group,
     squares_in,
-    subgroup_as_group,
     subgroup_generated,
 )
 

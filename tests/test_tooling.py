@@ -19,6 +19,36 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_no_dataclasses_in_src():
+    # dataclasses pulls in inspect and generates code at import, which every
+    # CLI child would pay for; the record classes are plain __slots__ classes.
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if "dataclass" in path.read_text(encoding="utf-8")]
+    assert found == []
+
+
+def _modules_after(code, tmp_path):
+    """The watched modules a fresh interpreter has loaded after running code."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules if m in "
+             "('dataclasses', 'inspect', 'fusionaudit.groupfile')))\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
+    assert _modules_after("import fusionaudit.cli", tmp_path) == "[]"
+
+
+def test_builtin_scan_does_not_load_the_group_file_parser(tmp_path):
+    code = ("from fusionaudit import cli\n"
+            "assert cli.main(['scan', '--group', 'builtin:q8', '--out', 'q8.json']) == 0")
+    assert _modules_after(code, tmp_path) == "[]"
+    assert (tmp_path / "q8.json").read_text().startswith("group: builtin:q8")
+
+
 def test_table_report_is_identical_under_python_O(d30_file):
     # The Dixon guards raise explicitly, so -O changes nothing in the report.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
