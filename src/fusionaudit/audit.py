@@ -403,10 +403,10 @@ def wang_scan(table: CharacterTable,
     N = N if N is not None else fusion_tensor(table)
     nus = table.indicators()
     out = []
-    for p, chi in enumerate(table.irreducibles):
-        dual_values = tuple(v.conjugate() for v in chi.values)
-        p_dual = next(i for i, c in enumerate(table.irreducibles)
-                      if c.values == dual_values)
+    # Exact: distinct irreducibles have distinct (independent) residue rows.
+    index = {row: i for i, row in enumerate(table.residues)}
+    for p, row in enumerate(table.residues):
+        p_dual = index[tuple(row[j] for j in table.inv_class)]
         for r in range(len(nus)):
             if N[p][p_dual][r] > 0 and nus[r] != 1:
                 out.append({"tag": "wang", "p": p, "p_dual": p_dual, "r": r,
@@ -426,9 +426,8 @@ def _odd_rule(positivity: List[Dict]) -> List[Dict]:
     return [{**rec, "tag": "odd_rule"} for rec in positivity if rec["N"] % 2]
 
 
-def scan_report(group_label: str, G: FiniteGroup,
-                size_cap: int = 1024) -> AuditReport:
-    table = dixon_table(G, size_cap=size_cap)
+def scan_report(group_label: str, G: FiniteGroup) -> AuditReport:
+    table = dixon_table(G)
     N = fusion_tensor(table)
     report = AuditReport(command="scan", group_label=group_label)
     positivity = positivity_scan(table, N)
@@ -465,8 +464,7 @@ def table_to_dict(table: CharacterTable) -> Dict:
 
 
 def table_report(group_label: str, G: FiniteGroup, method: str = "dixon",
-                 cg: Optional[ConstructedGroup] = None,
-                 size_cap: int = 1024) -> AuditReport:
+                 cg: Optional[ConstructedGroup] = None) -> AuditReport:
     """The `table` command: print/serialize the character table.
 
     method "constructive" lists only the characters the construction
@@ -480,7 +478,7 @@ def table_report(group_label: str, G: FiniteGroup, method: str = "dixon",
     if method in ("constructive", "both") and cg is None:
         raise ValueError("constructive characters are defined only for builtin:g128")
 
-    dix = dixon_table(G, size_cap=size_cap) if method in ("dixon", "both") else None
+    dix = dixon_table(G) if method in ("dixon", "both") else None
     if method == "dixon":
         report.table = table_to_dict(dix)
         return report

@@ -1,9 +1,9 @@
 """Class functions, induced characters, FS indicators, and character tables.
 
 Two independent routes to every headline quantity: direct constructive
-characters (induction from H, lifts from G/H) and a Burnside-Dixon table
-computed from class-multiplication coefficients modulo a suitable prime,
-lifted exactly into Z[zeta_n].  All arithmetic is exact.
+characters (induction from H, lifts from G/H) and a Burnside-Dixon table of
+residues modulo a suitable prime, computed from class-multiplication
+coefficients and rendered exactly in Z[zeta_n].  All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclotomic
-from .groups import FiniteGroup, is_subgroup
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, is_subgroup
 
 
 class ClassFunction:
@@ -130,35 +130,37 @@ def lift_from_quotient(c: ClassFunction, G: FiniteGroup,
 # ---------------------------------------------------------------------------
 
 class CharacterTable:
-    __slots__ = ("group", "irreducibles", "class_sizes", "class_rep_orders",
-                 "root_order", "prime", "omega", "_indicators")
+    __slots__ = ("group", "irreducibles", "residues", "class_sizes", "class_rep_orders",
+                 "inv_class", "square_class", "root_order", "prime", "_indicators")
 
     def __init__(self, group: FiniteGroup, irreducibles: Tuple[ClassFunction, ...],
-                 class_sizes: Tuple[int, ...], class_rep_orders: Tuple[int, ...],
-                 root_order: int, prime: int, omega: int):
+                 residues: Tuple[Tuple[int, ...], ...], class_sizes: Tuple[int, ...],
+                 class_rep_orders: Tuple[int, ...], inv_class: Tuple[int, ...],
+                 square_class: Tuple[int, ...], root_order: int, prime: int):
         self.group = group
-        self.irreducibles = irreducibles
+        self.irreducibles = irreducibles  # lifted to Z[zeta_root_order]: row order, rendering
+        self.residues = residues  # Dixon's rows chi(g_j) mod prime: the table itself
         self.class_sizes = class_sizes
         self.class_rep_orders = class_rep_orders
+        self.inv_class = inv_class        # class of g_j^-1
+        self.square_class = square_class  # class of g_j^2
         self.root_order = root_order
         self.prime = prime
-        self.omega = omega  # the primitive root_order-th root of unity mod prime used to lift
         self._indicators: Optional[Tuple[int, ...]] = None  # set by indicators()
 
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(int(chi.degree()) for chi in self.irreducibles)
+        return tuple(row[0] for row in self.residues)  # chi(1) < prime / 2
 
     def indicators(self) -> Tuple[int, ...]:
-        """Frobenius-Schur indicators, one per row; computed once per table."""
-        if self._indicators is not None:
-            return self._indicators
-        out = []
-        for chi in self.irreducibles:
-            nu = fs_indicator(chi)
-            if nu.denominator != 1 or nu.numerator not in (-1, 0, 1):
-                raise AssertionError(f"indicator {nu} outside {{-1,0,1}}")
-            out.append(nu.numerator)
-        self._indicators = tuple(out)
+        """Frobenius-Schur indicators |G|^-1 sum_j |C_j| chi(g_j^2) mod prime, one
+        per row, computed once.  Exact: nu is -1, 0 or 1 and prime >= 3."""
+        if self._indicators is None:
+            p, order_inv = self.prime, _inv_mod(self.group.order, self.prime)
+            nus = [sum(s * row[c] for s, c in zip(self.class_sizes, self.square_class))
+                   * order_inv % p for row in self.residues]
+            if any(nu not in (0, 1, p - 1) for nu in nus):
+                raise AssertionError(f"indicator residues {nus} mod {p} are not all 0, +-1")
+            self._indicators = tuple(nu if nu < 2 else -1 for nu in nus)
         return self._indicators
 
     def row_of(self, c: ClassFunction) -> Optional[int]:
@@ -333,7 +335,7 @@ def _split_eigenspaces(A: List[List[int]], basis: List[List[int]],
     return out
 
 
-def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
+def dixon_table(G: FiniteGroup) -> CharacterTable:
     """Exact character table via the Burnside-Dixon method.
 
     Common eigenvectors of the class matrices over F_p give the central
@@ -358,8 +360,8 @@ def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
     k' < o: one o x o kernel per distinct element order.  m_k <= deg < p/2,
     so each residue is the multiplicity itself.
     """
-    if G.order > size_cap:
-        raise ValueError(f"|G| = {G.order} exceeds size cap {size_cap}")
+    if G.order > DEFAULT_ORDER_CAP:
+        raise ValueError(f"|G| = {G.order} exceeds size cap {DEFAULT_ORDER_CAP}")
     classes = G.conjugacy_classes()
     reps = [cl[0] for cl in classes]
     r = len(classes)
@@ -402,7 +404,7 @@ def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
         kernels[o] = [[o_inv * omega_pows[-t * k * step % n] % p for t in range(o)]
                       for k in range(o)]
 
-    chars: List[ClassFunction] = []
+    rows: List[Tuple[ClassFunction, Tuple[int, ...]]] = []
     for basis, _ in spaces:
         v0_inv = _inv_mod(basis[0][0], p)
         v = [x * v0_inv % p for x in basis[0]]
@@ -423,18 +425,36 @@ def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
             values.append(Cyclotomic.from_powers(n, powers))
         if values[0] != deg:
             raise AssertionError(f"lifted degree {values[0].render()} != {deg}")
-        chars.append(ClassFunction(G, tuple(values)))
+        rows.append((ClassFunction(G, tuple(values)), tuple(chi_mod)))
 
-    chars.sort(key=lambda c: (c.degree(), tuple(v.render() for v in c.values)))
-    return CharacterTable(
-        group=G,
-        irreducibles=tuple(chars),
+    rows.sort(key=lambda cr: (cr[0].degree(), tuple(v.render() for v in cr[0].values)))
+    chars, residues = zip(*rows)
+    return _checked(CharacterTable(
+        group=G, irreducibles=chars, residues=residues,
         class_sizes=tuple(len(cl) for cl in classes),
         class_rep_orders=tuple(len(row) for row in power_class),
-        root_order=n,
-        prime=p,
-        omega=omega,
-    )
+        inv_class=tuple(row[-1] for row in power_class),
+        square_class=tuple(row[2 % len(row)] for row in power_class),
+        root_order=n, prime=p))
+
+
+def _checked(table: CharacterTable) -> CharacterTable:
+    """The table, once sum d^2 = |G|, sum_j |C_j| chi_a(g_j^-1) chi_b(g_j) = |G| delta_ab
+    mod p (p does not divide |G|) and sum nu(chi) chi(1) = #{g : g^2 = 1} hold
+    (Isaacs, ch. 4).  Failures raise AssertionError explicitly, kept by python -O."""
+    G, p, res, sizes = table.group, table.prime, table.residues, table.class_sizes
+    degrees = table.degrees()
+    if sum(d * d for d in degrees) != G.order:
+        raise AssertionError(f"sum of squared degrees {degrees} is not |G| = {G.order}")
+    for a, row in enumerate(res):
+        weighted = [s * row[j] % p for s, j in zip(sizes, table.inv_class)]
+        for b in range(a, len(res)):
+            if sum(map(mul, weighted, res[b])) % p != (G.order % p if a == b else 0):
+                raise AssertionError(f"rows {a} and {b} are not orthogonal mod {p}")
+    involutions = sum(s for s, o in zip(sizes, table.class_rep_orders) if o <= 2)
+    if sum(map(mul, table.indicators(), degrees)) != involutions:
+        raise AssertionError(f"Frobenius-Schur count fails: {involutions} elements square to 1")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +464,8 @@ def dixon_table(G: FiniteGroup, size_cap: int = 1024) -> CharacterTable:
 def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
     """N[p][q][r] = <chi_p chi_q, chi_r>, computed exactly in F_P.
 
-    P = table.prime and omega = table.omega, the primitive n-th root of
-    unity (n = root_order) that dixon_table lifted with.  zeta_n -> omega
-    is a ring homomorphism Z[zeta_n] -> F_P, and P does not divide |G|
-    (P = 1 mod n), so
+    P = table.prime, and the rows are Dixon's residues chi(g_j) mod P
+    (table.residues).  P does not divide |G| (P = 1 mod exp G), so
 
         N_pq^r = |G|^-1 sum_j |C_j| chi_p(g_j) chi_q(g_j) chi_r(g_j^-1)  mod P.
 
@@ -457,23 +475,11 @@ def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
     Two exact checks per (p, q) guard the table: every residue satisfies
     N d_r <= d_p d_q, and the sum rule sum_r N_pq^r d_r = d_p d_q holds.
     """
-    n = table.root_order
-    G = table.group
-    P = table.prime
-    omega_pows = [pow(table.omega, i, P) for i in range(n)]
-    degrees = table.degrees()
+    P, rows, degrees = table.prime, table.residues, table.degrees()
     r_count = len(degrees)
-    order_inv = _inv_mod(G.order % P, P)
+    order_inv = _inv_mod(table.group.order % P, P)
     weights = [size * order_inv % P for size in table.class_sizes]
-    inv_class = [G.class_of(G.inv(cl[0])) for cl in G.conjugacy_classes()]
-
-    def residue(v: Cyclotomic) -> int:
-        if v.den != 1:
-            raise AssertionError("character value is not an algebraic integer")
-        return sum(c * w for c, w in zip(v.num, omega_pows)) % P
-
-    rows = [[residue(v) for v in chi.values] for chi in table.irreducibles]
-    inv_rows = [[row[j] for j in inv_class] for row in rows]
+    inv_rows = [[row[j] for j in table.inv_class] for row in rows]
     N = [[[0] * r_count for _ in range(r_count)] for _ in range(r_count)]
     for pi in range(r_count):
         for qi in range(pi, r_count):

@@ -96,11 +96,10 @@ def main(argv=None) -> int:
                       else audit.verify_claims(cg=cg))
         elif args.command == "scan":
             label, G, _ = _resolve_group(args.group, args.max_order)
-            report = audit.scan_report(label, G, size_cap=args.max_order)
+            report = audit.scan_report(label, G)
         else:
             label, G, cg = _resolve_group(args.group, args.max_order)
-            report = audit.table_report(label, G, method=args.table_method,
-                                        cg=cg, size_cap=args.max_order)
+            report = audit.table_report(label, G, method=args.table_method, cg=cg)
         _emit(report, args.report, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -447,6 +447,15 @@ def test_cli_max_order_cap(tmp_path, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+def test_cli_max_order_leaves_builtin_groups_alone(capsys):
+    # --max-order caps file groups only; a builtin group's scan is unchanged.
+    assert main(["scan", "--group", "builtin:q8", "--report", "json"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["scan", "--group", "builtin:q8", "--report", "json",
+                 "--max-order", "1"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 @pytest.mark.parametrize("value", ["-5", "0", "1025", "100000000", "two"])
 def test_cli_max_order_must_be_within_the_cap(value, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from fusionaudit.characters import (
     CharacterTable,
     ClassFunction,
     _charpoly_mod,
+    _checked,
     _class_matrices,
     _inv_mod,
     _nullspace_mod,
@@ -403,39 +404,128 @@ def test_fusion_bound_is_below_dixon_prime(name, request):
     assert max(d) ** 2 <= table.group.order < table.prime ** 2
 
 
-def _corrupt(table, row, cls, value):
-    chi = table.irreducibles[row]
-    values = list(chi.values)
-    values[cls] = value
-    rows = list(table.irreducibles)
-    rows[row] = ClassFunction(chi.group, tuple(values))
-    return rebuild(table, irreducibles=tuple(rows))
+def _corrupt(table, row, cls, delta):
+    """A copy of table with residues[row][cls] moved by delta mod the prime."""
+    rows = [list(r) for r in table.residues]
+    rows[row][cls] = (rows[row][cls] + delta) % table.prime
+    return rebuild(table, residues=tuple(map(tuple, rows)))
+
+
+def omega_mod(p, n):
+    """The primitive n-th root of unity mod p that dixon_table lifts with."""
+    return pow(_primitive_root(p), (p - 1) // n, p)
 
 
 @pytest.mark.parametrize("row, cls, delta", [
     (4, 1, 1), (4, 2, -1), (0, 3, 2), (2, 4, 1),
 ])
 def test_fusion_tensor_rejects_corrupted_q8_table(q8_table, row, cls, delta):
-    old = q8_table.irreducibles[row].values[cls]
-    bad = _corrupt(q8_table, row, cls, old + delta)
+    bad = _corrupt(q8_table, row, cls, delta)
     with pytest.raises(AssertionError):
         fusion_tensor(bad)
 
 
 def test_fusion_tensor_rejects_corrupted_g128_table(g128_table):
-    n = g128_table.root_order
+    # zeta_n -> omega: the residue of old + zeta_n
     last = len(g128_table.irreducibles) - 1
     for row, cls in ((last, 5), (8, 3), (1, 7)):
-        old = g128_table.irreducibles[row].values[cls]
-        bad = _corrupt(g128_table, row, cls, old + Cyclotomic.zeta(n))
+        bad = _corrupt(g128_table, row, cls,
+                       omega_mod(g128_table.prime, g128_table.root_order))
         with pytest.raises(AssertionError):
             fusion_tensor(bad)
 
 
-def test_fusion_tensor_rejects_non_integral_value(q8_table):
-    bad = _corrupt(q8_table, 4, 1, Cyclotomic.from_rational(4, Fraction(1, 2)))
-    with pytest.raises(AssertionError, match="algebraic integer"):
-        fusion_tensor(bad)
+# ---------------------------------------------------------------------------
+# Oracles for the residue table: the exact lift, fs_indicator, conjugation
+# ---------------------------------------------------------------------------
+
+def lifted_residues(irreducibles, p, n):
+    """Each lifted value mapped to F_p by zeta_n -> omega.  Every value must
+    be an algebraic integer (den == 1) for the map to be a ring map."""
+    omega = omega_mod(p, n)
+    assert all(v.den == 1 for chi in irreducibles for v in chi.values)
+    return tuple(tuple(sum(c * pow(omega, i, p) for i, c in enumerate(v.num)) % p
+                       for v in chi.values) for chi in irreducibles)
+
+
+def conjugate_duals(table):
+    """p -> p* by conjugating every lifted value and comparing tuples."""
+    rows = [chi.values for chi in table.irreducibles]
+    return [rows.index(tuple(v.conjugate() for v in vals)) for vals in rows]
+
+
+TABLES = ["q8_table", "h16_table", "g128_table", "d10_table", "d30_table", "c30_table"]
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_residues_are_the_image_of_the_lift(name, request):
+    table = request.getfixturevalue(name)
+    assert lifted_residues(table.irreducibles, table.prime, table.root_order) \
+        == table.residues
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_indicators_match_fs_indicator(name, request):
+    table = request.getfixturevalue(name)
+    assert table.indicators() == tuple(fs_indicator(chi) for chi in table.irreducibles)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_wang_duals_match_conjugation(name, request):
+    table = request.getfixturevalue(name)
+    # Reading g^2 as g makes nu(chi) = <chi, 1>: every row but the trivial
+    # one has nu = 0, so with every N = 1 each p reports its p_dual at such an r.
+    r = len(table.irreducibles)
+    probe = rebuild(table, square_class=tuple(range(r)))
+    target = probe.indicators().index(0)
+    ones = [[[1] * r for _ in range(r)] for _ in range(r)]
+    duals = [rec["p_dual"] for rec in audit.wang_scan(probe, ones) if rec["r"] == target]
+    assert duals == conjugate_duals(table)
+
+
+# ---------------------------------------------------------------------------
+# The table's self-checks, each tripped by one corrupted copy
+# ---------------------------------------------------------------------------
+
+def test_dixon_table_checks_every_table(monkeypatch, q8):
+    from fusionaudit import characters
+    checked = []
+    monkeypatch.setattr(characters, "_checked",
+                        lambda table: checked.append(table) or table)
+    assert checked == [dixon_table(q8)]
+
+
+def test_check_rejects_a_bad_degree(q8_table):
+    with pytest.raises(AssertionError, match="sum of squared degrees"):
+        _checked(_corrupt(q8_table, 4, 0, 1))
+
+
+def test_check_rejects_a_swapped_residue(q8_table):
+    # Classes 2..4 of Q8 ({+-i}, {+-j}, {+-k}) are no square's class, so
+    # swapping rows 1 and 2 there leaves degrees and indicators alone.
+    rows = [list(r) for r in q8_table.residues]
+    assert rows[1][3] != rows[2][3]
+    rows[1][3], rows[2][3] = rows[2][3], rows[1][3]
+    bad = rebuild(q8_table, residues=tuple(map(tuple, rows)))
+    assert bad.indicators() == q8_table.indicators()
+    with pytest.raises(AssertionError, match="not orthogonal"):
+        _checked(bad)
+
+
+def test_check_rejects_an_indicator_outside_plus_minus_one(q8_table):
+    # Every square read as -1: nu(chi) = chi(-1), which is -2 for the
+    # degree-2 row.
+    bad = rebuild(q8_table, square_class=(1,) * 5)
+    with pytest.raises(AssertionError, match="indicator residues"):
+        _checked(bad)
+
+
+def test_check_rejects_a_wrong_frobenius_schur_count(q8_table):
+    # Claiming {+-i} has order 2 makes 4 involutions; sum nu d is 2.
+    assert q8_table.class_rep_orders == (1, 2, 4, 4, 4)
+    bad = rebuild(q8_table, class_rep_orders=(1, 2, 2, 4, 4))
+    with pytest.raises(AssertionError, match="Frobenius-Schur count"):
+        _checked(bad)
 
 
 def test_indicators_are_computed_once(g128_table):
@@ -486,8 +576,8 @@ def naive_dixon_table(G):
     assert all(len(b) == 1 for b, _ in spaces)
 
     power_class = [[G.class_of(G.power(g, t)) for t in range(n)] for g in reps]
-    inv_class = [G.class_of(G.inv(g)) for g in reps]
-    omega = pow(_primitive_root(p), (p - 1) // n, p)
+    inv_class = tuple(G.class_of(G.inv(g)) for g in reps)
+    omega = omega_mod(p, n)
     n_inv = _inv_mod(n % p, p)
     chars = []
     for basis, _ in spaces:
@@ -509,9 +599,10 @@ def naive_dixon_table(G):
         chars.append(ClassFunction(G, tuple(values)))
     chars.sort(key=lambda c: (c.degree(), tuple(v.render() for v in c.values)))
     return CharacterTable(
-        group=G, irreducibles=tuple(chars), class_sizes=tuple(sizes),
-        class_rep_orders=tuple(G.element_order(g) for g in reps),
-        root_order=n, prime=p, omega=omega)
+        group=G, irreducibles=tuple(chars), residues=lifted_residues(chars, p, n),
+        class_sizes=tuple(sizes), class_rep_orders=tuple(G.element_order(g) for g in reps),
+        inv_class=inv_class, square_class=tuple(G.class_of(G.mul(g, g)) for g in reps),
+        root_order=n, prime=p)
 
 
 @pytest.fixture(scope="module")

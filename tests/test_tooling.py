@@ -73,3 +73,23 @@ def test_non_associative_table_exits_2_under_python_O(tmp_path):
                          capture_output=True, timeout=120)
     assert run.returncode == 2
     assert b"associativity fails" in run.stderr
+
+
+def test_table_self_check_raises_under_python_O():
+    # _checked raises explicitly: -O must not turn a corrupted table into a pass.
+    code = ("from fusionaudit.characters import _checked, dixon_table\n"
+            "from fusionaudit.groups import q8_group\n"
+            "from oracles import rebuild\n"
+            "bad = rebuild(dixon_table(q8_group()), class_rep_orders=(1, 2, 2, 4, 4))\n"
+            "try:\n"
+            "    _checked(bad)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+            "else:\n"
+            "    print('passed')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), str(pathlib.Path(__file__).resolve().parent)]))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("raised: Frobenius-Schur count"), run.stdout
