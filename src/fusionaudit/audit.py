@@ -447,6 +447,8 @@ def scan_report(group_label: str, G: FiniteGroup) -> AuditReport:
 
 def table_to_dict(table: CharacterTable) -> Dict:
     classes = table.group.conjugacy_classes()
+    distinct = {v for chi in table.irreducibles for v in chi.values}
+    names = {v: v.render() for v in distinct}   # each distinct value rendered once
     return {
         "order": table.group.order,
         "root_order": table.root_order,
@@ -458,7 +460,7 @@ def table_to_dict(table: CharacterTable) -> Dict:
         "irreducibles": [
             {"degree": int(chi.degree()),
              "indicator": nu,
-             "values": [v.render() for v in chi.values]}
+             "values": [names[v] for v in chi.values]}
             for chi, nu in zip(table.irreducibles, table.indicators())],
     }
 

@@ -8,7 +8,7 @@ coefficients and rendered exactly in Z[zeta_n].  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -313,21 +313,50 @@ def _split_eigenspaces(A: List[List[int]], basis: List[List[int]],
                        pivots: List[int], p: int) -> List[Tuple[List[List[int]], List[int]]]:
     """Eigenspaces, in increasing eigenvalue, of A on an A-invariant subspace.
 
-    The subspace is given by its rref basis.  Only the roots of A's
-    characteristic polynomial on it are tried: any other lambda has a
-    trivial nullspace.  Raises AssertionError unless the eigenspaces fill
-    the subspace, i.e. unless A splits and is diagonalizable on it mod p.
+    The subspace is given by its rref basis, and M is A on it.  Only the
+    roots of M's characteristic polynomial f are tried: any other lambda has
+    a trivial nullspace.  At a root lambda, q = f / (x - lambda) by
+    synthetic division, and (M - lambda) q(M) = f(M) = 0 by Cayley-Hamilton,
+    so v = q(M) e_0 lies in the lambda-eigenspace.  If q(lambda) != 0, the
+    root is simple, so the eigenspace is 1-dimensional and v spans it unless
+    v = 0 (which happens exactly when e_0 lies in im(M - lambda) = ker q(M)).
+    v is read off the Krylov basis [e_0, M e_0, ..., M^(d-1) e_0], built at
+    the first simple root only.  A nullspace is solved only at a repeated
+    root or a zero v.  Either way the space is stored in rref, which does
+    not depend on the spanning vectors found.  Raises AssertionError unless
+    the eigenspaces fill the subspace, i.e. unless A splits and is
+    diagonalizable on it mod p.
     """
     d = len(basis)
     # A b_m = sum_l (A b_m)[pivot_l] b_l, so M[l][m] = (A b_m)[pivot_l].
     M = [[sum(map(mul, A[pc], b)) % p for b in basis] for pc in pivots]
+    f = _charpoly_mod(M, p)
+    cols = list(zip(*basis))
+    krylov = None                       # krylov[l][i] = (M^i e_0)[l]
     out = []
     split_total = 0
-    for lam in _roots_mod(_charpoly_mod(M, p), p):
-        shifted = [[(M[i][j] - (lam if i == j else 0)) % p for j in range(d)]
-                   for i in range(d)]
-        null = _nullspace_mod(shifted, p)
-        vecs = [[sum(map(mul, c, col)) % p for col in zip(*basis)] for c in null]
+    for lam in _roots_mod(f, p):
+        # q = f / (x - lambda), top coefficient first, and q(lambda) by Horner.
+        q, acc, q_at_lam = [0] * d, 0, 0
+        for k in range(d, 0, -1):
+            acc = (acc * lam + f[k]) % p
+            q[k - 1] = acc
+            q_at_lam = (q_at_lam * lam + acc) % p
+        null = []
+        if q_at_lam:
+            if krylov is None:
+                powers = [[1] + [0] * (d - 1)]
+                for _ in range(d - 1):
+                    powers.append([sum(map(mul, row, powers[-1])) % p for row in M])
+                krylov = list(zip(*powers))
+            v = [sum(map(mul, q, row)) % p for row in krylov]
+            if any(v):
+                null = [v]
+        if not null:
+            shifted = [[(M[i][j] - (lam if i == j else 0)) % p for j in range(d)]
+                       for i in range(d)]
+            null = _nullspace_mod(shifted, p)
+        vecs = [[sum(map(mul, c, col)) % p for col in cols] for c in null]
         out.append(_rref_mod(vecs, p))
         split_total += len(null)
     if split_total != d:
@@ -347,8 +376,10 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     matrix only at the roots in F_p of its characteristic polynomial on the
     subspace (Hessenberg form, O(d^3), then Horner at every lambda, O(p d)).
     This is exact: lambda has a nontrivial nullspace iff det(lambda I - M)
-    = 0.  If the eigenspaces found do not fill the subspace, the matrix does
-    not split or is not diagonalizable mod p, and an AssertionError is raised.
+    = 0.  A simple root's eigenvector comes from a Krylov basis without a
+    solve (see _split_eigenspaces).  If the eigenspaces found do not fill
+    the subspace, the matrix does not split or is not diagonalizable mod p,
+    and an AssertionError is raised.
 
     Lift: with omega of order n in F_p and o = ord(g), the multiplicity of
     omega^k as an eigenvalue of g is m_k = n^-1 sum_{t<n} chi(g^t) omega^-tk.
@@ -359,6 +390,14 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     m_k = o^-1 sum_{t<o} chi(g^t) omega^-tk, nonzero only at k = (n/o) k',
     k' < o: one o x o kernel per distinct element order.  m_k <= deg < p/2,
     so each residue is the multiplicity itself.
+
+    Galois orbits: the lift runs only for one class per orbit {g^t : t
+    coprime to o}.  Such t permutes the o-th roots of unity, so the
+    eigenvalues of g^t are the t-th powers of those of g, with the same
+    multiplicities and no collisions: chi(g^t) = sum_k m_k zeta_n^(kt), and
+    the multiplicity dict of g's class, relabelled k -> kt mod n, is that of
+    g^t's class.  Each distinct dict is built into a Cyclotomic and rendered
+    (for the canonical row order) once per call.
     """
     if G.order > DEFAULT_ORDER_CAP:
         raise ValueError(f"|G| = {G.order} exceeds size cap {DEFAULT_ORDER_CAP}")
@@ -404,7 +443,18 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         kernels[o] = [[o_inv * omega_pows[-t * k * step % n] % p for t in range(o)]
                       for k in range(o)]
 
-    rows: List[Tuple[ClassFunction, Tuple[int, ...]]] = []
+    # orbit[j] = (i, t): class j is the class of g_i^t, t coprime to ord(g_i),
+    # for an orbit representative i < j; representatives map to None.
+    orbit: List[Optional[Tuple[int, int]]] = [None] * r
+    for i, row in enumerate(power_class):
+        if orbit[i] is None:
+            for t in range(2, len(row)):
+                j = row[t]
+                if j > i and orbit[j] is None and gcd(t, len(row)) == 1:
+                    orbit[j] = (i, t)
+
+    built: Dict[Tuple[Tuple[int, int], ...], Tuple[Cyclotomic, str]] = {}
+    rows = []
     for basis, _ in spaces:
         v0_inv = _inv_mod(basis[0][0], p)
         v = [x * v0_inv % p for x in basis[0]]
@@ -413,22 +463,27 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         d_sq = (G.order * _inv_mod(s, p)) % p
         deg = next(t for t in range(1, p) if t * t % p == d_sq and 2 * t < p)
         chi_mod = [deg * x * si % p for x, si in zip(v, size_inv)]
-        values = []
-        for row in power_class:
-            step = n // len(row)
-            samples = [chi_mod[c] for c in row]
-            powers = {}
-            for k, kernel in enumerate(kernels[len(row)]):
-                m_k = sum(map(mul, kernel, samples)) % p
-                if m_k:
-                    powers[k * step] = m_k
-            values.append(Cyclotomic.from_powers(n, powers))
+        keys = []   # per class, the sorted (k, m_k) with m_k != 0
+        for row, src in zip(power_class, orbit):
+            if src is None:
+                step = n // len(row)
+                samples = [chi_mod[c] for c in row]
+                m = (sum(map(mul, kernel, samples)) % p for kernel in kernels[len(row)])
+                key = tuple((k * step, m_k) for k, m_k in enumerate(m) if m_k)
+            else:
+                i, t = src
+                key = tuple(sorted((k * t % n, m_k) for k, m_k in keys[i]))
+            if key not in built:
+                value = Cyclotomic.from_powers(n, dict(key))
+                built[key] = (value, value.render())
+            keys.append(key)
+        values, names = zip(*map(built.__getitem__, keys))
         if values[0] != deg:
-            raise AssertionError(f"lifted degree {values[0].render()} != {deg}")
-        rows.append((ClassFunction(G, tuple(values)), tuple(chi_mod)))
+            raise AssertionError(f"lifted degree {names[0]} != {deg}")
+        rows.append(((deg, names), ClassFunction(G, values), tuple(chi_mod)))
 
-    rows.sort(key=lambda cr: (cr[0].degree(), tuple(v.render() for v in cr[0].values)))
-    chars, residues = zip(*rows)
+    rows.sort(key=lambda row: row[0])
+    _, chars, residues = zip(*rows)
     return _checked(CharacterTable(
         group=G, irreducibles=chars, residues=residues,
         class_sizes=tuple(len(cl) for cl in classes),

@@ -104,6 +104,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:       # a self-check failed: the verdict is void
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 1
     print(f"elapsed: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return 0 if report.ok else 1
 

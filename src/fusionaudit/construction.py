@@ -134,7 +134,8 @@ class ConstructedGroup:
     Element index = 8 * (vector bits as 0..15) + (Q8 index 0..7); the
     identity (0, 1) is index 0.
     """
-    __slots__ = ("group", "embedding", "h_subgroup", "q_subgroup", "z_lift")
+    __slots__ = ("group", "embedding", "h_subgroup", "q_subgroup", "z_lift",
+                 "_lambda_facts")
 
     def __init__(self, group: FiniteGroup, embedding: Q8Embedding,
                  h_subgroup: Tuple[int, ...], q_subgroup: Tuple[int, ...],
@@ -144,6 +145,7 @@ class ConstructedGroup:
         self.h_subgroup = h_subgroup      # all (h, 1)
         self.q_subgroup = q_subgroup      # all (0, q)
         self.z_lift = z_lift              # (0, -1)
+        self._lambda_facts = None         # set by _lambda_facts()
 
     def index(self, hbits: int, qidx: int) -> int:
         return 8 * hbits + qidx
@@ -190,11 +192,25 @@ def compute_h0(cg: ConstructedGroup) -> Tuple[int, ...]:
     return h0
 
 
+def _lambda_facts(cg: ConstructedGroup) -> Tuple[Tuple[int, ...], Tuple[int, ...],
+                                                   Tuple[frozenset, ...]]:
+    """H0, the valid covectors, and [H, x] for each nontrivial coset xH.
+
+    None of them depends on a covector, so they are computed once per group.
+    """
+    if cg._lambda_facts is None:
+        h0 = compute_h0(cg)
+        h0_bits = h0[1] >> 3
+        valid = tuple(v for v in gf2.enumerate_functionals() if gf2.dot(v, h0_bits) == 1)
+        spans = tuple(frozenset(commutator_span(cg.group, cg.h_subgroup, x))
+                      for x in filter(None, cg.q_subgroup))
+        cg._lambda_facts = (h0, valid, spans)
+    return cg._lambda_facts
+
+
 def intersect_commutators(cg: ConstructedGroup) -> Tuple[int, ...]:
     """Intersection of [H, x] over the 7 nontrivial cosets xH."""
-    spans = [set(commutator_span(cg.group, cg.h_subgroup, x))
-             for x in filter(None, cg.q_subgroup)]
-    return tuple(sorted(set.intersection(*spans)))
+    return tuple(sorted(frozenset.intersection(*_lambda_facts(cg)[2])))
 
 
 class LambdaChoice:
@@ -219,9 +235,7 @@ class LambdaChoice:
 
 def valid_covectors(cg: ConstructedGroup) -> List[int]:
     """All covectors v with ker(lambda_v) not containing H0; exactly 8."""
-    h0 = compute_h0(cg)
-    h0_bits = h0[1] >> 3
-    return [v for v in gf2.enumerate_functionals() if gf2.dot(v, h0_bits) == 1]
+    return list(_lambda_facts(cg)[1])
 
 
 def choose_lambda(cg: ConstructedGroup, covector: int | None = None) -> LambdaChoice:
@@ -230,16 +244,15 @@ def choose_lambda(cg: ConstructedGroup, covector: int | None = None) -> LambdaCh
     Verifies the defining condition directly: [H, x] is not inside
     ker(lambda) for any nontrivial coset xH.
     """
-    valid = valid_covectors(cg)
+    h0, valid, spans = _lambda_facts(cg)
     if covector is None:
         covector = valid[0]
     elif covector not in valid:
         raise ValueError(f"covector {covector} does not cut H0")
-    h0 = compute_h0(cg)
     kernel = tuple(8 * h for h in range(16) if gf2.dot(covector, h) == 0)
     kernel_set = set(kernel)
-    for x in filter(None, cg.q_subgroup):           # the nontrivial cosets
-        if set(commutator_span(cg.group, cg.h_subgroup, x)) <= kernel_set:
+    for x, span in zip(filter(None, cg.q_subgroup), spans):  # the nontrivial cosets
+        if span <= kernel_set:
             raise AssertionError(f"[H, x] lies in ker lambda for coset of {x}")
     return LambdaChoice(covector=covector, kernel=kernel, h0_element=h0[1])
 

@@ -23,34 +23,38 @@ class GroupFileError(ValueError):
         self.line = line
 
 
-def _tokenize(text: str) -> List[Tuple[str, int]]:
-    tokens = []
+def _tokenize(text: str) -> Tuple[List[str], List[int]]:
+    """The tokens, and in a parallel list the line each one is on."""
+    tokens: List[str] = []
+    lines: List[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for tok in body.split():
-            tokens.append((tok, lineno))
-    return tokens
+        words = line.split("#", 1)[0].split()
+        tokens.extend(words)
+        lines.extend([lineno] * len(words))
+    return tokens, lines
 
 
 class _Stream:
-    def __init__(self, tokens: List[Tuple[str, int]]):
+    def __init__(self, tokens: List[str], lines: List[int]):
         self.tokens = tokens
+        self.lines = lines
         self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos], self.lines[self.pos]
+        return None
 
     def next(self, what: str) -> Tuple[str, int]:
         if self.pos >= len(self.tokens):
-            last = self.tokens[-1][1] if self.tokens else 1
+            last = self.lines[-1] if self.lines else 1
             raise GroupFileError(last, f"unexpected end of file, expected {what}")
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1], self.lines[self.pos - 1]
 
 
 def load_group(text: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    stream = _Stream(_tokenize(text))
+    stream = _Stream(*_tokenize(text))
     kind, line = stream.next("format tag")
     if kind == "table":
         return _load_table(stream, max_order)
@@ -78,9 +82,8 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
     start = stream.pos
     table = []
     for i in range(n):
-        toks = stream.tokens[start + i * n:start + (i + 1) * n]
         try:
-            row = [int(tok) for tok, _ in toks]
+            row = list(map(int, stream.tokens[start + i * n:start + (i + 1) * n]))
         except ValueError:
             row = []
         if len(row) < n or min(row) < 0 or max(row) >= n:

@@ -7,6 +7,7 @@ import pytest
 from fusionaudit import audit, gf2
 from fusionaudit.characters import fusion_tensor
 from fusionaudit.cli import main
+from fusionaudit.cyclotomic import Cyclotomic
 from fusionaudit.groupfile import GroupFileError, _matrix_closure, load_group, \
     load_group_file
 
@@ -200,6 +201,14 @@ def test_table_report_methods(cg):
         audit.table_report("builtin:q8", cg.group, method="constructive")
     with pytest.raises(ValueError):
         audit.table_report("builtin:g128", cg.group, method="bogus", cg=cg)
+
+
+def test_table_to_dict_renders_every_value(g128_table):
+    rows = audit.table_to_dict(g128_table)["irreducibles"]
+    assert len(rows) == len(g128_table.irreducibles)
+    for row, chi in zip(rows, g128_table.irreducibles):
+        assert [Cyclotomic.parse(g128_table.root_order, s) for s in row["values"]] \
+            == list(chi.values)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +420,20 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert main(["scan", "--group", "builtin:q8", "--out", str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not missing.exists()
+
+
+def test_cli_internal_check_failure_exits_1(monkeypatch, capsys):
+    from fusionaudit import characters
+
+    def failing_check(table):
+        raise AssertionError("rows 0 and 1 are not orthogonal mod 11")
+
+    monkeypatch.setattr(characters, "_checked", failing_check)
+    assert main(["scan", "--group", "builtin:q8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "internal check failed: rows 0 and 1 are not orthogonal mod 11\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_cli_json_reports_are_byte_identical(tmp_path):

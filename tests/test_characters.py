@@ -31,6 +31,7 @@ from fusionaudit.characters import (
 from fusionaudit.construction import choose_lambda, compute_h0, valid_covectors
 from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
 from fusionaudit.groupfile import load_group_file
+from conftest import cayley_file
 from oracles import (
     dual_character,
     fields,
@@ -691,22 +692,93 @@ def test_split_rejects_matrices_that_do_not_diagonalize(M, p):
         _split_eigenspaces(M, *_full_space(len(M), p), p)
 
 
-def test_split_tries_only_charpoly_roots(monkeypatch, d30_file):
+def _repeated_root_or_zero_krylov(shifted, p):
+    """shifted = M - lambda I: lambda is a repeated root of M's characteristic
+    polynomial (0 is a double root of det(xI - shifted)), or e_0 lies in
+    im(M - lambda), the case where the Krylov vector q(M) e_0 is zero."""
+    c = _charpoly_mod(shifted, p)
+    if c[0] == 0 and c[1] == 0:
+        return True
+    with_e0 = [row + [int(i == 0)] for i, row in enumerate(shifted)]
+    return len(_rref_mod(with_e0, p)[0]) == len(_rref_mod(shifted, p)[0])
+
+
+def test_split_tries_only_charpoly_roots(monkeypatch, d30_file, c30_file):
     from fusionaudit import characters
     solved = []
     real = characters._nullspace_mod
 
     def spy(mat, p):
         null = real(mat, p)
-        solved.append((mat, null))
+        solved.append((mat, p, null))
         return null
 
     monkeypatch.setattr(characters, "_nullspace_mod", spy)
-    # diag(5, 5, 7) mod 13: two roots, so two solves in increasing lambda
+    # diag(5, 5, 7) mod 13: two roots, so two solves in increasing lambda;
+    # e_0 lies in the 5-eigenspace, so the simple root 7 has a zero Krylov vector
     M = [[5, 0, 0], [0, 5, 0], [0, 0, 7]]
     parts = _split_eigenspaces(M, *_full_space(3, 13), 13)
     assert [len(b) for b, _ in parts] == [2, 1]
-    assert [m[0][0] for m, _ in solved] == [0, 11]
+    assert [m[0][0] for m, _, _ in solved] == [0, 11]
+    solved.clear()
+    # diag(7, 5, 5): the simple root 7 comes from the Krylov basis, and
+    # only the repeated root 5 is solved
+    M = [[7, 0, 0], [0, 5, 0], [0, 0, 5]]
+    parts = _split_eigenspaces(M, *_full_space(3, 13), 13)
+    assert [len(b) for b, _ in parts] == [2, 1]
+    assert parts[1] == ([[1, 0, 0]], [0])
+    assert [m[0][0] for m, _, _ in solved] == [2]
     solved.clear()
     dixon_table(load_group_file(str(d30_file)))
-    assert solved and all(null for _, null in solved)
+    assert solved and all(null for _, _, null in solved)
+    assert all(_repeated_root_or_zero_krylov(m, p) for m, p, _ in solved)
+    solved.clear()
+    dixon_table(load_group_file(str(c30_file)))
+    assert solved == []
+
+
+def test_lift_builds_each_distinct_value_once(monkeypatch, c30_file):
+    G = load_group_file(str(c30_file))
+    built = []
+    real = Cyclotomic.from_powers
+
+    def spy(n, powers):
+        built.append(powers)
+        return real(n, powers)
+
+    monkeypatch.setattr(Cyclotomic, "from_powers", staticmethod(spy))
+    table = dixon_table(G)
+    distinct = {v for chi in table.irreducibles for v in chi.values}
+    assert len(built) == len(distinct) == 30
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the closed-form table of a cyclic group
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def c60_file(tmp_path_factory):
+    return cayley_file(tmp_path_factory, "c60", 60, lambda x, y: (x + y) % 60)
+
+
+@pytest.fixture(scope="module")
+def c120_file(tmp_path_factory):
+    return cayley_file(tmp_path_factory, "c120", 120, lambda x, y: (x + y) % 120, seed=5)
+
+
+# In C60 the first class matrix is multiplication by a generator, so every
+# root of the first split is simple and no nullspace is solved; the
+# relabelled C120 splits through repeated roots as well.  The Galois orbits
+# of classes are as large as phi(m).
+@pytest.mark.parametrize("name", ["c60_file", "c120_file"])
+def test_dixon_matches_closed_form_on_cyclic_groups(name, request):
+    G = load_group_file(str(request.getfixturevalue(name)))
+    m = G.order
+    g = next(x for x in range(m) if G.element_order(x) == m)
+    powers = [0]
+    for _ in range(m - 1):
+        powers.append(G.mul(powers[-1], g))
+    # chi_a(g^b) = zeta_m^(ab), whichever generator g is picked
+    closed = {tuple(Cyclotomic.zeta(m, a * b) for b in range(m)) for a in range(m)}
+    rows = {tuple(chi.value_at(x) for x in powers) for chi in dixon_table(G).irreducibles}
+    assert rows == closed

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import fusionaudit
-from fusionaudit import gf2
+from fusionaudit import construction, gf2
 from fusionaudit.construction import (
     LambdaChoice,
     Q8Embedding,
@@ -185,6 +185,17 @@ def test_lambda_kernel_misses_all_commutator_spans(cg):
     for q in range(1, 8):
         span = set(commutator_span(cg.group, cg.h_subgroup, cg.index(0, q)))
         assert not span <= kernel
+
+
+def test_choose_lambda_checks_each_commutator_span(cg):
+    # The spans are computed once per group; the kernel check still reads
+    # every one of them for each covector.
+    h0, valid, spans = construction._lambda_facts(cg)
+    broken = rebuild(cg)
+    broken._lambda_facts = (h0, valid, spans[:3] + (frozenset({0}),) + spans[4:])
+    with pytest.raises(AssertionError, match="lies in ker lambda"):
+        choose_lambda(broken, valid[-1])
+    assert choose_lambda(cg, valid[-1]).covector == valid[-1]
 
 
 @pytest.mark.skipif(not os.environ.get("FUSIONAUDIT_ALL_EMBEDDINGS"),
