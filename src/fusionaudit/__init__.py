@@ -6,51 +6,4 @@ with exact cyclotomic arithmetic, and scans arbitrary small groups'
 fusion data for violations of the positivity and Wang conjectures.
 """
 
-from .audit import (
-    AuditReport,
-    odd_rule_scan,
-    positivity_scan,
-    scan_report,
-    verify_all_lambdas,
-    verify_claims,
-    wang_scan,
-)
-from .characters import (
-    CharacterTable,
-    ClassFunction,
-    dixon_table,
-    fs_indicator,
-    fusion_tensor,
-    induce,
-    inner_product,
-)
-from .construction import build_default, build_g, choose_lambda, find_q8_in_gl42
-from .cyclotomic import Cyclotomic
-from .groups import FiniteGroup, elementary_abelian_16, q8_group
-
-__all__ = [
-    "AuditReport",
-    "CharacterTable",
-    "ClassFunction",
-    "Cyclotomic",
-    "FiniteGroup",
-    "build_default",
-    "build_g",
-    "choose_lambda",
-    "dixon_table",
-    "elementary_abelian_16",
-    "find_q8_in_gl42",
-    "fs_indicator",
-    "fusion_tensor",
-    "induce",
-    "inner_product",
-    "odd_rule_scan",
-    "positivity_scan",
-    "q8_group",
-    "scan_report",
-    "verify_all_lambdas",
-    "verify_claims",
-    "wang_scan",
-]
-
 __version__ = "0.1.0"

@@ -132,12 +132,6 @@ def builtin_group(name: str) -> Tuple[FiniteGroup, Optional[ConstructedGroup]]:
 # Constructive characters of g128
 # ---------------------------------------------------------------------------
 
-def lambda_class_function_values(cg: ConstructedGroup,
-                                 lam: LambdaChoice, n: int) -> Dict[int, Cyclotomic]:
-    return {g: Cyclotomic.from_rational(n, lam.value_sign(g))
-            for g in cg.h_subgroup}
-
-
 def conjugate_stabilizer_check(cg: ConstructedGroup, lam: LambdaChoice) -> bool:
     """True iff ^x(lambda) differs from lambda for every x outside H."""
     G = cg.group
@@ -185,8 +179,8 @@ def _lambda_and_chi(cg: ConstructedGroup, covector: Optional[int]) -> Dict:
     """The fields of ConstructiveData that depend on the covector."""
     n = cg.group.exponent()
     lam = construction.choose_lambda(cg, covector)
-    return {"lam": lam, "chi": induce(cg.group, cg.h_subgroup,
-                                      lambda_class_function_values(cg, lam, n), n=n)}
+    values = {g: Cyclotomic.from_rational(n, lam.value_sign(g)) for g in cg.h_subgroup}
+    return {"lam": lam, "chi": induce(cg.group, cg.h_subgroup, values, n=n)}
 
 
 def induced_square_constituent(data: ConstructiveData) -> ClassFunction:
@@ -249,7 +243,8 @@ def _covector_free_claims(data: ConstructiveData) -> Dict:
 
     # Claim 4: |H0| = 2 and |C_H(z)| = 8.
     h0 = construction.compute_h0(cg)
-    c_h_z = [g for g in G.centralizer(cg.z_lift) if g in set(cg.h_subgroup)]
+    h_set = set(cg.h_subgroup)
+    c_h_z = [g for g in G.centralizer(cg.z_lift) if g in h_set]
     center = set(G.center())
     claims.append(ClaimResult(
         "claim4_h0",
@@ -321,6 +316,7 @@ def claim6_breakdown(data: ConstructiveData) -> Dict:
     h_set = set(cg.h_subgroup)
     hz_coset = sorted(G.mul(h, cg.z_lift) for h in cg.h_subgroup)
     sq_in_h = squares_in(G, cg.h_subgroup)
+    sq_set = set(sq_in_h)
     in_h = [g for g in sq_in_h if g in h_set]
     fixed = [g for g in hz_coset if G.mul(g, g) == 0]
     moved = [g for g in hz_coset if G.mul(g, g) != 0]
@@ -335,7 +331,7 @@ def claim6_breakdown(data: ConstructiveData) -> Dict:
 
     parts = [contribution(in_h), contribution(fixed), contribution(moved)]
     off = sum(1 for g in range(G.order)
-              if g not in set(sq_in_h) and not chi.value_at(G.mul(g, g)).is_zero())
+              if g not in sq_set and not chi.value_at(G.mul(g, g)).is_zero())
     if off:
         raise AssertionError("chi(g^2) nonzero outside H<z>")
     total = sum(len(s) * c for s, c in zip((in_h, fixed, moved), parts))
@@ -380,10 +376,8 @@ def verify_all_lambdas(cg: Optional[ConstructedGroup] = None) -> AuditReport:
 # Conjecture scans
 # ---------------------------------------------------------------------------
 
-def positivity_scan(table: CharacterTable,
-                    N: Optional[List[List[List[int]]]] = None) -> List[Dict]:
+def positivity_scan(table: CharacterTable, N: List[List[List[int]]]) -> List[Dict]:
     """Triples with N_pq^r > 0 but nu_p nu_q nu_r < 0; p <= q canonically."""
-    N = N if N is not None else fusion_tensor(table)
     nus = table.indicators()
     out = []
     k = len(nus)
@@ -397,10 +391,8 @@ def positivity_scan(table: CharacterTable,
     return out
 
 
-def wang_scan(table: CharacterTable,
-              N: Optional[List[List[List[int]]]] = None) -> List[Dict]:
+def wang_scan(table: CharacterTable, N: List[List[List[int]]]) -> List[Dict]:
     """Pairs with N_{p,p_dual}^r > 0 but nu_r != 1."""
-    N = N if N is not None else fusion_tensor(table)
     nus = table.indicators()
     out = []
     # Exact: distinct irreducibles have distinct (independent) residue rows.
@@ -415,8 +407,7 @@ def wang_scan(table: CharacterTable,
     return out
 
 
-def odd_rule_scan(table: CharacterTable,
-                  N: Optional[List[List[List[int]]]] = None) -> List[Dict]:
+def odd_rule_scan(table: CharacterTable, N: List[List[List[int]]]) -> List[Dict]:
     """Positivity violations with odd N_pq^r.  Must be empty, always."""
     return _odd_rule(positivity_scan(table, N))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclotomic
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, is_subgroup
@@ -236,21 +236,20 @@ def _nullspace_mod(mat: List[List[int]], p: int) -> List[List[int]]:
     return basis
 
 
-def _class_matrices(G: FiniteGroup) -> List[List[List[int]]]:
-    """a[i][j][k] = #{x in C_i : x^-1 g_k in C_j} = structure constants."""
+def _class_matrices(G: FiniteGroup) -> Iterator[List[List[int]]]:
+    """For i = 1..r-1 in turn, a[j][k] = #{x in C_i : x^-1 g_k in C_j}, the
+    structure constants of class i."""
     classes = G.conjugacy_classes()
     reps = [cl[0] for cl in classes]
     r = len(classes)
-    mats = []
-    for i in range(r):
+    for cl in classes[1:]:
         m = [[0] * r for _ in range(r)]
-        for x in classes[i]:
+        for x in cl:
             xin = G.inv(x)
             for k, gk in enumerate(reps):
                 j = G.class_of(G.mul(xin, gk))
                 m[j][k] += 1
-        mats.append(m)
-    return mats
+        yield m
 
 
 def _charpoly_mod(M: List[List[int]], p: int) -> List[int]:
@@ -326,10 +325,18 @@ def _split_eigenspaces(A: List[List[int]], basis: List[List[int]],
     not depend on the spanning vectors found.  Raises AssertionError unless
     the eigenspaces fill the subspace, i.e. unless A splits and is
     diagonalizable on it mod p.
+
+    If M = c I, A acts on the subspace as the scalar c: the subspace is the
+    one eigenspace, already in rref, and is returned without a solve.  Any
+    other M with a single root lambda has ker(M - lambda) smaller than the
+    subspace, so it still reaches the fill check and raises.
     """
     d = len(basis)
     # A b_m = sum_l (A b_m)[pivot_l] b_l, so M[l][m] = (A b_m)[pivot_l].
     M = [[sum(map(mul, A[pc], b)) % p for b in basis] for pc in pivots]
+    if all(x == (M[0][0] if i == j else 0) for i, row in enumerate(M)
+           for j, x in enumerate(row)):
+        return [(basis, pivots)]
     f = _charpoly_mod(M, p)
     cols = list(zip(*basis))
     krylov = None                       # krylov[l][i] = (M^i e_0)[l]
@@ -407,10 +414,11 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     n = G.exponent()
     p = dixon_prime(G.order, n)
 
-    # Split the common eigenspaces of all class matrices over F_p.  The
-    # matrices are not kept past the split, which lowers the lift's peak memory.
-    spaces = [_rref_mod([[1 if i == j else 0 for j in range(r)] for i in range(r)], p)]
-    for A in _class_matrices(G)[1:]:
+    # Split the common eigenspaces of the class matrices over F_p, starting
+    # from the whole space in rref.  The matrices are drawn one at a time and
+    # only until the r spaces are 1-dimensional, so at most one is held.
+    spaces = [([[1 if i == j else 0 for j in range(r)] for i in range(r)], list(range(r)))]
+    for A in _class_matrices(G):
         new_spaces: List[Tuple[List[List[int]], List[int]]] = []
         for basis, pivots in spaces:
             if len(basis) == 1:
@@ -418,7 +426,9 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
             else:
                 new_spaces.extend(_split_eigenspaces(A, basis, pivots, p))
         spaces = new_spaces
-    if any(len(b) != 1 for b, _ in spaces):
+        if len(spaces) == r:
+            break
+    if len(spaces) != r:
         raise AssertionError("eigenspace splitting did not terminate")
 
     # power_class[j][t] = class of g_j^t for t < ord(g_j); the last entry

@@ -147,15 +147,6 @@ class ConstructedGroup:
         self.z_lift = z_lift              # (0, -1)
         self._lambda_facts = None         # set by _lambda_facts()
 
-    def index(self, hbits: int, qidx: int) -> int:
-        return 8 * hbits + qidx
-
-    def hbits(self, g: int) -> int:
-        return g >> 3
-
-    def qidx(self, g: int) -> int:
-        return g & 7
-
 
 def build_g(embedding: Q8Embedding) -> ConstructedGroup:
     """Semidirect product with (h1,q1)(h2,q2) = (h1 + rho(q1)h2, q1q2).
@@ -164,7 +155,7 @@ def build_g(embedding: Q8Embedding) -> ConstructedGroup:
     on rho multiplies the Q8 parts by Q8_TABLE and puts (h, q) at 8h + q.
     """
     embedding.check()
-    G = FiniteGroup(gf2.semidirect_table(embedding.rho), name="g128")
+    G = FiniteGroup(gf2.semidirect_table(embedding.rho))
     H = tuple(8 * h for h in range(16))
     Q = tuple(range(8))
     cg = ConstructedGroup(G, embedding, H, Q, z_lift=Q8_MINUS_ONE)
@@ -201,7 +192,7 @@ def _lambda_facts(cg: ConstructedGroup) -> Tuple[Tuple[int, ...], Tuple[int, ...
     if cg._lambda_facts is None:
         h0 = compute_h0(cg)
         h0_bits = h0[1] >> 3
-        valid = tuple(v for v in gf2.enumerate_functionals() if gf2.dot(v, h0_bits) == 1)
+        valid = tuple(v for v in range(1, 16) if gf2.dot(v, h0_bits) == 1)
         spans = tuple(frozenset(commutator_span(cg.group, cg.h_subgroup, x))
                       for x in filter(None, cg.q_subgroup))
         cg._lambda_facts = (h0, valid, spans)
@@ -214,16 +205,11 @@ def intersect_commutators(cg: ConstructedGroup) -> Tuple[int, ...]:
 
 
 class LambdaChoice:
-    """A linear character lambda_v of H with h -> (-1)^(v.h).
+    """A linear character lambda_v of H with h -> (-1)^(v.h)."""
+    __slots__ = ("covector", "h0_element")
 
-    kernel holds the G-indices of ker(lambda), a hyperplane of H not
-    containing H0.
-    """
-    __slots__ = ("covector", "kernel", "h0_element")
-
-    def __init__(self, covector: int, kernel: Tuple[int, ...], h0_element: int):
+    def __init__(self, covector: int, h0_element: int):
         self.covector = covector
-        self.kernel = kernel
         self.h0_element = h0_element      # G-index of the nonidentity element of H0
 
     def value_sign(self, g: int) -> int:
@@ -249,12 +235,11 @@ def choose_lambda(cg: ConstructedGroup, covector: int | None = None) -> LambdaCh
         covector = valid[0]
     elif covector not in valid:
         raise ValueError(f"covector {covector} does not cut H0")
-    kernel = tuple(8 * h for h in range(16) if gf2.dot(covector, h) == 0)
-    kernel_set = set(kernel)
+    kernel = {8 * h for h in range(16) if gf2.dot(covector, h) == 0}
     for x, span in zip(filter(None, cg.q_subgroup), spans):  # the nontrivial cosets
-        if span <= kernel_set:
+        if span <= kernel:
             raise AssertionError(f"[H, x] lies in ker lambda for coset of {x}")
-    return LambdaChoice(covector=covector, kernel=kernel, h0_element=h0[1])
+    return LambdaChoice(covector=covector, h0_element=h0[1])
 
 
 def build_default() -> ConstructedGroup:

@@ -13,12 +13,9 @@ from typing import List, Sequence, Tuple
 
 GF2Vector = int                      # 0..15
 GF2Matrix = Tuple[int, int, int, int]
-Functional = int                     # covector, 0..15
 
 DIM = 4
 IDENTITY: GF2Matrix = (0b1000, 0b0100, 0b0010, 0b0001)
-
-GL4_ORDER = 20160
 
 
 def dot(u: GF2Vector, v: GF2Vector) -> int:
@@ -67,11 +64,6 @@ def mat_inverse(a: GF2Matrix) -> GF2Matrix:
                 rows[i] ^= rows[rank]
         rank += 1
     return tuple(r & 0b1111 for r in rows)
-
-
-def enumerate_functionals() -> list:
-    """All 15 nonzero covectors, in lexicographic (= numeric) order."""
-    return list(range(1, 16))
 
 
 def mat_key(a: GF2Matrix) -> int:

@@ -94,7 +94,7 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
     if extra is not None:
         raise GroupFileError(extra[1], f"unexpected trailing token {extra[0]!r}")
     try:
-        G = FiniteGroup(table, name="file:table")
+        G = FiniteGroup(table)
         G.check_axioms()
     except (ValueError, AssertionError) as exc:
         raise GroupFileError(1, f"not a group table: {exc}")
@@ -153,10 +153,9 @@ def _load_semidirect(stream: _Stream, max_order: int) -> FiniteGroup:
             raise GroupFileError(line, f"relation {word!r} does not hold")
 
     mats = _matrix_closure(list(gens.values()), max_order)
-    order = 16 * len(mats)
-    if order > max_order:
-        raise GroupFileError(1, f"group order {order} exceeds the cap {max_order}")
-    return FiniteGroup(gf2.semidirect_table(mats), name="file:semidirect-gf2")
+    if 16 * len(mats) > max_order:      # the closure stops past the cap: no exact order
+        raise GroupFileError(1, f"group order exceeds the cap {max_order}")
+    return FiniteGroup(gf2.semidirect_table(mats))
 
 
 def _evaluate_word(word: str, line: int, gens: Dict[str, gf2.GF2Matrix]) -> gf2.GF2Matrix:
@@ -191,7 +190,7 @@ def _matrix_closure(gens: List[gf2.GF2Matrix], max_order: int) -> List[gf2.GF2Ma
                     members.add(prod)
                     new.append(prod)
         frontier = new
-        if 16 * len(members) > max(max_order, 16 * gf2.GL4_ORDER):
+        if 16 * len(members) > max_order:
             break
     # Identity first, remaining matrices in canonical order.
     rest = sorted((m for m in members if m != gf2.IDENTITY), key=gf2.mat_key)

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 DEFAULT_ORDER_CAP = 1024
 
 # Quaternion group: indices 0..7 = 1, -1, i, -i, j, -j, k, -k.
 # Encoded as (axis, sign) with axis 0..3 = 1, i, j, k.
-Q8_NAMES = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-Q8_IDENTITY = 0
 Q8_MINUS_ONE = 1
 
 _AXIS_MUL = {
@@ -45,11 +43,10 @@ Q8_TABLE: Tuple[Tuple[int, ...], ...] = tuple(
 class FiniteGroup:
     """Finite group given by an explicit multiplication table on indices."""
 
-    def __init__(self, table: Sequence[Sequence[int]], name: str = ""):
+    def __init__(self, table: Sequence[Sequence[int]]):
         n = len(table)
         self.order = n
         self.table = tuple(tuple(row) for row in table)
-        self.name = name
         if any(len(row) != n for row in self.table):
             raise ValueError("multiplication table is not square")
         if any(self.table[0][g] != g or self.table[g][0] != g for g in range(n)):
@@ -57,10 +54,6 @@ class FiniteGroup:
         self.inverse = self._compute_inverses()
         self._classes: Tuple[Tuple[int, ...], ...] | None = None
         self._class_index: List[int] | None = None
-
-    @classmethod
-    def from_mul(cls, n: int, mul: Callable[[int, int], int], name: str = "") -> "FiniteGroup":
-        return cls([[mul(a, b) for b in range(n)] for a in range(n)], name=name)
 
     def _compute_inverses(self) -> Tuple[int, ...]:
         inv = []
@@ -82,14 +75,6 @@ class FiniteGroup:
     def conj(self, g: int, x: int) -> int:
         """x^-1 g x."""
         return self.table[self.table[self.inverse[x]][g]][x]
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inverse[g], -k
-        r = 0
-        for _ in range(k):
-            r = self.table[r][g]
-        return r
 
     def element_order(self, g: int) -> int:
         k, x = 1, g
@@ -173,12 +158,12 @@ class FiniteGroup:
 
 
 def q8_group() -> FiniteGroup:
-    return FiniteGroup(Q8_TABLE, name="q8")
+    return FiniteGroup(Q8_TABLE)
 
 
 def elementary_abelian_16() -> FiniteGroup:
     """Z2^4 with XOR multiplication on indices 0..15."""
-    return FiniteGroup.from_mul(16, lambda a, b: a ^ b, name="h16")
+    return FiniteGroup([[a ^ b for b in range(16)] for a in range(16)])
 
 
 def is_subgroup(G: FiniteGroup, S: Iterable[int]) -> bool:
@@ -232,11 +217,12 @@ def quotient_group(G: FiniteGroup, N: Iterable[int]) -> Tuple[FiniteGroup, List[
     Returns (G/N, projection) where projection[g] is the index of gN.
     Cosets are indexed by their least member, identity coset first.
     """
-    n_set = sorted(set(N))
+    members = set(N)
+    n_set = sorted(members)
     if not is_subgroup(G, n_set):
         raise ValueError("N is not a subgroup")
     for g in range(G.order):
-        if any(G.conj(h, g) not in set(n_set) for h in n_set):
+        if any(G.conj(h, g) not in members for h in n_set):
             raise ValueError("N is not normal")
     proj = [-1] * G.order
     cosets: List[Tuple[int, ...]] = []
@@ -250,4 +236,4 @@ def quotient_group(G: FiniteGroup, N: Iterable[int]) -> Tuple[FiniteGroup, List[
             proj[x] = idx
     reps = [c[0] for c in cosets]
     table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
-    return FiniteGroup(table, name=f"{G.name}/N"), proj
+    return FiniteGroup(table), proj

@@ -230,14 +230,15 @@ def test_load_semidirect_dialect():
 
 
 def test_loaded_g128_scans_like_the_builtin(g128_table):
-    from fusionaudit.characters import dixon_table
+    from fusionaudit.characters import dixon_table, fusion_tensor
     G = load_group(G128_SEMIDIRECT)
     table = dixon_table(G)
     # isomorphic but differently indexed, so compare as multisets
     assert table.degrees() == g128_table.degrees()
     assert sorted(table.indicators()) == sorted(g128_table.indicators())
-    assert audit.odd_rule_scan(table) == []
-    assert len(audit.positivity_scan(table)) == len(audit.positivity_scan(g128_table))
+    N, g128_N = fusion_tensor(table), fusion_tensor(g128_table)
+    assert audit.odd_rule_scan(table, N) == []
+    assert len(audit.positivity_scan(table, N)) == len(audit.positivity_scan(g128_table, g128_N))
 
 
 def semidirect_mul(mats):
@@ -337,6 +338,38 @@ def test_order_cap_enforced():
     assert "exceeds the cap" in str(exc.value)
     with pytest.raises(GroupFileError):
         load_group(G128_SEMIDIRECT, max_order=64)
+
+
+# Generators of GL(4,2): the companion matrix of x^4 + x + 1 and a transvection.
+GL42_SEMIDIRECT = """semidirect-gf2
+gen A
+0001
+1000
+0100
+0011
+gen B
+1100
+0100
+0010
+0001
+"""
+
+
+def test_matrix_closure_stops_at_the_cap(monkeypatch, tmp_path, capsys):
+    # The closure stops once 16 |members| passes the cap, instead of listing
+    # all 20,160 matrices of GL(4,2); the message claims no partial order.
+    path = tmp_path / "gl42.grp"
+    path.write_text(GL42_SEMIDIRECT)
+    calls = []
+    real = gf2.mat_mul
+    monkeypatch.setattr(gf2, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+    assert main(["scan", "--group", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 1: group order exceeds the cap 1024\n"
+    assert 0 < len(calls) < 1000
+    # 64 matrices reach the cap exactly and still load.
+    assert load_group_file(str(EXAMPLES / "unitriangular-1024.grp")).order == 1024
+    assert load_group_file(str(EXAMPLES / "g128.grp")).order == 128
 
 
 # ---------------------------------------------------------------------------

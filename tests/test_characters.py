@@ -69,17 +69,13 @@ def test_regular_character_of_q8_contains_phi_twice(q8, q8_table):
 
 def test_conjugate_stabilizer_check_matches_irreducibility(cg):
     # all 15 functionals: 8 give an irreducible induced character, 7 do not
-    from fusionaudit import gf2
     from fusionaudit.construction import LambdaChoice
     G = cg.group
     n = G.exponent()
     h0 = compute_h0(cg)
     passing = 0
-    for v in gf2.enumerate_functionals():
-        lam = LambdaChoice(
-            covector=v,
-            kernel=tuple(8 * h for h in range(16) if gf2.dot(v, h) == 0),
-            h0_element=h0[1])
+    for v in range(1, 16):
+        lam = LambdaChoice(covector=v, h0_element=h0[1])
         values = {g: Cyclotomic.from_rational(n, lam.value_sign(g))
                   for g in cg.h_subgroup}
         chi = induce(G, cg.h_subgroup, values, n=n)
@@ -91,8 +87,7 @@ def test_conjugate_stabilizer_check_matches_irreducibility(cg):
 
 def test_stabilizer_check_fails_for_trivial_lambda(cg):
     from fusionaudit.construction import LambdaChoice
-    lam = LambdaChoice(covector=0, kernel=tuple(cg.h_subgroup),
-                       h0_element=compute_h0(cg)[1])
+    lam = LambdaChoice(covector=0, h0_element=compute_h0(cg)[1])
     assert not audit.conjugate_stabilizer_check(cg, lam)
 
 
@@ -100,11 +95,8 @@ def test_stabilizer_check_fails_when_kernel_contains_h0(cg):
     from fusionaudit import gf2
     from fusionaudit.construction import LambdaChoice
     h0_bits = compute_h0(cg)[1] >> 3
-    v = next(f for f in gf2.enumerate_functionals() if gf2.dot(f, h0_bits) == 0)
-    lam = LambdaChoice(covector=v,
-                       kernel=tuple(8 * h for h in range(16)
-                                    if gf2.dot(v, h) == 0),
-                       h0_element=compute_h0(cg)[1])
+    v = next(f for f in range(1, 16) if gf2.dot(f, h0_bits) == 0)
+    lam = LambdaChoice(covector=v, h0_element=compute_h0(cg)[1])
     # ^z(lambda) = lambda because [H, z] = H0 lies in the kernel
     G = cg.group
     assert all(lam.value_sign(G.conj(h, cg.z_lift)) == lam.value_sign(h)
@@ -304,7 +296,7 @@ def test_induce_matches_naive_oracle_for_every_lambda(cg):
     assert len(covectors) == 8
     for v in covectors:
         lam = choose_lambda(cg, v)
-        values = audit.lambda_class_function_values(cg, lam, n)
+        values = {g: Cyclotomic.from_rational(n, lam.value_sign(g)) for g in H}
         assert induce(G, H, values, n=n) == naive_induce(G, H, values, n=n)
         squares = {g: Cyclotomic.from_rational(n, lam.value_sign(g) ** 2) for g in H}
         assert induce(G, H, squares, n=n) == naive_induce(G, H, squares, n=n)
@@ -547,9 +539,8 @@ def naive_dixon_table(G):
     r = len(classes)
     n = G.exponent()
     p = dixon_prime(G.order, n)
-    mats = _class_matrices(G)
     spaces = [_rref_mod([[int(i == j) for j in range(r)] for i in range(r)], p)]
-    for A in mats[1:]:
+    for A in _class_matrices(G):
         new_spaces = []
         for basis, pivots in spaces:
             d = len(basis)
@@ -576,7 +567,13 @@ def naive_dixon_table(G):
         spaces = new_spaces
     assert all(len(b) == 1 for b, _ in spaces)
 
-    power_class = [[G.class_of(G.power(g, t)) for t in range(n)] for g in reps]
+    power_class = []
+    for g in reps:
+        x, row = 0, []
+        for _ in range(n):              # x runs through g^0, ..., g^(n-1)
+            row.append(G.class_of(x))
+            x = G.mul(x, g)
+        power_class.append(row)
     inv_class = tuple(G.class_of(G.inv(g)) for g in reps)
     omega = omega_mod(p, n)
     n_inv = _inv_mod(n % p, p)
@@ -782,3 +779,58 @@ def test_dixon_matches_closed_form_on_cyclic_groups(name, request):
     closed = {tuple(Cyclotomic.zeta(m, a * b) for b in range(m)) for a in range(m)}
     rows = {tuple(chi.value_at(x) for x in powers) for chi in dixon_table(G).irreducibles}
     assert rows == closed
+
+
+def test_dixon_draws_class_matrices_only_until_split(monkeypatch, cg, g128_table):
+    # The class matrices come one at a time, and none is built once every
+    # eigenspace is 1-dimensional: 15 of g128's 22 nonidentity classes.
+    from types import GeneratorType
+
+    from fusionaudit import characters
+    assert isinstance(_class_matrices(cg.group), GeneratorType)
+    drawn = []
+    real = characters._class_matrices
+
+    def spy(G):
+        for A in real(G):
+            drawn.append(A)
+            yield A
+
+    monkeypatch.setattr(characters, "_class_matrices", spy)
+    table = dixon_table(cg.group)
+    assert len(cg.group.conjugacy_classes()) == 23
+    assert len(drawn) == 15
+    assert table.residues == g128_table.residues
+
+
+def test_split_keeps_scalar_blocks_without_a_solve(monkeypatch, cg, d30_file):
+    # A acting as a scalar on the subspace returns it as it is; every call
+    # that reaches the characteristic polynomial splits into >= 2 spaces.
+    # (A Jordan block, one root but not scalar, still raises: see
+    # test_split_rejects_matrices_that_do_not_diagonalize.)
+    from fusionaudit import characters
+    M = [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
+    space = _full_space(3, 13)
+    calls = []        # per _split_eigenspaces call: [reached the charpoly, spaces]
+    real_charpoly, real_split = characters._charpoly_mod, characters._split_eigenspaces
+
+    def charpoly(M, p):
+        calls[-1][0] = True
+        return real_charpoly(M, p)
+
+    def split(*args):
+        calls.append([False, 0])
+        out = real_split(*args)
+        calls[-1][1] = len(out)
+        return out
+
+    monkeypatch.setattr(characters, "_charpoly_mod", charpoly)
+    monkeypatch.setattr(characters, "_split_eigenspaces", split)
+    assert characters._split_eigenspaces(M, *space, 13) == [space]
+    assert calls == [[False, 1]]
+    calls.clear()
+    dixon_table(cg.group)
+    dixon_table(load_group_file(str(d30_file)))
+    assert any(reached for reached, _ in calls)
+    assert any(not reached for reached, _ in calls)
+    assert all(n >= 2 if reached else n == 1 for reached, n in calls)

@@ -53,17 +53,15 @@ def test_embedding_generator_has_order_four():
 
 
 def test_functional_counts():
-    fns = gf2.enumerate_functionals()
-    assert fns == sorted(fns)
-    assert len(fns) == 15
+    # Of the 15 nonzero covectors, 7 vanish on a nonzero vector and 8 do not.
     v = 0b1010
-    vanishing = [f for f in fns if gf2.dot(f, v) == 0]
+    vanishing = [f for f in range(1, 16) if gf2.dot(f, v) == 0]
     assert len(vanishing) == 7
-    assert len(fns) - len(vanishing) == 8
+    assert sum(gf2.dot(f, v) for f in range(1, 16)) == 8
 
 
 def test_every_nonzero_functional_has_hyperplane_kernel():
-    for f in gf2.enumerate_functionals():
+    for f in range(1, 16):
         ker = kernel_of(f)
         assert len(ker) == 8
         assert 0 in ker

@@ -103,7 +103,7 @@ def test_squares_in(cg, q8):
 def test_subgroup_generated_empty_and_full(cg):
     G = cg.group
     assert subgroup_generated(G, []) == (0,)
-    basis = [cg.index(1 << b, 0) for b in range(4)]
+    basis = [8 * (1 << b) for b in range(4)]
     H = subgroup_generated(G, basis)
     assert H == cg.h_subgroup
     assert len(H) == 16
@@ -111,7 +111,7 @@ def test_subgroup_generated_empty_and_full(cg):
 
 def test_subgroup_generated_maps_onto_q8(cg):
     G = cg.group
-    gens = [cg.index(0, 2), cg.index(0, 4)]  # lifts of i and j
+    gens = [2, 4]  # lifts of i and j
     S = subgroup_generated(G, gens)
     assert {g & 7 for g in S} == set(range(8))
     assert is_subgroup(G, S)
@@ -127,17 +127,17 @@ def test_commutator_span_z_and_order4(cg):
     h0 = commutator_span(G, cg.h_subgroup, cg.z_lift)
     assert len(h0) == 2
     for q in (2, 3, 4, 5, 6, 7):
-        span = commutator_span(G, cg.h_subgroup, cg.index(0, q))
+        span = commutator_span(G, cg.h_subgroup, q)
         assert set(h0) <= set(span)
 
 
 def test_commutator_span_depends_only_on_coset(cg):
     G = cg.group
     for q in range(1, 8):
-        rep = cg.index(0, q)
+        rep = q
         expected = commutator_span(G, cg.h_subgroup, rep)
         for h in range(16):
-            x = G.mul(cg.index(h, 0), rep)
+            x = G.mul(8 * h, rep)
             assert commutator_span(G, cg.h_subgroup, x) == expected
 
 
@@ -146,7 +146,7 @@ def test_commutator_map_is_homomorphism_on_abelian_h(cg):
     # no closure iteration needed.
     G = cg.group
     for q in range(1, 8):
-        x = cg.index(0, q)
+        x = q
         image = sorted({groups.commutator(G, h, x) for h in cg.h_subgroup})
         for h1, h2 in product(cg.h_subgroup, repeat=2):
             lhs = groups.commutator(G, G.mul(h1, h2), x)

@@ -19,6 +19,22 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_runtime_imports_only_the_standard_library():
+    # Every import in the package is relative or names a stdlib module.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
 def test_no_dataclasses_in_src():
     # dataclasses pulls in inspect and generates code at import, which every
     # CLI child would pay for; the record classes are plain __slots__ classes.
