@@ -146,41 +146,43 @@ def conjugate_stabilizer_check(cg: ConstructedGroup, lam: LambdaChoice) -> bool:
 
 
 class ConstructiveData:
-    __slots__ = ("cg", "lam", "chi", "quotient", "proj", "quotient_table",
-                 "lifts", "phi")
+    __slots__ = ("cg", "lam", "chi", "quotient", "proj", "lifts", "phi")
 
     def __init__(self, cg: ConstructedGroup, lam: LambdaChoice, chi: ClassFunction,
                  quotient: FiniteGroup, proj: List[int],
-                 quotient_table: CharacterTable, lifts: Tuple[ClassFunction, ...],
-                 phi: ClassFunction):
+                 lifts: Tuple[ClassFunction, ...], phi: ClassFunction):
         self.cg = cg
         self.lam = lam
         self.chi = chi
         self.quotient = quotient
         self.proj = proj
-        self.quotient_table = quotient_table
         self.lifts = lifts      # the 5 quotient irreducibles, lifted
         self.phi = phi          # the lifted 2-dimensional irreducible
+
+    def for_covector(self, covector: int) -> "ConstructiveData":
+        """The same data with lambda and chi for another covector."""
+        return ConstructiveData(self.cg, *_lambda_and_chi(self.cg, covector),
+                                self.quotient, self.proj, self.lifts, self.phi)
 
 
 def constructive_data(cg: ConstructedGroup,
                       covector: Optional[int] = None) -> ConstructiveData:
     G = cg.group
-    lam_chi = _lambda_and_chi(cg, covector)
+    lam, chi = _lambda_and_chi(cg, covector)
     quot, proj = quotient_group(G, cg.h_subgroup)
     qtab = dixon_table(quot)
     lifts = tuple(lift_from_quotient(c, G, proj) for c in qtab.irreducibles)
-    phi = next(l for l, c in zip(lifts, qtab.irreducibles) if c.degree() == 2)
-    return ConstructiveData(cg, quotient=quot, proj=proj, quotient_table=qtab,
-                            lifts=lifts, phi=phi, **lam_chi)
+    phi = next(l for l, d in zip(lifts, qtab.degrees()) if d == 2)
+    return ConstructiveData(cg, lam, chi, quot, proj, lifts, phi)
 
 
-def _lambda_and_chi(cg: ConstructedGroup, covector: Optional[int]) -> Dict:
+def _lambda_and_chi(cg: ConstructedGroup,
+                    covector: Optional[int]) -> Tuple[LambdaChoice, ClassFunction]:
     """The fields of ConstructiveData that depend on the covector."""
     n = cg.group.exponent()
     lam = construction.choose_lambda(cg, covector)
     values = {g: Cyclotomic.from_rational(n, lam.value_sign(g)) for g in cg.h_subgroup}
-    return {"lam": lam, "chi": induce(cg.group, cg.h_subgroup, values, n=n)}
+    return lam, induce(cg.group, cg.h_subgroup, values, n=n)
 
 
 def induced_square_constituent(data: ConstructiveData) -> ClassFunction:
@@ -244,8 +246,8 @@ def _covector_free_claims(data: ConstructiveData) -> Dict:
     # Claim 4: |H0| = 2 and |C_H(z)| = 8.
     h0 = construction.compute_h0(cg)
     h_set = set(cg.h_subgroup)
-    c_h_z = [g for g in G.centralizer(cg.z_lift) if g in h_set]
-    center = set(G.center())
+    c_h_z = [g for g in centralizer_of_set(G, [cg.z_lift]) if g in h_set]
+    center = set(centralizer_of_set(G, range(G.order)))
     claims.append(ClaimResult(
         "claim4_h0",
         len(h0) == 2 and len(c_h_z) == 8 and set(h0) <= center,
@@ -354,11 +356,7 @@ def verify_all_lambdas(cg: Optional[ConstructedGroup] = None) -> AuditReport:
     fixed = _covector_free_claims(base)
     runs = []
     for v in fixed["valid"]:
-        data = (base if v == base.lam.covector
-                else ConstructiveData(cg, quotient=base.quotient, proj=base.proj,
-                                      quotient_table=base.quotient_table,
-                                      lifts=base.lifts, phi=base.phi,
-                                      **_lambda_and_chi(cg, v)))
+        data = base if v == base.lam.covector else base.for_covector(v)
         sub = _claims_report(data, fixed)
         runs.append({"covector": v, "ok": sub.ok,
                      "claims": [c.to_dict() for c in sub.claims]})
@@ -449,10 +447,10 @@ def table_to_dict(table: CharacterTable) -> Dict:
              "element_order": table.class_rep_orders[i]}
             for i, cl in enumerate(classes)],
         "irreducibles": [
-            {"degree": int(chi.degree()),
+            {"degree": deg,
              "indicator": nu,
              "values": [names[v] for v in chi.values]}
-            for chi, nu in zip(table.irreducibles, table.indicators())],
+            for chi, deg, nu in zip(table.irreducibles, table.degrees(), table.indicators())],
     }
 
 

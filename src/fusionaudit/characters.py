@@ -43,9 +43,6 @@ class ClassFunction:
                 and self.group is other.group
                 and self.values == other.values)
 
-    def __hash__(self):
-        return hash((id(self.group), self.values))
-
 
 def regular_character(G: FiniteGroup, n: Optional[int] = None) -> ClassFunction:
     n = n or G.exponent()
@@ -128,6 +125,9 @@ def lift_from_quotient(c: ClassFunction, G: FiniteGroup,
 # ---------------------------------------------------------------------------
 # Burnside-Dixon character table
 # ---------------------------------------------------------------------------
+# pow(a, -1, p) raises ValueError at a = 0 mod p; every a this module inverts is
+# nonzero: |G|, a class size or an element order (p does not divide |G|), a pivot,
+# or s = |G| / d^2.
 
 class CharacterTable:
     __slots__ = ("group", "irreducibles", "residues", "class_sizes", "class_rep_orders",
@@ -155,7 +155,7 @@ class CharacterTable:
         """Frobenius-Schur indicators |G|^-1 sum_j |C_j| chi(g_j^2) mod prime, one
         per row, computed once.  Exact: nu is -1, 0 or 1 and prime >= 3."""
         if self._indicators is None:
-            p, order_inv = self.prime, _inv_mod(self.group.order, self.prime)
+            p, order_inv = self.prime, pow(self.group.order, -1, self.prime)
             nus = [sum(s * row[c] for s, c in zip(self.class_sizes, self.square_class))
                    * order_inv % p for row in self.residues]
             if any(nu not in (0, 1, p - 1) for nu in nus):
@@ -189,10 +189,6 @@ def dixon_prime(order: int, exponent: int) -> int:
     return p
 
 
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
-
-
 def _primitive_root(p: int) -> int:
     factors = [f for f in range(2, p) if (p - 1) % f == 0 and _is_prime(f)]
     for g in range(2, p):
@@ -211,7 +207,7 @@ def _rref_mod(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = _inv_mod(rows[rank][col] % p, p)
+        inv = pow(rows[rank][col], -1, p)
         rows[rank] = [(x * inv) % p for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col] % p:
@@ -271,7 +267,7 @@ def _charpoly_mod(M: List[List[int]], p: int) -> List[int]:
             H[piv], H[m + 1] = H[m + 1], H[piv]
             for row in H:
                 row[piv], row[m + 1] = row[m + 1], row[piv]
-        inv = _inv_mod(H[m + 1][m], p)
+        inv = pow(H[m + 1][m], -1, p)
         for i in range(m + 2, d):
             u = H[i][m] * inv % p
             if u:
@@ -409,9 +405,18 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     if G.order > DEFAULT_ORDER_CAP:
         raise ValueError(f"|G| = {G.order} exceeds size cap {DEFAULT_ORDER_CAP}")
     classes = G.conjugacy_classes()
-    reps = [cl[0] for cl in classes]
     r = len(classes)
-    n = G.exponent()
+
+    # power_class[j][t] = class of g_j^t for t < ord(g_j), ending at the class
+    # of g_j^-1.  Element order is a class function: n is the lcm of the lengths.
+    power_class = []
+    for g in (cl[0] for cl in classes):
+        row, x = [0], g
+        while x != 0:
+            row.append(G.class_of(x))
+            x = G.mul(x, g)
+        power_class.append(row)
+    n = lcm(*map(len, power_class))
     p = dixon_prime(G.order, n)
 
     # Split the common eigenspaces of the class matrices over F_p, starting
@@ -431,16 +436,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     if len(spaces) != r:
         raise AssertionError("eigenspace splitting did not terminate")
 
-    # power_class[j][t] = class of g_j^t for t < ord(g_j); the last entry
-    # is the class of g_j^-1.
-    power_class = []
-    for g in reps:
-        row, x = [0], g
-        while x != 0:
-            row.append(G.class_of(x))
-            x = G.mul(x, g)
-        power_class.append(row)
-    size_inv = [_inv_mod(len(cl), p) for cl in classes]
+    size_inv = [pow(len(cl), -1, p) for cl in classes]
 
     omega = pow(_primitive_root(p), (p - 1) // n, p)
     omega_pows = [1]
@@ -449,7 +445,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     # kernels[o][k'][t] = o^-1 omega^(-t k' n/o): the order-o DFT.
     kernels = {}
     for o in {len(row) for row in power_class}:
-        step, o_inv = n // o, _inv_mod(o, p)
+        step, o_inv = n // o, pow(o, -1, p)
         kernels[o] = [[o_inv * omega_pows[-t * k * step % n] % p for t in range(o)]
                       for k in range(o)]
 
@@ -466,11 +462,11 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     built: Dict[Tuple[Tuple[int, int], ...], Tuple[Cyclotomic, str]] = {}
     rows = []
     for basis, _ in spaces:
-        v0_inv = _inv_mod(basis[0][0], p)
-        v = [x * v0_inv % p for x in basis[0]]
+        # v is in rref and v_j ~ |C_j| chi(g_j) / chi(1) is nonzero at j = 0: v[0] = 1.
+        v = basis[0]
         s = sum(x * v[row[-1]] * si
                 for x, row, si in zip(v, power_class, size_inv)) % p
-        d_sq = (G.order * _inv_mod(s, p)) % p
+        d_sq = G.order * pow(s, -1, p) % p
         deg = next(t for t in range(1, p) if t * t % p == d_sq and 2 * t < p)
         chi_mod = [deg * x * si % p for x, si in zip(v, size_inv)]
         keys = []   # per class, the sorted (k, m_k) with m_k != 0
@@ -542,7 +538,7 @@ def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
     """
     P, rows, degrees = table.prime, table.residues, table.degrees()
     r_count = len(degrees)
-    order_inv = _inv_mod(table.group.order % P, P)
+    order_inv = pow(table.group.order, -1, P)
     weights = [size * order_inv % P for size in table.class_sizes]
     inv_rows = [[row[j] for j in table.inv_class] for row in rows]
     N = [[[0] * r_count for _ in range(r_count)] for _ in range(r_count)]

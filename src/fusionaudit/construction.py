@@ -177,10 +177,7 @@ def _check_quotient_is_q8(cg: ConstructedGroup) -> bool:
 
 def compute_h0(cg: ConstructedGroup) -> Tuple[int, ...]:
     """H0 = [H, z]; always of order 2 for a faithful Q8 action."""
-    h0 = commutator_span(cg.group, cg.h_subgroup, cg.z_lift)
-    if len(h0) != 2:
-        raise AssertionError(f"|[H, z]| = {len(h0)}, expected 2")
-    return h0
+    return _lambda_facts(cg)[0]
 
 
 def _lambda_facts(cg: ConstructedGroup) -> Tuple[Tuple[int, ...], Tuple[int, ...],
@@ -190,7 +187,9 @@ def _lambda_facts(cg: ConstructedGroup) -> Tuple[Tuple[int, ...], Tuple[int, ...
     None of them depends on a covector, so they are computed once per group.
     """
     if cg._lambda_facts is None:
-        h0 = compute_h0(cg)
+        h0 = commutator_span(cg.group, cg.h_subgroup, cg.z_lift)
+        if len(h0) != 2:
+            raise AssertionError(f"|[H, z]| = {len(h0)}, expected 2")
         h0_bits = h0[1] >> 3
         valid = tuple(v for v in range(1, 16) if gf2.dot(v, h0_bits) == 1)
         spans = tuple(frozenset(commutator_span(cg.group, cg.h_subgroup, x))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 @lru_cache(maxsize=None)
@@ -46,14 +46,14 @@ def _poly_divexact(num: List[int], den: List[int]) -> List[int]:
 
 @lru_cache(maxsize=None)
 def _power_reductions(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Reduced coefficient vectors of z^k mod Phi_n, k < max(2d-1, n)."""
+    """Reduced coefficient vectors of z^k mod Phi_n, k < n."""
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
     rows: List[Tuple[int, ...]] = []
     cur = [0] * d
     cur[0] = 1
     rows.append(tuple(cur))
-    for _ in range(max(2 * d - 2, n - 1)):
+    for _ in range(n - 1):
         nxt = [0] + cur[:-1]
         top = cur[-1]
         if top:
@@ -62,6 +62,17 @@ def _power_reductions(n: int) -> Tuple[Tuple[int, ...], ...]:
         cur = nxt
         rows.append(tuple(cur))
     return tuple(rows)
+
+
+def _reduce(n: int, terms: Iterable[Tuple[int, int]]) -> List[int]:
+    """Reduced coefficients of sum c * z^k over the (k, c) in terms, k any int."""
+    red = _power_reductions(n)
+    num = [0] * len(red[0])
+    for k, c in terms:
+        if c:
+            for j, x in enumerate(red[k % n]):
+                num[j] += c * x
+    return num
 
 
 class Cyclotomic:
@@ -107,19 +118,12 @@ class Cyclotomic:
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
         """zeta_n^k."""
-        return Cyclotomic.from_powers(n, {k % n: 1})
+        return Cyclotomic.from_powers(n, {k: 1})
 
     @staticmethod
     def from_powers(n: int, powers: dict) -> "Cyclotomic":
         """Sum of c_k * zeta_n^k from a {k: c_k} dict (k arbitrary ints)."""
-        red = _power_reductions(n)
-        d = len(red[0])
-        num = [0] * d
-        for k, c in powers.items():
-            row = red[k % n]
-            for j in range(d):
-                num[j] += c * row[j]
-        return Cyclotomic(n, num)
+        return Cyclotomic(n, _reduce(n, powers.items()))
 
     # -- promotion ----------------------------------------------------
 
@@ -160,21 +164,13 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        red = _power_reductions(self.n)
-        d = len(self.num)
-        conv = [0] * (2 * d - 1)
+        conv = [0] * (2 * len(self.num) - 1)
         for i, a in enumerate(self.num):
             if a:
                 for j, b in enumerate(o.num):
                     if b:
                         conv[i + j] += a * b
-        num = [0] * d
-        for k, c in enumerate(conv):
-            if c:
-                row = red[k]
-                for j in range(d):
-                    num[j] += c * row[j]
-        return Cyclotomic(self.n, num, self.den * o.den)
+        return Cyclotomic(self.n, _reduce(self.n, enumerate(conv)), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -186,15 +182,8 @@ class Cyclotomic:
         """The automorphism zeta -> zeta^k, gcd(k, n) = 1."""
         if gcd(k, self.n) != 1:
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism for n={self.n}")
-        red = _power_reductions(self.n)
-        d = len(self.num)
-        num = [0] * d
-        for i, c in enumerate(self.num):
-            if c:
-                row = red[(i * k) % self.n]
-                for j in range(d):
-                    num[j] += c * row[j]
-        return Cyclotomic(self.n, num, self.den)
+        terms = ((i * k, c) for i, c in enumerate(self.num))
+        return Cyclotomic(self.n, _reduce(self.n, terms), self.den)
 
     def to_order(self, m: int) -> "Cyclotomic":
         """Re-express in Q(zeta_m).  Needs self rational or n | m."""
@@ -204,10 +193,8 @@ class Cyclotomic:
         if r is not None:
             return Cyclotomic.from_rational(m, r)
         if m % self.n == 0:
-            k = m // self.n
-            lifted = Cyclotomic.from_powers(
-                m, {i * k: c for i, c in enumerate(self.num) if c})
-            return Cyclotomic(m, list(lifted.num), lifted.den * self.den)
+            terms = ((i * (m // self.n), c) for i, c in enumerate(self.num))
+            return Cyclotomic(m, _reduce(m, terms), self.den)
         raise ValueError(f"cannot move irrational value from order {self.n} to {m}")
 
     # -- predicates / conversions ---------------------------------------

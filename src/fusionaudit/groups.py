@@ -113,15 +113,6 @@ class FiniteGroup:
         self.conjugacy_classes()
         return self._class_index[g]
 
-    def centralizer(self, g: int) -> Tuple[int, ...]:
-        return tuple(x for x in range(self.order)
-                     if self.table[x][g] == self.table[g][x])
-
-    def center(self) -> Tuple[int, ...]:
-        return tuple(g for g in range(self.order)
-                     if all(self.table[x][g] == self.table[g][x]
-                            for x in range(self.order)))
-
     def check_axioms(self) -> None:
         """Closure and associativity check by Light's test.
 
@@ -174,7 +165,7 @@ def is_subgroup(G: FiniteGroup, S: Iterable[int]) -> bool:
 
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Tuple[int, ...]:
-    """Least subgroup containing gens, by closure iteration."""
+    """Least subgroup containing gens: their products, as G is finite."""
     members = {0}
     frontier = [0]
     gens = list(gens)
@@ -182,10 +173,10 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Tuple[int, ...]:
         new = []
         for a in frontier:
             for g in gens:
-                for b in (G.mul(a, g), G.mul(a, G.inv(g))):
-                    if b not in members:
-                        members.add(b)
-                        new.append(b)
+                b = G.mul(a, g)
+                if b not in members:
+                    members.add(b)
+                    new.append(b)
         frontier = new
     return tuple(sorted(members))
 

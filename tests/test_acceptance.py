@@ -60,7 +60,7 @@ def test_acceptance_structural_checks(cg, capsys):
     from fusionaudit.groups import centralizer_of_set
     G = cg.group
     h0 = construction.compute_h0(cg)
-    c_h_z = [g for g in G.centralizer(cg.z_lift) if g in set(cg.h_subgroup)]
+    c_h_z = [g for g in centralizer_of_set(G, [cg.z_lift]) if g in set(cg.h_subgroup)]
     all_lam = audit.verify_all_lambdas(cg)
     ok = (G.order == 128
           and len(h0) == 2

@@ -401,6 +401,24 @@ def test_cli_verify_all_lambdas(tmp_path):
     assert len(parsed["lambda_runs"]) == 8
 
 
+def test_cli_verify_all_lambdas_spans_each_commutator_once(monkeypatch, tmp_path):
+    # [H, z] and the seven [H, x] are computed once per group and shared by
+    # the covector-free claims and every covector's run.
+    from fusionaudit import construction, groups
+    calls = []
+    real = groups.commutator_span
+
+    def spy(G, Hsub, x):
+        calls.append(x)
+        return real(G, Hsub, x)
+
+    monkeypatch.setattr(groups, "commutator_span", spy)
+    monkeypatch.setattr(construction, "commutator_span", spy)
+    assert main(["verify", "--all-lambdas", "--report", "json",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 8
+
+
 def test_cli_verify_rejects_other_groups():
     with pytest.raises(SystemExit):
         main(["verify", "--group", "builtin:q8"])
@@ -485,6 +503,33 @@ def test_docs_fixture_matches_live_output(tmp_path):
     assert main(["scan", "--group", "builtin:q8", "--report", "json",
                  "--out", str(out)]) == 0
     assert out.read_text() == fixture.read_text()
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify", ["verify"]),
+    ("verify-all-lambdas", ["verify", "--all-lambdas"]),
+    ("scan-g128", ["scan", "--group", "builtin:g128"]),
+    ("table-g128-both", ["table", "--group", "builtin:g128", "--table-method", "both"]),
+    ("table-d30", None),
+])
+def test_json_reports_match_golden_files(name, argv, tmp_path, request):
+    """Each JSON report, byte for byte, against tests/golden/<name>.json.
+
+    The D30 table goes through audit.table_report with a fixed label, so
+    that the fixture's temporary path does not enter it.  A golden file
+    changes only with a documented change of the report.
+    """
+    if argv is None:
+        G = load_group_file(str(request.getfixturevalue("d30_file")))
+        live = audit.table_report("file:d30.grp", G).to_json().encode("utf-8")
+    else:
+        out = tmp_path / "live.json"
+        assert main([*argv, "--report", "json", "--out", str(out)]) == 0
+        live = out.read_bytes()
+    assert live == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_docs_example_group_file_loads():

@@ -13,7 +13,6 @@ from fusionaudit.characters import (
     _charpoly_mod,
     _checked,
     _class_matrices,
-    _inv_mod,
     _nullspace_mod,
     _primitive_root,
     _rref_mod,
@@ -31,6 +30,7 @@ from fusionaudit.characters import (
 from fusionaudit.construction import choose_lambda, compute_h0, valid_covectors
 from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
 from fusionaudit.groupfile import load_group_file
+from fusionaudit.groups import FiniteGroup
 from conftest import cayley_file
 from oracles import (
     dual_character,
@@ -352,7 +352,7 @@ def exact_fusion_tensor(table):
         out = [0] * deg
         for k, c in enumerate(conv):
             for j in range(deg):
-                out[j] += c * red[k][j]
+                out[j] += c * red[k % n][j]
         return out
 
     rows = [[v.num for v in chi.values] for chi in table.irreducibles]
@@ -576,14 +576,14 @@ def naive_dixon_table(G):
         power_class.append(row)
     inv_class = tuple(G.class_of(G.inv(g)) for g in reps)
     omega = omega_mod(p, n)
-    n_inv = _inv_mod(n % p, p)
+    n_inv = pow(n, -1, p)
     chars = []
     for basis, _ in spaces:
-        v = [(x * _inv_mod(basis[0][0], p)) % p for x in basis[0]]
-        s = sum(v[j] * v[inv_class[j]] * _inv_mod(sizes[j], p) for j in range(r)) % p
-        d_sq = (G.order * _inv_mod(s, p)) % p
+        v = [(x * pow(basis[0][0], -1, p)) % p for x in basis[0]]
+        s = sum(v[j] * v[inv_class[j]] * pow(sizes[j], -1, p) for j in range(r)) % p
+        d_sq = (G.order * pow(s, -1, p)) % p
         deg = next(t for t in range(1, p) if t * t % p == d_sq and 2 * t < p)
-        chi_mod = [(deg * v[j] * _inv_mod(sizes[j], p)) % p for j in range(r)]
+        chi_mod = [(deg * v[j] * pow(sizes[j], -1, p)) % p for j in range(r)]
         values = []
         for j in range(r):
             powers = {}
@@ -779,6 +779,19 @@ def test_dixon_matches_closed_form_on_cyclic_groups(name, request):
     closed = {tuple(Cyclotomic.zeta(m, a * b) for b in range(m)) for a in range(m)}
     rows = {tuple(chi.value_at(x) for x in powers) for chi in dixon_table(G).irreducibles}
     assert rows == closed
+
+
+def test_dixon_takes_the_exponent_from_the_power_classes(monkeypatch, cg, d30_file):
+    # Element order is a class function: n is the lcm of the power-class
+    # row lengths, and no element's powers are walked by FiniteGroup.exponent.
+    groups = [cg.group, load_group_file(str(d30_file))]
+    calls = []
+    real = FiniteGroup.exponent
+    monkeypatch.setattr(FiniteGroup, "exponent", lambda G: calls.append(G) or real(G))
+    tables = [dixon_table(G) for G in groups]
+    assert calls == []
+    monkeypatch.undo()
+    assert [t.root_order for t in tables] == [G.exponent() for G in groups] == [4, 30]
 
 
 def test_dixon_draws_class_matrices_only_until_split(monkeypatch, cg, g128_table):

@@ -131,10 +131,17 @@ def test_build_g_structure(cg):
 def test_h0(cg):
     h0 = compute_h0(cg)
     assert len(h0) == 2
-    assert set(h0) <= set(cg.group.center())
-    c_h_z = [g for g in cg.group.centralizer(cg.z_lift)
+    assert set(h0) <= set(centralizer_of_set(cg.group, range(cg.group.order)))
+    c_h_z = [g for g in centralizer_of_set(cg.group, [cg.z_lift])
              if g in set(cg.h_subgroup)]
     assert len(c_h_z) == 8
+
+
+def test_h0_order_is_checked_where_it_is_computed(cg):
+    # With z = 1, [H, z] = {1}; compute_h0 reads the value _lambda_facts checked.
+    with pytest.raises(AssertionError, match=r"\|\[H, z\]\| = 1, expected 2"):
+        compute_h0(rebuild(cg, z_lift=0))
+    assert compute_h0(cg) is construction._lambda_facts(cg)[0]
 
 
 def test_commutator_intersection_identity(cg):

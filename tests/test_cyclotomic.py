@@ -68,10 +68,12 @@ def _random_value(rng, n):
 
 
 def test_ring_axioms_randomized():
-    # 10^4 exact triples across a few root orders, fixed seed
+    # 10^4 exact triples across a few root orders, fixed seed.  At n = 5, 7
+    # and 9 a product reaches z^k with k >= n (2d - 2 is 6, 10 and 10).
     rng = random.Random(20260823)
+    orders = (1, 2, 4, 5, 7, 8, 9, 12)
     for trial in range(10_000):
-        n = (1, 2, 4, 8, 12)[trial % 5]
+        n = orders[trial % len(orders)]
         a, b, c = (_random_value(rng, n) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
@@ -107,17 +109,17 @@ def test_galois_automorphisms(a):
 
 
 @settings(max_examples=50)
-@given(cyclotomic_values(), cyclotomic_values())
-def test_numeric_oracle(a, b):
+@given(cyclotomic_values(), cyclotomic_values(), cyclotomic_values(7), cyclotomic_values(7))
+def test_numeric_oracle(a, b, a7, b7):
     # floating-point evaluation as an independent oracle, never in the
-    # exact path
+    # exact path; at n = 7 the product reaches z^k with k >= n
     def as_complex(x):
         z = cmath.exp(2j * cmath.pi / x.n)
         return sum(c * z ** k for k, c in enumerate(x.num)) / x.den
 
-    exact = a * b
-    approx = as_complex(a) * as_complex(b)
-    assert abs(as_complex(exact) - approx) < 1e-6
+    for x, y in ((a, b), (a7, b7)):
+        approx = as_complex(x) * as_complex(y)
+        assert abs(as_complex(x * y) - approx) < 1e-6
 
 
 @given(cyclotomic_values())
