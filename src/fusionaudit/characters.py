@@ -126,8 +126,8 @@ def lift_from_quotient(c: ClassFunction, G: FiniteGroup,
 # Burnside-Dixon character table
 # ---------------------------------------------------------------------------
 # pow(a, -1, p) raises ValueError at a = 0 mod p; every a this module inverts is
-# nonzero: |G|, a class size or an element order (p does not divide |G|), a pivot,
-# or s = |G| / d^2.
+# nonzero: |G| or a class size (p does not divide |G|), a pivot, s = |G| / d^2,
+# or Newton's k <= deg < p.
 
 class CharacterTable:
     __slots__ = ("group", "irreducibles", "residues", "class_sizes", "class_rep_orders",
@@ -233,12 +233,13 @@ def _nullspace_mod(mat: List[List[int]], p: int) -> List[List[int]]:
 
 
 def _class_matrices(G: FiniteGroup) -> Iterator[List[List[int]]]:
-    """For i = 1..r-1 in turn, a[j][k] = #{x in C_i : x^-1 g_k in C_j}, the
-    structure constants of class i."""
+    """For each class C_i of size > 1 in turn, a[j][k] = #{x in C_i : x^-1 g_k
+    in C_j}, the structure constants of class i.  A class {z} of size 1 acts on
+    every block of dixon_table as the scalar lambda(z), so it is not drawn."""
     classes = G.conjugacy_classes()
     reps = [cl[0] for cl in classes]
     r = len(classes)
-    for cl in classes[1:]:
+    for cl in (cl for cl in classes if len(cl) > 1):
         m = [[0] * r for _ in range(r)]
         for x in cl:
             xin = G.inv(x)
@@ -367,32 +368,116 @@ def _split_eigenspaces(A: List[List[int]], basis: List[List[int]],
     return out
 
 
+def _central_blocks(G: FiniteGroup, omega_pows: List[int]) -> List[Tuple[List[List[int]], List[int]]]:
+    """The rref bases b_O of dixon_table's blocks, one block per linear
+    character lambda of Z(G) mod p; omega_pows[k] = omega^k, k < exp G."""
+    classes = G.conjugacy_classes()
+    n = len(omega_pows)
+    # Z(G) = the size-1 classes, spanned one new generator z at a time:
+    # lambda(elems[i]) = omega^lam[i].  With z^k the least power in the span
+    # H so far, elems becomes z^i h (i < k, h in H), and lambda extends by
+    # lambda(z) = omega^e for the k solutions e of k e = lambda(z^k) mod n
+    # (z^k has order ord(z) / k, so k n / ord(z) divides lam[z^k] and k | n).
+    elems, lams, index = [0], [[0]], {0: 0}
+    for z in (cl[0] for cl in classes if len(cl) == 1):
+        if z in index:
+            continue
+        powers, zk = [0], z
+        while zk not in index:
+            powers.append(zk)
+            zk = G.mul(zk, z)
+        k, at = len(powers), index[zk]
+        lams = [[(a + i * e) % n for i in range(k) for a in lam]
+                for lam in lams for e in range(lam[at] // k, n, n // k)]
+        elems = [G.mul(y, h) for y in powers for h in elems]
+        index = {x: i for i, x in enumerate(elems)}
+    # Z-orbits of classes, each from its least class c: moved[d] is the index
+    # of a z with z C_c = C_d (any one: lambda is trivial on the stabilizer
+    # wherever it is read), stab the indices of the z with z C_c = C_c.
+    orbits, seen = [], set()
+    for c, cl in enumerate(classes):
+        if c not in seen:
+            images = [G.class_of(G.mul(z, cl[0])) for z in elems]
+            moved = {d: i for i, d in enumerate(images)}
+            seen.update(moved)
+            orbits.append((c, moved, [i for i, d in enumerate(images) if d == c]))
+    blocks = []
+    for lam in lams:
+        kept = [(c, moved) for c, moved, stab in orbits if not any(lam[i] for i in stab)]
+        blocks.append(([[omega_pows[lam[moved[d]]] if d in moved else 0
+                         for d in range(len(classes))] for _, moved in kept],
+                       [c for c, _ in kept]))
+    return blocks
+
+
+def _eigenvalues(sums: List[int], roots: List[int], p: int) -> List[Tuple[int, int]]:
+    """(j, m) for each roots[j] of multiplicity m > 0 in f = prod_i (x - eps_i),
+    from the power sums sums[t - 1] = sum_i eps_i^t mod p, t = 1..deg, by
+    Newton's identities k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} s_i.  For the
+    coefficients c_k = (-1)^k e_k of f = sum_k c_k x^(deg-k) they read
+    k c_k = -sum_{i<k} c_i s_{k-i}.  Raises AssertionError unless f splits
+    into the roots listed."""
+    f = [1]                                             # top coefficient first
+    for k in range(1, len(sums) + 1):
+        f.append(-sum(map(mul, f, reversed(sums[:k]))) * pow(k, -1, p) % p)
+    out: Dict[int, int] = {}
+    for j, c in enumerate(roots):
+        if len(f) <= 2:
+            break
+        while len(f) > 2:
+            q, acc = [], 0                  # f = (x - c) q + f(c), by Horner
+            for a in f:
+                acc = (acc * c + a) % p
+                q.append(acc)
+            if q.pop():
+                break
+            f, out[j] = q, out.get(j, 0) + 1
+    if len(f) == 2 and -f[1] % p in roots:  # f = x - c: the last root is c
+        j = roots.index(-f[1] % p)
+        f, out[j] = [1], out.get(j, 0) + 1
+    if len(f) > 1:
+        raise AssertionError(f"power sums {sums} mod {p}: the eigenvalue polynomial "
+                             f"does not split into {len(roots)}-th roots of unity")
+    return sorted(out.items())
+
+
 def dixon_table(G: FiniteGroup) -> CharacterTable:
     """Exact character table via the Burnside-Dixon method.
 
     Common eigenvectors of the class matrices over F_p give the central
     characters mod p; degrees come from the orthogonality relation and
-    values are lifted to Z[zeta_n] by discrete Fourier inversion of the
-    eigenvalue multiplicities.
+    values are lifted to Z[zeta_n] from the eigenvalue multiplicities.
+
+    Blocks: the class matrix of {z}, z in Z = Z(G), maps v to v'(C) = v(zC),
+    and z acts on chi's module as the scalar lambda_chi(z) (Schur's lemma),
+    a linear character of Z.  So chi's vector v_C ~ |C| chi(g_C) / chi(1)
+    has v(zC) = lambda_chi(z) v(C), and the common eigenspace of a lambda
+    in Irr(Z) mod p is spanned by the b_O = sum_z lambda(z) e_{zC_O}, one
+    per Z-orbit O of classes on whose stabilizer S_O lambda is trivial.
+    Scaled to 1 at the orbit's least class, the b_O are in rref, as the
+    orbits are disjoint: no matrix is built and nothing is solved.  O
+    carries |Z / S_O| = |O| of the lambdas, so the blocks fill
+    sum_O |O| = r dimensions.  The orbit of {1} has S = 1: v[0] = 1 on
+    every row.
 
     Split: each subspace of dimension d > 1 is split by the next class
-    matrix only at the roots in F_p of its characteristic polynomial on the
-    subspace (Hessenberg form, O(d^3), then Horner at every lambda, O(p d)).
-    This is exact: lambda has a nontrivial nullspace iff det(lambda I - M)
-    = 0.  A simple root's eigenvector comes from a Krylov basis without a
-    solve (see _split_eigenspaces).  If the eigenspaces found do not fill
-    the subspace, the matrix does not split or is not diagonalizable mod p,
-    and an AssertionError is raised.
+    matrix of size > 1 only at the roots in F_p of its characteristic
+    polynomial on the subspace (Hessenberg form, O(d^3), then Horner at
+    every lambda, O(p d)).  This is exact: lambda has a nontrivial
+    nullspace iff det(lambda I - M) = 0.  A simple root's eigenvector comes
+    from a Krylov basis without a solve (see _split_eigenspaces).  If the
+    eigenspaces found do not fill the subspace, the matrix does not split
+    or is not diagonalizable mod p, and an AssertionError is raised.  No
+    matrix is drawn once the r spaces are 1-dimensional: none for abelian G.
 
-    Lift: with omega of order n in F_p and o = ord(g), the multiplicity of
-    omega^k as an eigenvalue of g is m_k = n^-1 sum_{t<n} chi(g^t) omega^-tk.
-    chi(g^t) depends on t mod o only, so the sum is
-    sum_{t<o} chi(g^t) omega^-tk times the geometric sum
-    sum_{s<n/o} omega^-oks, which is n/o if (n/o) | k and 0 otherwise
-    (omega^ok != 1 but (omega^ok)^(n/o) = 1).  Hence
-    m_k = o^-1 sum_{t<o} chi(g^t) omega^-tk, nonzero only at k = (n/o) k',
-    k' < o: one o x o kernel per distinct element order.  m_k <= deg < p/2,
-    so each residue is the multiplicity itself.
+    Lift: with omega of order n in F_p and o = ord(g), g has deg = chi(1)
+    eigenvalues eps_i, o-th roots of unity with power sums chi(g^t), and
+    Newton's identities give f = prod (x - eps_i) from chi(g^t) mod p,
+    t = 1..deg (_eigenvalues); division by k <= deg < p is exact.  The
+    coefficients lie in Z[zeta_o], and zeta_o^j -> omega^(j n/o) is
+    injective on j < o, so dividing each omega^(j n/o) out of f mod p gives
+    the multiplicities m_j exactly.  If f does not split into these roots,
+    the residues are not a character's, and an AssertionError is raised.
 
     Galois orbits: the lift runs only for one class per orbit {g^t : t
     coprime to o}.  Such t permutes the o-th roots of unity, so the
@@ -418,36 +503,24 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         power_class.append(row)
     n = lcm(*map(len, power_class))
     p = dixon_prime(G.order, n)
-
-    # Split the common eigenspaces of the class matrices over F_p, starting
-    # from the whole space in rref.  The matrices are drawn one at a time and
-    # only until the r spaces are 1-dimensional, so at most one is held.
-    spaces = [([[1 if i == j else 0 for j in range(r)] for i in range(r)], list(range(r)))]
-    for A in _class_matrices(G):
-        new_spaces: List[Tuple[List[List[int]], List[int]]] = []
-        for basis, pivots in spaces:
-            if len(basis) == 1:
-                new_spaces.append((basis, pivots))
-            else:
-                new_spaces.extend(_split_eigenspaces(A, basis, pivots, p))
-        spaces = new_spaces
-        if len(spaces) == r:
-            break
-    if len(spaces) != r:
-        raise AssertionError("eigenspace splitting did not terminate")
-
-    size_inv = [pow(len(cl), -1, p) for cl in classes]
-
     omega = pow(_primitive_root(p), (p - 1) // n, p)
     omega_pows = [1]
     for _ in range(n - 1):
         omega_pows.append(omega_pows[-1] * omega % p)
-    # kernels[o][k'][t] = o^-1 omega^(-t k' n/o): the order-o DFT.
-    kernels = {}
-    for o in {len(row) for row in power_class}:
-        step, o_inv = n // o, pow(o, -1, p)
-        kernels[o] = [[o_inv * omega_pows[-t * k * step % n] % p for t in range(o)]
-                      for k in range(o)]
+
+    # Split the blocks further by the class matrices, drawn one at a time and
+    # only while some space is more than 1-dimensional, so at most one is held.
+    spaces = _central_blocks(G, omega_pows)
+    matrices = _class_matrices(G)
+    while len(spaces) < r:
+        A = next(matrices, None)
+        if A is None:
+            raise AssertionError("eigenspace splitting did not terminate")
+        spaces = [part for basis, pivots in spaces
+                  for part in ([(basis, pivots)] if len(basis) == 1
+                               else _split_eigenspaces(A, basis, pivots, p))]
+
+    size_inv = [pow(len(cl), -1, p) for cl in classes]
 
     # orbit[j] = (i, t): class j is the class of g_i^t, t coprime to ord(g_i),
     # for an orbit representative i < j; representatives map to None.
@@ -473,9 +546,9 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         for row, src in zip(power_class, orbit):
             if src is None:
                 step = n // len(row)
-                samples = [chi_mod[c] for c in row]
-                m = (sum(map(mul, kernel, samples)) % p for kernel in kernels[len(row)])
-                key = tuple((k * step, m_k) for k, m_k in enumerate(m) if m_k)
+                sums = [chi_mod[row[t % len(row)]] for t in range(1, deg + 1)]
+                key = tuple((j * step, m)
+                            for j, m in _eigenvalues(sums, omega_pows[::step], p))
             else:
                 i, t = src
                 key = tuple(sorted((k * t % n, m_k) for k, m_k in keys[i]))

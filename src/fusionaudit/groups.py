@@ -54,6 +54,7 @@ class FiniteGroup:
         self.inverse = self._compute_inverses()
         self._classes: Tuple[Tuple[int, ...], ...] | None = None
         self._class_index: List[int] | None = None
+        self._exponent: int | None = None
 
     def _compute_inverses(self) -> Tuple[int, ...]:
         inv = []
@@ -84,7 +85,10 @@ class FiniteGroup:
         return k
 
     def exponent(self) -> int:
-        return lcm(*(self.element_order(g) for g in range(self.order)))
+        """lcm of the element orders, computed once per group."""
+        if self._exponent is None:
+            self._exponent = lcm(*(self.element_order(g) for g in range(self.order)))
+        return self._exponent
 
     def conjugacy_classes(self) -> Tuple[Tuple[int, ...], ...]:
         """Partition into conjugacy classes, ordered by least member.

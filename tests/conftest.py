@@ -92,3 +92,8 @@ def d30_file(tmp_path_factory):
 @pytest.fixture(scope="session")
 def c30_file(tmp_path_factory):
     return cayley_file(tmp_path_factory, "c30", 30, lambda x, y: (x + y) % 30)
+
+
+@pytest.fixture(scope="session")
+def d120_file(tmp_path_factory):
+    return cayley_file(tmp_path_factory, "d120", 120, dihedral_mul(60), seed=5)

@@ -419,6 +419,26 @@ def test_cli_verify_all_lambdas_spans_each_commutator_once(monkeypatch, tmp_path
     assert len(calls) == 8
 
 
+def test_cli_verify_all_lambdas_walks_each_group_once(monkeypatch, tmp_path):
+    # The exponent is cached on the group: no element's powers are walked
+    # twice, though every covector's run and the table report ask for it.
+    from collections import Counter
+
+    from fusionaudit.groups import FiniteGroup
+    walks = Counter()
+    real = FiniteGroup.element_order
+
+    def spy(G, g):
+        walks[G, g] += 1
+        return real(G, g)
+
+    monkeypatch.setattr(FiniteGroup, "element_order", spy)
+    assert main(["verify", "--all-lambdas", "--report", "json",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert any(G.order == 128 for G, _ in walks)
+    assert set(walks.values()) == {1}
+
+
 def test_cli_verify_rejects_other_groups():
     with pytest.raises(SystemExit):
         main(["verify", "--group", "builtin:q8"])
@@ -514,17 +534,19 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
     ("scan-g128", ["scan", "--group", "builtin:g128"]),
     ("table-g128-both", ["table", "--group", "builtin:g128", "--table-method", "both"]),
     ("table-d30", None),
+    ("table-d120", None),
 ])
 def test_json_reports_match_golden_files(name, argv, tmp_path, request):
     """Each JSON report, byte for byte, against tests/golden/<name>.json.
 
-    The D30 table goes through audit.table_report with a fixed label, so
-    that the fixture's temporary path does not enter it.  A golden file
-    changes only with a documented change of the report.
+    The D30 and D120 tables go through audit.table_report with a fixed
+    label, so that the fixture's temporary path does not enter it.  A
+    golden file changes only with a documented change of the report.
     """
     if argv is None:
-        G = load_group_file(str(request.getfixturevalue("d30_file")))
-        live = audit.table_report("file:d30.grp", G).to_json().encode("utf-8")
+        label = name.split("-")[1]
+        G = load_group_file(str(request.getfixturevalue(f"{label}_file")))
+        live = audit.table_report(f"file:{label}.grp", G).to_json().encode("utf-8")
     else:
         out = tmp_path / "live.json"
         assert main([*argv, "--report", "json", "--out", str(out)]) == 0

@@ -10,9 +10,11 @@ from fusionaudit import audit
 from fusionaudit.characters import (
     CharacterTable,
     ClassFunction,
+    _central_blocks,
     _charpoly_mod,
     _checked,
     _class_matrices,
+    _eigenvalues,
     _nullspace_mod,
     _primitive_root,
     _rref_mod,
@@ -31,7 +33,7 @@ from fusionaudit.construction import choose_lambda, compute_h0, valid_covectors
 from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
 from fusionaudit.groupfile import load_group_file
 from fusionaudit.groups import FiniteGroup
-from conftest import cayley_file
+from conftest import cayley_file, dihedral_mul
 from oracles import (
     dual_character,
     fields,
@@ -530,9 +532,10 @@ def test_indicators_are_computed_once(g128_table):
 # ---------------------------------------------------------------------------
 
 def naive_dixon_table(G):
-    """dixon_table's algorithm without its shortcuts: every lambda in F_p
-    gets a nullspace solve, and each value is lifted by the length-n
-    Fourier sum over t < exp G with one pow call per term."""
+    """dixon_table's algorithm without its shortcuts: no central blocks,
+    every class matrix, every lambda in F_p gets a nullspace solve, and each
+    value is lifted by the length-n Fourier sum over t < exp G with one pow
+    call per term."""
     classes = G.conjugacy_classes()
     reps = [cl[0] for cl in classes]
     sizes = [len(cl) for cl in classes]
@@ -540,7 +543,10 @@ def naive_dixon_table(G):
     n = G.exponent()
     p = dixon_prime(G.order, n)
     spaces = [_rref_mod([[int(i == j) for j in range(r)] for i in range(r)], p)]
-    for A in _class_matrices(G):
+    for cl in classes[1:]:
+        # a[j][k] = #{x in cl : x^-1 g_k in C_j}, for central classes too
+        A = [[sum(G.class_of(G.mul(G.inv(x), g)) == j for x in cl) for g in reps]
+             for j in range(r)]
         new_spaces = []
         for basis, pivots in spaces:
             d = len(basis)
@@ -613,10 +619,22 @@ def c30_table(c30_file):
     return dixon_table(load_group_file(str(c30_file)))
 
 
+@pytest.fixture(scope="module")
+def d60_file(tmp_path_factory):
+    return cayley_file(tmp_path_factory, "d60", 60, dihedral_mul(30), seed=3)
+
+
+@pytest.fixture(scope="module")
+def d60_table(d60_file):
+    return dixon_table(load_group_file(str(d60_file)))
+
+
 # h16 has 16 classes and prime 11 (r > p); in C30, 22 of the 30 elements
-# have order below exp G = 30, so most lifts are shorter than n.
+# have order below exp G = 30, so most lifts are shorter than n.  D60 has
+# a centre of order 2, so it splits from two blocks.
 @pytest.mark.parametrize("name", ["q8_table", "h16_table", "g128_table",
-                                  "d10_table", "d30_table", "c30_table"])
+                                  "d10_table", "d30_table", "c30_table",
+                                  "d60_table"])
 def test_dixon_matches_naive_oracle(name, request):
     table = request.getfixturevalue(name)
     assert fields(naive_dixon_table(table.group)) == fields(table)
@@ -847,3 +865,78 @@ def test_split_keeps_scalar_blocks_without_a_solve(monkeypatch, cg, d30_file):
     assert any(reached for reached, _ in calls)
     assert any(not reached for reached, _ in calls)
     assert all(n >= 2 if reached else n == 1 for reached, n in calls)
+
+
+# ---------------------------------------------------------------------------
+# Central blocks and the Newton lift
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["q8_table", "g128_table", "d60_table"])
+def test_central_blocks_are_the_eigenspaces_of_the_centre(name, request):
+    # One block per linear character lambda of Z(G) mod p, read off the
+    # vector at pivot 0 (the orbit of the central classes): every vector v
+    # of the block has v(zC) = lambda(z) v(C), and the blocks fill r.
+    table = request.getfixturevalue(name)
+    G, p, n = table.group, table.prime, table.root_order
+    classes = G.conjugacy_classes()
+    center = [cl[0] for cl in classes if len(cl) == 1]
+    omega = omega_mod(p, n)
+    blocks = _central_blocks(G, [pow(omega, k, p) for k in range(n)])
+    lams = set()
+    for basis, pivots in blocks:
+        assert (basis, pivots) == _rref_mod(basis, p)
+        assert pivots[0] == 0
+        lam = {z: basis[0][G.class_of(z)] for z in center}
+        assert all(lam[G.mul(y, z)] == lam[y] * lam[z] % p for y in center for z in center)
+        lams.add(tuple(lam.values()))
+        for v in basis:
+            for z in center:
+                for c, cl in enumerate(classes):
+                    assert v[G.class_of(G.mul(z, cl[0]))] == lam[z] * v[c] % p
+    assert len(lams) == len(blocks) == len(center)
+    assert sum(len(basis) for basis, _ in blocks) == len(classes)
+
+
+def test_abelian_groups_draw_no_class_matrix(monkeypatch, h16, h16_table, c60_file):
+    from fusionaudit import characters
+    drawn = []
+    real = characters._class_matrices
+
+    def spy(G):
+        for A in real(G):
+            drawn.append(A)
+            yield A
+
+    monkeypatch.setattr(characters, "_class_matrices", spy)
+    assert dixon_table(h16).residues == h16_table.residues
+    assert len(dixon_table(load_group_file(str(c60_file))).irreducibles) == 60
+    assert drawn == []
+
+
+@st.composite
+def _root_multiset(draw):
+    p, o = draw(st.sampled_from([(13, 4), (31, 6), (61, 12), (181, 60)]))
+    roots = [pow(omega_mod(p, o), j, p) for j in range(o)]
+    js = draw(st.lists(st.integers(0, o - 1), min_size=1, max_size=min(8, p // 2)))
+    return p, roots, js
+
+
+@settings(max_examples=100, deadline=None)
+@given(_root_multiset())
+def test_eigenvalues_recover_multiplicities_from_power_sums(case):
+    p, roots, js = case
+    sums = [sum(pow(roots[j], t, p) for j in js) % p for t in range(1, len(js) + 1)]
+    assert _eigenvalues(sums, roots, p) == sorted((j, js.count(j)) for j in set(js))
+
+
+def test_eigenvalues_reject_power_sums_of_no_character(q8_table):
+    # Q8's degree-2 row at the class of i: eigenvalues +-i, so the power
+    # sums are chi(i) = 0 and chi(-1) = -2.  Moving chi(i) to 1 gives
+    # x^2 - x + 3/2, which has no root among the 4th roots of unity mod 13.
+    p = q8_table.prime
+    roots = [pow(omega_mod(p, 4), j, p) for j in range(4)]
+    assert _eigenvalues([0, p - 2], roots, p) == [(1, 1), (3, 1)]
+    with pytest.raises(AssertionError, match="does not split"):
+        _eigenvalues([1, p - 2], roots, p)
+    with pytest.raises(AssertionError, match="does not split"):
+        _eigenvalues([2], roots, p)

@@ -65,18 +65,19 @@ def test_builtin_scan_does_not_load_the_group_file_parser(tmp_path):
     assert (tmp_path / "q8.json").read_text().startswith("group: builtin:q8")
 
 
-def test_table_report_is_identical_under_python_O(d30_file):
+def test_table_report_is_identical_under_python_O(d30_file, d120_file):
     # The Dixon guards raise explicitly, so -O changes nothing in the report.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    args = ["-m", "fusionaudit.cli", "table", "--group", f"file:{d30_file}",
-            "--report", "json"]
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, *args], env=env,
-                       capture_output=True, timeout=120)
-        for flags in ([], ["-O"]))
-    assert plain.returncode == 0 and optimized.returncode == 0
-    assert plain.stdout == optimized.stdout
-    assert b'"dixon_prime"' in plain.stdout
+    for path in (d30_file, d120_file):
+        args = ["-m", "fusionaudit.cli", "table", "--group", f"file:{path}",
+                "--report", "json"]
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *args], env=env,
+                           capture_output=True, timeout=120)
+            for flags in ([], ["-O"]))
+        assert plain.returncode == 0 and optimized.returncode == 0
+        assert plain.stdout == optimized.stdout
+        assert b'"dixon_prime"' in plain.stdout
 
 
 def test_non_associative_table_exits_2_under_python_O(tmp_path):
@@ -109,3 +110,20 @@ def test_table_self_check_raises_under_python_O():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("raised: Frobenius-Schur count"), run.stdout
+
+
+def test_lift_split_check_exits_1_under_python_O():
+    # A corrupted power sum leaves an eigenvalue polynomial that does not
+    # split; the lift raises explicitly, so -O still reports an internal error.
+    code = ("import sys\n"
+            "from fusionaudit import characters, cli\n"
+            "real = characters._eigenvalues\n"
+            "characters._eigenvalues = lambda sums, roots, p: "
+            "real([(sums[0] + 1) % p, *sums[1:]], roots, p)\n"
+            "sys.exit(cli.main(['table', '--group', 'builtin:q8']))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("internal check failed: power sums"), run.stderr
+    assert "does not split" in run.stderr and "Traceback" not in run.stderr
