@@ -1,19 +1,20 @@
-"""Class functions, induced characters, FS indicators, and character tables.
+"""Character tables by the Burnside-Dixon method, and fusion tensors.
 
-Two independent routes to every headline quantity: direct constructive
-characters (induction from H, lifts from G/H) and a Burnside-Dixon table of
-residues modulo a suitable prime, computed from class-multiplication
-coefficients and rendered exactly in Z[zeta_n].  All arithmetic is exact.
+dixon_table computes the table of residues chi(g) mod a suitable prime
+from the class-multiplication coefficients, checks it, and renders each
+value exactly in Z[zeta_n]; fusion_tensor reads the multiplicities
+N_pq^r off the residues.  All arithmetic is exact.  The class-function
+arithmetic of the constructive route lives in `constructive`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .cyclotomic import Cyclotomic
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, is_subgroup
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup
 
 
 class ClassFunction:
@@ -44,84 +45,6 @@ class ClassFunction:
                 and self.values == other.values)
 
 
-def regular_character(G: FiniteGroup, n: Optional[int] = None) -> ClassFunction:
-    n = n or G.exponent()
-    vals = [Cyclotomic.from_rational(n, G.order if cl == (0,) else 0)
-            for cl in G.conjugacy_classes()]
-    return ClassFunction(G, tuple(vals))
-
-
-def induce(G: FiniteGroup, sub: Sequence[int], values: Dict[int, Cyclotomic],
-           n: Optional[int] = None) -> ClassFunction:
-    """Induced class function: g -> |S|^-1 sum_{t in G} value(t^-1 g t), zero off S.
-
-    Computed from class sums.  t -> t^-1 g t maps G onto cl(g), and the
-    t with t^-1 g t = x form a coset of C_G(g), so each x in cl(g) is hit
-    exactly |C_G(g)| = |G| / |cl(g)| times.  Hence
-
-        chi(g) = |G| / (|cl(g)| |S|) * sum_{x in cl(g) & S} value(x),
-
-    for any subgroup S and any values on it (S need not be normal).  The
-    values stay exact in Z[zeta_n].
-    """
-    sub_set = set(sub)
-    if not is_subgroup(G, sub_set):
-        raise ValueError("induction subgroup is not a subgroup")
-    if set(values) != sub_set:
-        raise ValueError("values must cover exactly the subgroup")
-    n = n or G.exponent()
-    classes = G.conjugacy_classes()
-    sums = [Cyclotomic.zero(n)] * len(classes)
-    for x, v in values.items():
-        c = G.class_of(x)
-        sums[c] = sums[c] + v.to_order(n)
-    return ClassFunction(G, tuple(
-        acc * Fraction(G.order, len(cl) * len(sub_set)) for acc, cl in zip(sums, classes)))
-
-
-def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
-    """<a, b> = |G|^-1 sum_g a(g) conj(b(g)), computed classwise."""
-    if a.group is not b.group:
-        raise ValueError("class functions live on different groups")
-    n = lcm(a.root_order(), b.root_order())
-    acc = Cyclotomic.zero(n)
-    for cl, av, bv in zip(a.group.conjugacy_classes(), a.values, b.values):
-        acc = acc + len(cl) * (av.to_order(n) * bv.to_order(n).conjugate())
-    return acc * Fraction(1, a.group.order)
-
-
-def pointwise_product(a: ClassFunction, b: ClassFunction) -> ClassFunction:
-    if a.group is not b.group:
-        raise ValueError("class functions live on different groups")
-    n = lcm(a.root_order(), b.root_order())
-    return ClassFunction(a.group, tuple(
-        av.to_order(n) * bv.to_order(n) for av, bv in zip(a.values, b.values)))
-
-
-def fs_indicator(a: ClassFunction) -> Fraction:
-    """Second Frobenius-Schur indicator |G|^-1 sum_g a(g^2)."""
-    G = a.group
-    n = a.root_order()
-    acc = Cyclotomic.zero(n)
-    for cl in G.conjugacy_classes():
-        g2 = G.mul(cl[0], cl[0])
-        acc = acc + len(cl) * a.value_at(g2)
-    r = (acc * Fraction(1, G.order)).as_rational()
-    if r is None:
-        raise ValueError("indicator sum is irrational; input is not a character")
-    return r
-
-
-def lift_from_quotient(c: ClassFunction, G: FiniteGroup,
-                       proj: Sequence[int]) -> ClassFunction:
-    """Pull a class function on G/N back to G along the projection."""
-    Q = c.group
-    if len(proj) != G.order or max(proj) != Q.order - 1:
-        raise ValueError("projection does not match the quotient")
-    return ClassFunction(G, tuple(
-        c.value_at(proj[cl[0]]) for cl in G.conjugacy_classes()))
-
-
 # ---------------------------------------------------------------------------
 # Burnside-Dixon character table
 # ---------------------------------------------------------------------------
@@ -130,15 +53,18 @@ def lift_from_quotient(c: ClassFunction, G: FiniteGroup,
 # or Newton's k <= deg < p.
 
 class CharacterTable:
-    __slots__ = ("group", "irreducibles", "residues", "class_sizes", "class_rep_orders",
-                 "inv_class", "square_class", "root_order", "prime", "_indicators")
+    __slots__ = ("group", "irreducibles", "rendered", "residues", "class_sizes",
+                 "class_rep_orders", "inv_class", "square_class", "root_order", "prime",
+                 "_indicators")
 
     def __init__(self, group: FiniteGroup, irreducibles: Tuple[ClassFunction, ...],
+                 rendered: Tuple[Tuple[str, ...], ...],
                  residues: Tuple[Tuple[int, ...], ...], class_sizes: Tuple[int, ...],
                  class_rep_orders: Tuple[int, ...], inv_class: Tuple[int, ...],
                  square_class: Tuple[int, ...], root_order: int, prime: int):
         self.group = group
         self.irreducibles = irreducibles  # lifted to Z[zeta_root_order]: row order, rendering
+        self.rendered = rendered  # per row, each value's render(), as the row order reads it
         self.residues = residues  # Dixon's rows chi(g_j) mod prime: the table itself
         self.class_sizes = class_sizes
         self.class_rep_orders = class_rep_orders
@@ -484,8 +410,9 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     eigenvalues of g^t are the t-th powers of those of g, with the same
     multiplicities and no collisions: chi(g^t) = sum_k m_k zeta_n^(kt), and
     the multiplicity dict of g's class, relabelled k -> kt mod n, is that of
-    g^t's class.  Each distinct dict is built into a Cyclotomic and rendered
-    (for the canonical row order) once per call.
+    g^t's class.  Each distinct (ord(g), power sums) is lifted, and each
+    distinct dict built and rendered (table.rendered, which fixes the
+    canonical row order), once per call.
     """
     if G.order > DEFAULT_ORDER_CAP:
         raise ValueError(f"|G| = {G.order} exceeds size cap {DEFAULT_ORDER_CAP}")
@@ -532,6 +459,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
                 if j > i and orbit[j] is None and gcd(t, len(row)) == 1:
                     orbit[j] = (i, t)
 
+    lifted: Dict[Tuple[int, ...], Tuple[Tuple[int, int], ...]] = {}
     built: Dict[Tuple[Tuple[int, int], ...], Tuple[Cyclotomic, str]] = {}
     rows = []
     for basis, _ in spaces:
@@ -547,8 +475,11 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
             if src is None:
                 step = n // len(row)
                 sums = [chi_mod[row[t % len(row)]] for t in range(1, deg + 1)]
-                key = tuple((j * step, m)
-                            for j, m in _eigenvalues(sums, omega_pows[::step], p))
+                memo = (step, *sums)
+                if memo not in lifted:      # _eigenvalues raises before a bad lift is kept
+                    lifted[memo] = tuple((j * step, m)
+                                         for j, m in _eigenvalues(sums, omega_pows[::step], p))
+                key = lifted[memo]
             else:
                 i, t = src
                 key = tuple(sorted((k * t % n, m_k) for k, m_k in keys[i]))
@@ -559,12 +490,12 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         values, names = zip(*map(built.__getitem__, keys))
         if values[0] != deg:
             raise AssertionError(f"lifted degree {names[0]} != {deg}")
-        rows.append(((deg, names), ClassFunction(G, values), tuple(chi_mod)))
+        rows.append((deg, names, ClassFunction(G, values), tuple(chi_mod)))
 
-    rows.sort(key=lambda row: row[0])
-    _, chars, residues = zip(*rows)
+    rows.sort(key=lambda row: row[:2])
+    _, rendered, chars, residues = zip(*rows)
     return _checked(CharacterTable(
-        group=G, irreducibles=chars, residues=residues,
+        group=G, irreducibles=chars, rendered=rendered, residues=residues,
         class_sizes=tuple(len(cl) for cl in classes),
         class_rep_orders=tuple(len(row) for row in power_class),
         inv_class=tuple(row[-1] for row in power_class),

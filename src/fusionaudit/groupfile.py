@@ -11,10 +11,12 @@ comment running to end of line.  See docs/group-file-format.md.
 """
 from __future__ import annotations
 
-from typing import Dict, List, NoReturn, Tuple
+from typing import TYPE_CHECKING, Dict, List, NoReturn, Tuple
 
-from . import gf2
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
+
+if TYPE_CHECKING:
+    from . import gf2
 
 
 class GroupFileError(ValueError):
@@ -126,6 +128,7 @@ def _parse_matrix_rows(stream: _Stream, name: str) -> gf2.GF2Matrix:
 
 
 def _load_semidirect(stream: _Stream, max_order: int) -> FiniteGroup:
+    from . import gf2               # only this dialect needs the GF(2) algebra
     gens: Dict[str, gf2.GF2Matrix] = {}
     relations: List[Tuple[str, int]] = []
     while True:
@@ -159,6 +162,7 @@ def _load_semidirect(stream: _Stream, max_order: int) -> FiniteGroup:
 
 
 def _evaluate_word(word: str, line: int, gens: Dict[str, gf2.GF2Matrix]) -> gf2.GF2Matrix:
+    from . import gf2
     result = gf2.IDENTITY
     for factor in word.split("*"):
         name, _, exp_s = factor.partition("^")
@@ -179,6 +183,7 @@ def _evaluate_word(word: str, line: int, gens: Dict[str, gf2.GF2Matrix]) -> gf2.
 
 
 def _matrix_closure(gens: List[gf2.GF2Matrix], max_order: int) -> List[gf2.GF2Matrix]:
+    from . import gf2
     members = {gf2.IDENTITY}
     frontier = [gf2.IDENTITY]
     while frontier:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionaudit import audit
+from fusionaudit import audit, constructive
 from fusionaudit.characters import (
     CharacterTable,
     ClassFunction,
@@ -21,15 +21,17 @@ from fusionaudit.characters import (
     _split_eigenspaces,
     dixon_prime,
     dixon_table,
-    fs_indicator,
     fusion_tensor,
+)
+from fusionaudit.construction import choose_lambda, compute_h0, valid_covectors
+from fusionaudit.constructive import (
+    fs_indicator,
     induce,
     inner_product,
     lift_from_quotient,
     pointwise_product,
     regular_character,
 )
-from fusionaudit.construction import choose_lambda, compute_h0, valid_covectors
 from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
 from fusionaudit.groupfile import load_group_file
 from fusionaudit.groups import FiniteGroup
@@ -81,7 +83,7 @@ def test_conjugate_stabilizer_check_matches_irreducibility(cg):
         values = {g: Cyclotomic.from_rational(n, lam.value_sign(g))
                   for g in cg.h_subgroup}
         chi = induce(G, cg.h_subgroup, values, n=n)
-        stab = audit.conjugate_stabilizer_check(cg, lam)
+        stab = constructive.conjugate_stabilizer_check(cg, lam)
         assert (inner_product(chi, chi) == 1) == stab
         passing += stab
     assert passing == 8
@@ -90,7 +92,7 @@ def test_conjugate_stabilizer_check_matches_irreducibility(cg):
 def test_stabilizer_check_fails_for_trivial_lambda(cg):
     from fusionaudit.construction import LambdaChoice
     lam = LambdaChoice(covector=0, h0_element=compute_h0(cg)[1])
-    assert not audit.conjugate_stabilizer_check(cg, lam)
+    assert not constructive.conjugate_stabilizer_check(cg, lam)
 
 
 def test_stabilizer_check_fails_when_kernel_contains_h0(cg):
@@ -103,7 +105,7 @@ def test_stabilizer_check_fails_when_kernel_contains_h0(cg):
     G = cg.group
     assert all(lam.value_sign(G.conj(h, cg.z_lift)) == lam.value_sign(h)
                for h in cg.h_subgroup)
-    assert not audit.conjugate_stabilizer_check(cg, lam)
+    assert not constructive.conjugate_stabilizer_check(cg, lam)
 
 
 def test_fs_indicator_basics(cg, data):
@@ -143,7 +145,7 @@ def test_lift_from_quotient(cg, data):
 
 
 def test_induced_square_constituent(cg, data):
-    ind = audit.induced_square_constituent(data)
+    ind = constructive.induced_square_constituent(data)
     assert ind.degree() == 8
     assert inner_product(ind, data.phi).as_rational() == 2
     # lambda^2 = 1_H since H has exponent 2
@@ -603,7 +605,9 @@ def naive_dixon_table(G):
         chars.append(ClassFunction(G, tuple(values)))
     chars.sort(key=lambda c: (c.degree(), tuple(v.render() for v in c.values)))
     return CharacterTable(
-        group=G, irreducibles=tuple(chars), residues=lifted_residues(chars, p, n),
+        group=G, irreducibles=tuple(chars),
+        rendered=tuple(tuple(v.render() for v in c.values) for c in chars),
+        residues=lifted_residues(chars, p, n),
         class_sizes=tuple(sizes), class_rep_orders=tuple(G.element_order(g) for g in reps),
         inv_class=inv_class, square_class=tuple(G.class_of(G.mul(g, g)) for g in reps),
         root_order=n, prime=p)
@@ -765,6 +769,19 @@ def test_lift_builds_each_distinct_value_once(monkeypatch, c30_file):
     table = dixon_table(G)
     distinct = {v for chi in table.irreducibles for v in chi.values}
     assert len(built) == len(distinct) == 30
+
+
+def test_lift_runs_once_per_order_and_power_sums(monkeypatch, h16):
+    # In F2^4 every row has degree 1 and each class is its own Galois orbit,
+    # yet the 16 x 16 lifts see only three (order, power sums): the identity's
+    # [1], and [1] or [-1] at an involution.
+    from fusionaudit import characters
+    calls = []
+    real = characters._eigenvalues
+    monkeypatch.setattr(characters, "_eigenvalues",
+                        lambda sums, roots, p: calls.append(sums) or real(sums, roots, p))
+    dixon_table(h16)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

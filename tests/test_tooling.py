@@ -43,11 +43,16 @@ def test_no_dataclasses_in_src():
     assert found == []
 
 
+# Modules the CLI loads only for a command that runs them (the first two: never).
+WATCHED = ("dataclasses", "inspect", "fusionaudit.groupfile", "fusionaudit.construction",
+           "fusionaudit.gf2", "fusionaudit.constructive")
+
+
 def _modules_after(code, tmp_path):
     """The watched modules a fresh interpreter has loaded after running code."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules if m in "
-             "('dataclasses', 'inspect', 'fusionaudit.groupfile')))\n")
+             f"{WATCHED!r}))\n")
     run = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -63,6 +68,17 @@ def test_builtin_scan_does_not_load_the_group_file_parser(tmp_path):
             "assert cli.main(['scan', '--group', 'builtin:q8', '--out', 'q8.json']) == 0")
     assert _modules_after(code, tmp_path) == "[]"
     assert (tmp_path / "q8.json").read_text().startswith("group: builtin:q8")
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, d30_file):
+    # A table file needs the parser but not the GF(2) algebra (a `table`
+    # file, not `semidirect-gf2`), the construction or the constructive route.
+    code = ("from fusionaudit import cli\n"
+            f"assert cli.main(['table', '--group', 'file:{d30_file}']) == 0")
+    assert _modules_after(code, tmp_path) == "['fusionaudit.groupfile']"
+    code = "from fusionaudit import cli\nassert cli.main(['verify']) == 0"
+    assert _modules_after(code, tmp_path) == (
+        "['fusionaudit.construction', 'fusionaudit.constructive', 'fusionaudit.gf2']")
 
 
 def test_table_report_is_identical_under_python_O(d30_file, d120_file):
