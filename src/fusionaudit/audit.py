@@ -192,13 +192,9 @@ def wang_scan(table: CharacterTable, N: List[List[List[int]]]) -> List[Dict]:
     return out
 
 
-def odd_rule_scan(table: CharacterTable, N: List[List[List[int]]]) -> List[Dict]:
-    """Positivity violations with odd N_pq^r.  Must be empty, always."""
-    return _odd_rule(positivity_scan(table, N))
-
-
-def _odd_rule(positivity: List[Dict]) -> List[Dict]:
-    """The positivity records with odd N, retagged as odd-rule findings."""
+def odd_rule_scan(positivity: List[Dict]) -> List[Dict]:
+    """The positivity violations with odd N_pq^r, retagged as odd-rule
+    findings.  Must be empty, always."""
     return [{**rec, "tag": "odd_rule"} for rec in positivity if rec["N"] % 2]
 
 
@@ -210,7 +206,7 @@ def scan_report(group_label: str, G: FiniteGroup) -> AuditReport:
     report.scans = {
         "positivity": positivity,
         "wang": wang_scan(table, N),
-        "odd_rule": _odd_rule(positivity),
+        "odd_rule": odd_rule_scan(positivity),
     }
     report.extra["degrees"] = list(table.degrees())
     report.extra["indicators"] = list(table.indicators())

@@ -9,9 +9,9 @@ arithmetic of the constructive route lives in `constructive`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .cyclotomic import Cyclotomic
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
@@ -294,6 +294,14 @@ def _split_eigenspaces(A: List[List[int]], basis: List[List[int]],
     return out
 
 
+def _extend(lams: Iterable[List[int]], k: int, at: int, n: int) -> Iterator[List[int]]:
+    """The extensions of each lambda in turn to <H, z>, where z^k = elems[at]
+    is the least power of z in H (see _central_blocks)."""
+    for lam in lams:
+        for e in range(lam[at] // k, n, n // k):
+            yield [(a + i * e) % n for i in range(k) for a in lam]
+
+
 def _central_blocks(G: FiniteGroup, omega_pows: List[int]) -> List[Tuple[List[List[int]], List[int]]]:
     """The rref bases b_O of dixon_table's blocks, one block per linear
     character lambda of Z(G) mod p; omega_pows[k] = omega^k, k < exp G."""
@@ -304,6 +312,8 @@ def _central_blocks(G: FiniteGroup, omega_pows: List[int]) -> List[Tuple[List[Li
     # H so far, elems becomes z^i h (i < k, h in H), and lambda extends by
     # lambda(z) = omega^e for the k solutions e of k e = lambda(z^k) mod n
     # (z^k has order ord(z) / k, so k n / ord(z) divides lam[z^k] and k | n).
+    # The lambdas are generated one at a time through the stages: only the
+    # blocks are held.
     elems, lams, index = [0], [[0]], {0: 0}
     for z in (cl[0] for cl in classes if len(cl) == 1):
         if z in index:
@@ -312,9 +322,7 @@ def _central_blocks(G: FiniteGroup, omega_pows: List[int]) -> List[Tuple[List[Li
         while zk not in index:
             powers.append(zk)
             zk = G.mul(zk, z)
-        k, at = len(powers), index[zk]
-        lams = [[(a + i * e) % n for i in range(k) for a in lam]
-                for lam in lams for e in range(lam[at] // k, n, n // k)]
+        lams = _extend(lams, len(powers), index[zk], n)
         elems = [G.mul(y, h) for y in powers for h in elems]
         index = {x: i for i, x in enumerate(elems)}
     # Z-orbits of classes, each from its least class c: moved[d] is the index
@@ -405,14 +413,14 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     the multiplicities m_j exactly.  If f does not split into these roots,
     the residues are not a character's, and an AssertionError is raised.
 
-    Galois orbits: the lift runs only for one class per orbit {g^t : t
-    coprime to o}.  Such t permutes the o-th roots of unity, so the
-    eigenvalues of g^t are the t-th powers of those of g, with the same
-    multiplicities and no collisions: chi(g^t) = sum_k m_k zeta_n^(kt), and
-    the multiplicity dict of g's class, relabelled k -> kt mod n, is that of
-    g^t's class.  Each distinct (ord(g), power sums) is lifted, and each
-    distinct dict built and rendered (table.rendered, which fixes the
-    canonical row order), once per call.
+    Galois orbits: the lift is memoized on (ord(g), power sums), which
+    lifts only once per orbit {g^t : t coprime to o}.  (Z/n)* -> (Z/o)* is
+    onto, so t = t' mod o for some t' coprime to n; chi' = chi^(zeta ->
+    zeta^t') is also a row, and chi'(g^k) = chi(g^(kt)).  So the class of
+    g^t under chi has the memo key of g's class under chi'.  Each distinct
+    (ord(g), power sums) is lifted, and each distinct multiplicity dict
+    built and rendered (table.rendered, which fixes the canonical row
+    order), once per call.
     """
     if G.order > DEFAULT_ORDER_CAP:
         raise ValueError(f"|G| = {G.order} exceeds size cap {DEFAULT_ORDER_CAP}")
@@ -449,17 +457,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
 
     size_inv = [pow(len(cl), -1, p) for cl in classes]
 
-    # orbit[j] = (i, t): class j is the class of g_i^t, t coprime to ord(g_i),
-    # for an orbit representative i < j; representatives map to None.
-    orbit: List[Optional[Tuple[int, int]]] = [None] * r
-    for i, row in enumerate(power_class):
-        if orbit[i] is None:
-            for t in range(2, len(row)):
-                j = row[t]
-                if j > i and orbit[j] is None and gcd(t, len(row)) == 1:
-                    orbit[j] = (i, t)
-
-    lifted: Dict[Tuple[int, ...], Tuple[Tuple[int, int], ...]] = {}
+    lifted: Dict[Tuple[int, ...], Tuple[Cyclotomic, str]] = {}
     built: Dict[Tuple[Tuple[int, int], ...], Tuple[Cyclotomic, str]] = {}
     rows = []
     for basis, _ in spaces:
@@ -470,24 +468,20 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         d_sq = G.order * pow(s, -1, p) % p
         deg = next(t for t in range(1, p) if t * t % p == d_sq and 2 * t < p)
         chi_mod = [deg * x * si % p for x, si in zip(v, size_inv)]
-        keys = []   # per class, the sorted (k, m_k) with m_k != 0
-        for row, src in zip(power_class, orbit):
-            if src is None:
-                step = n // len(row)
-                sums = [chi_mod[row[t % len(row)]] for t in range(1, deg + 1)]
-                memo = (step, *sums)
-                if memo not in lifted:      # _eigenvalues raises before a bad lift is kept
-                    lifted[memo] = tuple((j * step, m)
-                                         for j, m in _eigenvalues(sums, omega_pows[::step], p))
-                key = lifted[memo]
-            else:
-                i, t = src
-                key = tuple(sorted((k * t % n, m_k) for k, m_k in keys[i]))
-            if key not in built:
-                value = Cyclotomic.from_powers(n, dict(key))
-                built[key] = (value, value.render())
-            keys.append(key)
-        values, names = zip(*map(built.__getitem__, keys))
+        pairs = []
+        for row in power_class:
+            step = n // len(row)
+            sums = [chi_mod[row[t % len(row)]] for t in range(1, deg + 1)]
+            memo = (step, *sums)
+            if memo not in lifted:      # _eigenvalues raises before a bad lift is kept
+                key = tuple((j * step, m)
+                            for j, m in _eigenvalues(sums, omega_pows[::step], p))
+                if key not in built:
+                    value = Cyclotomic.from_powers(n, dict(key))
+                    built[key] = (value, value.render())
+                lifted[memo] = built[key]
+            pairs.append(lifted[memo])
+        values, names = zip(*pairs)
         if values[0] != deg:
             raise AssertionError(f"lifted degree {names[0]} != {deg}")
         rows.append((deg, names, ClassFunction(G, values), tuple(chi_mod)))

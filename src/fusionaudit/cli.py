@@ -24,17 +24,14 @@ if TYPE_CHECKING:
     from .construction import ConstructedGroup
 
 
-def _resolve_group(spec: str, max_order: int) -> Tuple[str, FiniteGroup,
-                                                        Optional[ConstructedGroup]]:
+def _resolve_group(spec: str, max_order: int) -> Tuple[FiniteGroup, Optional[ConstructedGroup]]:
     if spec.startswith("builtin:"):
-        G, cg = audit.builtin_group(spec.split(":", 1)[1])
-        return spec, G, cg
+        return audit.builtin_group(spec.split(":", 1)[1])
     if spec.startswith("file:"):
         # Imported here so the builtin groups never load the file parser.
         from . import groupfile
         path = spec.split(":", 1)[1]
-        G = groupfile.load_group_file(path, max_order=max_order)
-        return spec, G, None
+        return groupfile.load_group_file(path, max_order=max_order), None
     raise ValueError(f"group spec must be builtin:<name> or file:<path>, got {spec!r}")
 
 
@@ -96,15 +93,15 @@ def main(argv=None) -> int:
         if args.command == "verify":
             if not args.group.startswith("builtin:g128"):
                 parser.error("verify applies to the construction; use --group builtin:g128")
-            _, _, cg = _resolve_group(args.group, args.max_order)
+            _, cg = _resolve_group(args.group, args.max_order)
             report = (audit.verify_all_lambdas(cg) if args.all_lambdas
                       else audit.verify_claims(cg=cg))
         elif args.command == "scan":
-            label, G, _ = _resolve_group(args.group, args.max_order)
-            report = audit.scan_report(label, G)
+            G, _ = _resolve_group(args.group, args.max_order)
+            report = audit.scan_report(args.group, G)
         else:
-            label, G, cg = _resolve_group(args.group, args.max_order)
-            report = audit.table_report(label, G, method=args.table_method, cg=cg)
+            G, cg = _resolve_group(args.group, args.max_order)
+            report = audit.table_report(args.group, G, method=args.table_method, cg=cg)
         _emit(report, args.report, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,7 +113,7 @@ def test_acceptance_conjecture_scans(data, g128_table, q8_table, h16_table,
     iphi = g128_table.row_of(data.phi)
     headline = [r for r in pos if (r["p"], r["q"], r["r"]) == (ichi, ichi, iphi)]
     odd_empty = all(
-        audit.odd_rule_scan(t, fusion_tensor(t)) == []
+        audit.odd_rule_scan(audit.positivity_scan(t, fusion_tensor(t))) == []
         for t in (g128_table, q8_table, h16_table))
     ok = (bool(pos) and len(headline) == 1
           and bool(wang) and any(r["self_dual"] for r in wang)

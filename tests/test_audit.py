@@ -145,7 +145,7 @@ def test_g128_scans(data, g128_table, g128_fusion):
     assert headline[0]["nu_r"] == -1
     # every violating multiplicity is even: the odd rule survives
     assert all(r["N"] % 2 == 0 for r in pos)
-    assert audit.odd_rule_scan(g128_table, g128_fusion) == []
+    assert audit.odd_rule_scan(pos) == []
 
     wang = audit.wang_scan(g128_table, g128_fusion)
     assert wang
@@ -157,7 +157,7 @@ def test_clean_groups_have_empty_scans(q8_table, h16_table):
         N = fusion_tensor(table)
         assert audit.positivity_scan(table, N) == []
         assert audit.wang_scan(table, N) == []
-        assert audit.odd_rule_scan(table, N) == []
+        assert audit.odd_rule_scan(audit.positivity_scan(table, N)) == []
 
 
 def test_odd_rule_scan_keeps_only_odd_violations(q8_table):
@@ -169,7 +169,7 @@ def test_odd_rule_scan_keeps_only_odd_violations(q8_table):
     N[4][4][0] = 1                    # nu product 1: not a violation
     pos = audit.positivity_scan(q8_table, N)
     assert [(r["p"], r["q"], r["r"]) for r in pos] == [(0, 1, 4), (1, 2, 4)]
-    assert audit.odd_rule_scan(q8_table, N) == [
+    assert audit.odd_rule_scan(pos) == [
         {"tag": "odd_rule", "p": 0, "q": 1, "r": 4, "N": 3,
          "nu_p": 1, "nu_q": 1, "nu_r": -1}]
 
@@ -237,7 +237,7 @@ def test_loaded_g128_scans_like_the_builtin(g128_table):
     assert table.degrees() == g128_table.degrees()
     assert sorted(table.indicators()) == sorted(g128_table.indicators())
     N, g128_N = fusion_tensor(table), fusion_tensor(g128_table)
-    assert audit.odd_rule_scan(table, N) == []
+    assert audit.odd_rule_scan(audit.positivity_scan(table, N)) == []
     assert len(audit.positivity_scan(table, N)) == len(audit.positivity_scan(g128_table, g128_N))
 
 

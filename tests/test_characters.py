@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -35,7 +36,7 @@ from fusionaudit.constructive import (
 from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
 from fusionaudit.groupfile import load_group_file
 from fusionaudit.groups import FiniteGroup
-from conftest import cayley_file, dihedral_mul
+from conftest import cayley_file, cayley_table, dihedral_mul
 from oracles import (
     dual_character,
     fields,
@@ -771,17 +772,22 @@ def test_lift_builds_each_distinct_value_once(monkeypatch, c30_file):
     assert len(built) == len(distinct) == 30
 
 
-def test_lift_runs_once_per_order_and_power_sums(monkeypatch, h16):
-    # In F2^4 every row has degree 1 and each class is its own Galois orbit,
-    # yet the 16 x 16 lifts see only three (order, power sums): the identity's
-    # [1], and [1] or [-1] at an involution.
+# In F2^4 every row has degree 1 and each class is its own Galois orbit,
+# yet the 16 x 16 lifts see only three (order, power sums): the identity's
+# [1], and [1] or [-1] at an involution.  In C30 a class of order o sees
+# each o-th root of unity across the 30 rows: sum_{o | 30} o = 72 lifts, no
+# more than one class per Galois orbit would need.
+@pytest.mark.parametrize("name, calls",
+                         [("h16_table", 3), ("c30_table", 72), ("g128_table", 20)])
+def test_lift_runs_once_per_order_and_power_sums(monkeypatch, name, calls, request):
     from fusionaudit import characters
-    calls = []
+    G = request.getfixturevalue(name).group
+    seen = []
     real = characters._eigenvalues
     monkeypatch.setattr(characters, "_eigenvalues",
-                        lambda sums, roots, p: calls.append(sums) or real(sums, roots, p))
-    dixon_table(h16)
-    assert len(calls) == 3
+                        lambda sums, roots, p: seen.append(sums) or real(sums, roots, p))
+    dixon_table(G)
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +918,25 @@ def test_central_blocks_are_the_eigenspaces_of_the_centre(name, request):
                     assert v[G.class_of(G.mul(z, cl[0]))] == lam[z] * v[c] % p
     assert len(lams) == len(blocks) == len(center)
     assert sum(len(basis) for basis, _ in blocks) == len(classes)
+
+
+def test_central_blocks_hold_one_character_of_the_centre_at_a_time():
+    # On F2^8 the 256 characters of Z(G) = G, as lists of 256 exponents,
+    # would take as much memory as the blocks built from them; they are
+    # generated one at a time instead.
+    G = FiniteGroup(cayley_table(256, lambda x, y: x ^ y))
+    G.conjugacy_classes()
+    p = dixon_prime(G.order, 2)
+    omega_pows = [1, omega_mod(p, 2)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        blocks = _central_blocks(G, omega_pows)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 256
+    assert peak - start < 1.5 * (held - start)
 
 
 def test_abelian_groups_draw_no_class_matrix(monkeypatch, h16, h16_table, c60_file):
