@@ -8,13 +8,15 @@ arithmetic of the constructive route lives in `constructive`.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, lcm
-from operator import mul
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import itemgetter, mul
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .cyclotomic import Cyclotomic
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ClassFunction:
@@ -129,6 +131,8 @@ def _rref_mod(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]
     rank = 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
+        if rank == len(rows):
+            break
         piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
         if piv is None:
             continue
@@ -158,21 +162,22 @@ def _nullspace_mod(mat: List[List[int]], p: int) -> List[List[int]]:
     return basis
 
 
-def _class_matrices(G: FiniteGroup) -> Iterator[List[List[int]]]:
-    """For each class C_i of size > 1 in turn, a[j][k] = #{x in C_i : x^-1 g_k
-    in C_j}, the structure constants of class i.  A class {z} of size 1 acts on
-    every block of dixon_table as the scalar lambda(z), so it is not drawn."""
+def _class_row(G: FiniteGroup, i: int, j: int) -> List[int]:
+    """Row j of class C_i's matrix, a[j][k] = #{x in C_i : x^-1 g_k in C_j}, from
+    |C_j| products (Schneider 1990): conjugation permutes C_i, C_j and C_k, so
+    |C_k| a[j][k] = #{(x, y) in C_i x C_j : x y in C_k} = |C_i| #{y in C_j :
+    g_i y in C_k}.  Raises AssertionError if a division is not exact."""
     classes = G.conjugacy_classes()
-    reps = [cl[0] for cl in classes]
-    r = len(classes)
-    for cl in (cl for cl in classes if len(cl) > 1):
-        m = [[0] * r for _ in range(r)]
-        for x in cl:
-            xin = G.inv(x)
-            for k, gk in enumerate(reps):
-                j = G.class_of(G.mul(xin, gk))
-                m[j][k] += 1
-        yield m
+    x_row, size_i = G.table[classes[i][0]], len(classes[i])
+    hits = [G.class_of(x_row[y]) for y in classes[j]]
+    row = [0] * len(classes)
+    for k in hits:
+        row[k] += size_i
+    for k in set(hits):
+        row[k], rem = divmod(row[k], len(classes[k]))
+        if rem:
+            raise AssertionError(f"class {i}, row {j}: |C_{k}| does not divide its count")
+    return row
 
 
 def _charpoly_mod(M: List[List[int]], p: int) -> List[int]:
@@ -231,11 +236,12 @@ def _roots_mod(coeffs: List[int], p: int) -> List[int]:
     return roots
 
 
-def _split_eigenspaces(A: List[List[int]], basis: List[List[int]],
+def _split_eigenspaces(rows: List[List[int]], basis: List[List[int]],
                        pivots: List[int], p: int) -> List[Tuple[List[List[int]], List[int]]]:
     """Eigenspaces, in increasing eigenvalue, of A on an A-invariant subspace.
 
-    The subspace is given by its rref basis, and M is A on it.  Only the
+    The subspace is given by its rref basis, and M is A on it, read off
+    rows[l] = A[pivots[l]] alone.  Only the
     roots of M's characteristic polynomial f are tried: any other lambda has
     a trivial nullspace.  At a root lambda, q = f / (x - lambda) by
     synthetic division, and (M - lambda) q(M) = f(M) = 0 by Cayley-Hamilton,
@@ -255,8 +261,8 @@ def _split_eigenspaces(A: List[List[int]], basis: List[List[int]],
     subspace, so it still reaches the fill check and raises.
     """
     d = len(basis)
-    # A b_m = sum_l (A b_m)[pivot_l] b_l, so M[l][m] = (A b_m)[pivot_l].
-    M = [[sum(map(mul, A[pc], b)) % p for b in basis] for pc in pivots]
+    # A b_m = sum_l (A b_m)[pivot_l] b_l, so M[l][m] = (A b_m)[pivot_l] = rows[l] . b_m.
+    M = [[sum(map(mul, row, b)) % p for b in basis] for row in rows]
     if all(x == (M[0][0] if i == j else 0) for i, row in enumerate(M)
            for j, x in enumerate(row)):
         return [(basis, pivots)]
@@ -294,9 +300,26 @@ def _split_eigenspaces(A: List[List[int]], basis: List[List[int]],
     return out
 
 
+def _center_span(G: FiniteGroup) -> Tuple[List[Tuple[int, int, int]], List[int]]:
+    """Generators of Z(G) (the size-1 classes) as (z, k, at), z^k = elems[at] the least
+    power of z in the span H before it, and elems = Z(G) as z^i h (i < k), H first."""
+    elems, index, gens = [0], {0: 0}, []
+    for z in (cl[0] for cl in G.conjugacy_classes() if len(cl) == 1):
+        if z in index:
+            continue
+        powers, zk = [0], z
+        while zk not in index:
+            powers.append(zk)
+            zk = G.mul(zk, z)
+        gens.append((z, len(powers), index[zk]))
+        elems = [G.mul(y, h) for y in powers for h in elems]
+        index = {x: i for i, x in enumerate(elems)}
+    return gens, elems
+
+
 def _extend(lams: Iterable[List[int]], k: int, at: int, n: int) -> Iterator[List[int]]:
     """The extensions of each lambda in turn to <H, z>, where z^k = elems[at]
-    is the least power of z in H (see _central_blocks)."""
+    is the least power of z in H (see _center_span)."""
     for lam in lams:
         for e in range(lam[at] // k, n, n // k):
             yield [(a + i * e) % n for i in range(k) for a in lam]
@@ -307,24 +330,16 @@ def _central_blocks(G: FiniteGroup, omega_pows: List[int]) -> List[Tuple[List[Li
     character lambda of Z(G) mod p; omega_pows[k] = omega^k, k < exp G."""
     classes = G.conjugacy_classes()
     n = len(omega_pows)
-    # Z(G) = the size-1 classes, spanned one new generator z at a time:
-    # lambda(elems[i]) = omega^lam[i].  With z^k the least power in the span
-    # H so far, elems becomes z^i h (i < k, h in H), and lambda extends by
+    # lambda(elems[i]) = omega^lam[i], over _center_span's stages: with z^k
+    # the least power in the span H so far, lambda extends to <H, z> by
     # lambda(z) = omega^e for the k solutions e of k e = lambda(z^k) mod n
     # (z^k has order ord(z) / k, so k n / ord(z) divides lam[z^k] and k | n).
     # The lambdas are generated one at a time through the stages: only the
     # blocks are held.
-    elems, lams, index = [0], [[0]], {0: 0}
-    for z in (cl[0] for cl in classes if len(cl) == 1):
-        if z in index:
-            continue
-        powers, zk = [0], z
-        while zk not in index:
-            powers.append(zk)
-            zk = G.mul(zk, z)
-        lams = _extend(lams, len(powers), index[zk], n)
-        elems = [G.mul(y, h) for y in powers for h in elems]
-        index = {x: i for i, x in enumerate(elems)}
+    gens, elems = _center_span(G)
+    lams: Iterable[List[int]] = [[0]]
+    for _, k, at in gens:
+        lams = _extend(lams, k, at, n)
     # Z-orbits of classes, each from its least class c: moved[d] is the index
     # of a z with z C_c = C_d (any one: lambda is trivial on the stabilizer
     # wherever it is read), stab the indices of the z with z C_c = C_c.
@@ -394,15 +409,16 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     sum_O |O| = r dimensions.  The orbit of {1} has S = 1: v[0] = 1 on
     every row.
 
-    Split: each subspace of dimension d > 1 is split by the next class
-    matrix of size > 1 only at the roots in F_p of its characteristic
-    polynomial on the subspace (Hessenberg form, O(d^3), then Horner at
-    every lambda, O(p d)).  This is exact: lambda has a nontrivial
-    nullspace iff det(lambda I - M) = 0.  A simple root's eigenvector comes
-    from a Krylov basis without a solve (see _split_eigenspaces).  If the
-    eigenspaces found do not fill the subspace, the matrix does not split
-    or is not diagonalizable mod p, and an AssertionError is raised.  No
-    matrix is drawn once the r spaces are 1-dimensional: none for abelian G.
+    Split: each subspace of dimension d > 1 is split by the next class matrix
+    of size > 1 (by decreasing element order, its rows built at the pivots
+    only) only at the roots in F_p of its characteristic polynomial on the
+    subspace (Hessenberg form, O(d^3), then Horner at every lambda, O(p d)).
+    This is exact: lambda has a nontrivial nullspace iff det(lambda I - M)
+    = 0.  A simple root's eigenvector comes from a Krylov basis without a
+    solve (see _split_eigenspaces).  If the eigenspaces found do not fill the
+    subspace, the matrix does not split or is not diagonalizable mod p, and
+    an AssertionError is raised.  No matrix is drawn once the r spaces are
+    1-dimensional: none for abelian G.
 
     Lift: with omega of order n in F_p and o = ord(g), g has deg = chi(1)
     eigenvalues eps_i, o-th roots of unity with power sums chi(g^t), and
@@ -443,21 +459,26 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     for _ in range(n - 1):
         omega_pows.append(omega_pows[-1] * omega % p)
 
-    # Split the blocks further by the class matrices, drawn one at a time and
-    # only while some space is more than 1-dimensional, so at most one is held.
+    # Split by the class matrices of size > 1, by decreasing element order (ties by
+    # index), while some space has d > 1; only the rows at its pivots are built.
     spaces = _central_blocks(G, omega_pows)
-    matrices = _class_matrices(G)
+    draws = iter(sorted((i for i, cl in enumerate(classes) if len(cl) > 1),
+                        key=lambda i: (-len(power_class[i]), i)))
     while len(spaces) < r:
-        A = next(matrices, None)
-        if A is None:
+        i = next(draws, None)
+        if i is None:
             raise AssertionError("eigenspace splitting did not terminate")
+        A = {pc: _class_row(G, i, pc)
+             for pc in {pc for basis, pivots in spaces if len(basis) > 1 for pc in pivots}}
         spaces = [part for basis, pivots in spaces
-                  for part in ([(basis, pivots)] if len(basis) == 1
-                               else _split_eigenspaces(A, basis, pivots, p))]
+                  for part in ([(basis, pivots)] if len(basis) == 1 else _split_eigenspaces(
+                      [A[pc] for pc in pivots], basis, pivots, p))]
 
     size_inv = [pow(len(cl), -1, p) for cl in classes]
 
-    lifted: Dict[Tuple[int, ...], Tuple[Cyclotomic, str]] = {}
+    # getters[deg][j] = (n / ord(g_j), getter of chi(g_j^t) for t = 0..deg).
+    getters: Dict[int, List[Tuple[int, itemgetter]]] = {}
+    lifted: Dict[Tuple[int, Tuple[int, ...]], Tuple[Cyclotomic, str]] = {}
     built: Dict[Tuple[Tuple[int, int], ...], Tuple[Cyclotomic, str]] = {}
     rows = []
     for basis, _ in spaces:
@@ -468,19 +489,21 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         d_sq = G.order * pow(s, -1, p) % p
         deg = next(t for t in range(1, p) if t * t % p == d_sq and 2 * t < p)
         chi_mod = [deg * x * si % p for x, si in zip(v, size_inv)]
+        if deg not in getters:
+            getters[deg] = [(n // len(pw), itemgetter(*(pw[t % len(pw)] for t in range(deg + 1))))
+                            for pw in power_class]
         pairs = []
-        for row in power_class:
-            step = n // len(row)
-            sums = [chi_mod[row[t % len(row)]] for t in range(1, deg + 1)]
-            memo = (step, *sums)
-            if memo not in lifted:      # _eigenvalues raises before a bad lift is kept
-                key = tuple((j * step, m)
-                            for j, m in _eigenvalues(sums, omega_pows[::step], p))
+        for step, getter in getters[deg]:
+            memo = (step, getter(chi_mod))
+            pair = lifted.get(memo)
+            if pair is None:            # _eigenvalues raises before a bad lift is kept
+                key = tuple((j * step, m) for j, m in
+                            _eigenvalues(list(memo[1][1:]), omega_pows[::step], p))
                 if key not in built:
                     value = Cyclotomic.from_powers(n, dict(key))
                     built[key] = (value, value.render())
-                lifted[memo] = built[key]
-            pairs.append(lifted[memo])
+                pair = lifted[memo] = built[key]
+            pairs.append(pair)
         values, names = zip(*pairs)
         if values[0] != deg:
             raise AssertionError(f"lifted degree {names[0]} != {deg}")
@@ -500,16 +523,38 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
 def _checked(table: CharacterTable) -> CharacterTable:
     """The table, once sum d^2 = |G|, sum_j |C_j| chi_a(g_j^-1) chi_b(g_j) = |G| delta_ab
     mod p (p does not divide |G|) and sum nu(chi) chi(1) = #{g : g^2 = 1} hold
-    (Isaacs, ch. 4).  Failures raise AssertionError explicitly, kept by python -O."""
+    (Isaacs, ch. 4).  Failures raise AssertionError explicitly, kept by python -O.
+
+    Orthogonality is summed only within a central block.  Each row must have
+    chi(z g_j) = lambda(z) chi(g_j) mod p, lambda(z) = chi(z) / chi(1), at every
+    class j and generator z of Z(G) (_center_span), hence at every g (z g is
+    conjugate to z g_j for g in C_j); lambda(z) chi(z^-1) = chi(1) makes
+    lambda(z) a unit.  Rows are grouped by lambda at the generators.  If
+    lambda_a(z) != lambda_b(z), substituting g -> zg in S = sum_g chi_a(g^-1)
+    chi_b(g) gives S = lambda_a(z)^-1 lambda_b(z) S, so S = 0 mod p.
+    """
     G, p, res, sizes = table.group, table.prime, table.residues, table.class_sizes
     degrees = table.degrees()
     if sum(d * d for d in degrees) != G.order:
         raise AssertionError(f"sum of squared degrees {degrees} is not |G| = {G.order}")
-    for a, row in enumerate(res):
-        weighted = [s * row[j] % p for s, j in zip(sizes, table.inv_class)]
-        for b in range(a, len(res)):
-            if sum(map(mul, weighted, res[b])) % p != (G.order % p if a == b else 0):
-                raise AssertionError(f"rows {a} and {b} are not orthogonal mod {p}")
+    if not all(degrees):
+        raise AssertionError(f"a degree in {degrees} is 0 mod {p}")
+    classes = G.conjugacy_classes()
+    shifts = [(G.class_of(z), itemgetter(*(G.class_of(G.mul(z, cl[0])) for cl in classes)))
+              for z, _, _ in _center_span(G)[0]]
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for a, (row, d) in enumerate(zip(res, degrees)):
+        lams = tuple(row[cz] * pow(d, -1, p) % p for cz, _ in shifts)
+        if any(list(shifted(row)) != [lam * x % p for x in row]
+               for lam, (_, shifted) in zip(lams, shifts)):
+            raise AssertionError(f"row {a} is not covariant under the centre mod {p}")
+        groups.setdefault(lams, []).append(a)
+    for members in groups.values():
+        for at, a in enumerate(members):
+            weighted = [s * res[a][j] % p for s, j in zip(sizes, table.inv_class)]
+            for b in members[at:]:
+                if sum(map(mul, weighted, res[b])) % p != (G.order % p if a == b else 0):
+                    raise AssertionError(f"rows {a} and {b} are not orthogonal mod {p}")
     involutions = sum(s for s, o in zip(sizes, table.class_rep_orders) if o <= 2)
     if sum(map(mul, table.indicators(), degrees)) != involutions:
         raise AssertionError(f"Frobenius-Schur count fails: {involutions} elements square to 1")

@@ -1,16 +1,19 @@
 """Exact arithmetic in Z[zeta_n] with rational coefficients.
 
 Values are stored in the power basis 1, z, ..., z^(d-1) modulo the n-th
-cyclotomic polynomial (d = deg Phi_n), as an integer coefficient vector
-over a common positive denominator, gcd-reduced.  Canonical form is
-unique, so equality is tuple comparison.  No floating point anywhere.
+cyclotomic polynomial (d = deg Phi_n), as an integer coefficient vector over
+a common positive denominator, gcd-reduced.  Canonical form is unique, so
+equality is tuple comparison.  No floating point anywhere, and no Fraction
+outside as_rational and parse, the only importers of fractions.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @lru_cache(maxsize=None)
@@ -109,11 +112,11 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(n: int, value) -> "Cyclotomic":
-        f = Fraction(value)
+        """value: an int or a numbers.Rational (anything with .denominator)."""
         d = len(cyclotomic_polynomial(n)) - 1
         num = [0] * d
-        num[0] = f.numerator
-        return Cyclotomic(n, num, f.denominator)
+        num[0] = value.numerator
+        return Cyclotomic(n, num, value.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
@@ -132,7 +135,7 @@ class Cyclotomic:
             if other.n != self.n:
                 raise ValueError(f"incompatible root orders {self.n} and {other.n}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):
             return Cyclotomic.from_rational(self.n, other)
         return NotImplemented
 
@@ -206,16 +209,16 @@ class Cyclotomic:
         """The rational value, or None when genuinely irrational."""
         if any(c for c in self.num[1:]):
             return None
+        from fractions import Fraction
         return Fraction(self.num[0], self.den)
 
     def as_integer(self) -> int:
-        r = self.as_rational()
-        if r is None or r.denominator != 1:
+        if self.den != 1 or any(self.num[1:]):
             raise ValueError(f"{self} is not a rational integer")
-        return r.numerator
+        return self.num[0]
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):
             other = Cyclotomic.from_rational(self.n, other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
@@ -232,12 +235,13 @@ class Cyclotomic:
         for k, c in enumerate(self.num):
             if c == 0:
                 continue
-            coeff = Fraction(c, self.den)
+            g = gcd(c, self.den)
+            coeff = f"{c // g}/{self.den // g}" if self.den > g else str(c // g)
             if k == 0:
-                parts.append(str(coeff))
-            elif coeff == 1:
+                parts.append(coeff)
+            elif coeff == "1":
                 parts.append(f"z^{k}" if k > 1 else "z")
-            elif coeff == -1:
+            elif coeff == "-1":
                 parts.append(f"-z^{k}" if k > 1 else "-z")
             else:
                 parts.append(f"{coeff}*z^{k}" if k > 1 else f"{coeff}*z")
@@ -251,6 +255,7 @@ class Cyclotomic:
     @staticmethod
     def parse(n: int, text: str) -> "Cyclotomic":
         """Inverse of render (round-trip exact)."""
+        from fractions import Fraction
         s = text.replace(" ", "").replace("-", "+-")
         total = Cyclotomic.zero(n)
         for term in s.split("+"):

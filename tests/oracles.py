@@ -71,6 +71,20 @@ def is_real(v: Cyclotomic) -> bool:
     return v.conjugate() == v
 
 
+def class_matrix(G: FiniteGroup, i: int) -> List[List[int]]:
+    """The structure constants of class C_i in full: a[j][k] = #{x in C_i :
+    x^-1 g_k in C_j}, from |C_i| r products."""
+    classes = G.conjugacy_classes()
+    reps = [cl[0] for cl in classes]
+    r = len(classes)
+    m = [[0] * r for _ in range(r)]
+    for x in classes[i]:
+        xin = G.inv(x)
+        for k, gk in enumerate(reps):
+            m[G.class_of(G.mul(xin, gk))][k] += 1
+    return m
+
+
 # ---------------------------------------------------------------------------
 # GF(2)
 # ---------------------------------------------------------------------------

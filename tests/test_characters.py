@@ -14,7 +14,6 @@ from fusionaudit.characters import (
     _central_blocks,
     _charpoly_mod,
     _checked,
-    _class_matrices,
     _eigenvalues,
     _nullspace_mod,
     _primitive_root,
@@ -38,6 +37,7 @@ from fusionaudit.groupfile import load_group_file
 from fusionaudit.groups import FiniteGroup
 from conftest import cayley_file, cayley_table, dihedral_mul
 from oracles import (
+    class_matrix,
     dual_character,
     fields,
     is_real,
@@ -510,6 +510,24 @@ def test_check_rejects_a_swapped_residue(q8_table):
         _checked(bad)
 
 
+def test_check_rejects_a_row_only_the_centre_check_catches(q8_table):
+    # Q8's degree-2 row is alone in its central block (lambda(-1) = -1), so
+    # only its own norm is summed.  (2, -2, 2, 3, 0) mod 13 keeps the degree,
+    # the norm (4 + 4 + 2 (2^2 + 3^2) = 8 mod 13) and the indicator, but
+    # breaks chi(-g) = -chi(g) at +-i and +-j, and with it the orthogonality
+    # to the trivial row (2 - 2 + 2 (2 + 3) = 10 mod 13).
+    p, sizes = q8_table.prime, q8_table.class_sizes
+    rows = list(q8_table.residues)
+    assert p == 13 and rows[4] == (2, p - 2, 0, 0, 0)
+    rows[4] = (2, p - 2, 2, 3, 0)
+    bad = rebuild(q8_table, residues=tuple(rows))
+    assert sum(s * x * x for s, x in zip(sizes, rows[4])) % p == 8
+    assert sum(s * x for s, x in zip(sizes, rows[4])) % p == 10
+    assert bad.indicators() == q8_table.indicators()
+    with pytest.raises(AssertionError, match="row 4 is not covariant under the centre"):
+        _checked(bad)
+
+
 def test_check_rejects_an_indicator_outside_plus_minus_one(q8_table):
     # Every square read as -1: nu(chi) = chi(-1), which is -2 for the
     # degree-2 row.
@@ -835,26 +853,86 @@ def test_dixon_takes_the_exponent_from_the_power_classes(monkeypatch, cg, d30_fi
     assert [t.root_order for t in tables] == [G.exponent() for G in groups] == [4, 30]
 
 
-def test_dixon_draws_class_matrices_only_until_split(monkeypatch, cg, g128_table):
-    # The class matrices come one at a time, and none is built once every
-    # eigenspace is 1-dimensional: 15 of g128's 22 nonidentity classes.
-    from types import GeneratorType
-
+def _spy_class_rows(monkeypatch):
+    """Record each (i, j, row) that dixon_table builds with _class_row."""
     from fusionaudit import characters
-    assert isinstance(_class_matrices(cg.group), GeneratorType)
-    drawn = []
-    real = characters._class_matrices
+    built = []
+    real = characters._class_row
 
-    def spy(G):
-        for A in real(G):
-            drawn.append(A)
-            yield A
+    def spy(G, i, j):
+        row = real(G, i, j)
+        built.append((i, j, row))
+        return row
 
-    monkeypatch.setattr(characters, "_class_matrices", spy)
+    monkeypatch.setattr(characters, "_class_row", spy)
+    return built
+
+
+def _draws(built):
+    """The drawn classes, in draw order, from the recorded rows."""
+    return [i for at, (i, _, _) in enumerate(built) if at == 0 or built[at - 1][0] != i]
+
+
+def test_dixon_draws_class_matrices_only_until_split(monkeypatch, cg, g128_table):
+    # The class matrices come one at a time, each row at most once per draw,
+    # and none is built once every eigenspace is 1-dimensional: 11 of
+    # g128's 22 nonidentity classes.
+    built = _spy_class_rows(monkeypatch)
     table = dixon_table(cg.group)
+    drawn = _draws(built)
     assert len(cg.group.conjugacy_classes()) == 23
-    assert len(drawn) == 15
+    assert len(drawn) == len(set(drawn)) == 11
+    assert len({(i, j) for i, j, _ in built}) == len(built)
     assert table.residues == g128_table.residues
+
+
+@pytest.mark.parametrize("name", ["q8_table", "g128_table", "d30_table", "d120_file"])
+def test_pivot_rows_match_the_full_class_matrix(monkeypatch, name, request):
+    # Each row is |C_i| #{y in C_j : g_i y in C_k} / |C_k|; on D120 the
+    # reflection classes have size 30, so the division is not by 1.
+    fixture = request.getfixturevalue(name)
+    G = load_group_file(str(fixture)) if name == "d120_file" else fixture.group
+    built = _spy_class_rows(monkeypatch)
+    dixon_table(G)
+    assert built
+    matrices = {i: class_matrix(G, i) for i in _draws(built)}
+    for i, j, row in built:
+        assert row == matrices[i][j]
+    if name == "d120_file":
+        assert any(len(G.conjugacy_classes()[i]) == 30 for i in matrices)
+
+
+def test_split_counts_do_not_depend_on_the_labelling(monkeypatch, tmp_path_factory):
+    # Size-1 classes are never drawn, the others by decreasing element order
+    # (ties by class index), which makes the work the same for every
+    # labelling of D120: 30 draws, 60 splits, 2 nullspace solves.
+    from fusionaudit import characters
+    calls = {"split": 0, "solve": 0}
+    real_split, real_solve = characters._split_eigenspaces, characters._nullspace_mod
+
+    def split(*args):
+        calls["split"] += 1
+        return real_split(*args)
+
+    def solve(*args):
+        calls["solve"] += 1
+        return real_solve(*args)
+
+    monkeypatch.setattr(characters, "_split_eigenspaces", split)
+    monkeypatch.setattr(characters, "_nullspace_mod", solve)
+    built = _spy_class_rows(monkeypatch)
+    counts = set()
+    for seed in range(1, 6):
+        path = cayley_file(tmp_path_factory, f"d120-{seed}", 120, dihedral_mul(60), seed)
+        built.clear()
+        calls.update(split=0, solve=0)
+        table = dixon_table(load_group_file(str(path)))
+        drawn = _draws(built)
+        order = sorted((i for i, s in enumerate(table.class_sizes) if s > 1),
+                       key=lambda i: (-table.class_rep_orders[i], i))
+        assert drawn == order[:len(drawn)]
+        counts.add((len(drawn), calls["split"], calls["solve"]))
+    assert counts == {(30, 60, 2)}
 
 
 def test_split_keeps_scalar_blocks_without_a_solve(monkeypatch, cg, d30_file):
@@ -940,19 +1018,10 @@ def test_central_blocks_hold_one_character_of_the_centre_at_a_time():
 
 
 def test_abelian_groups_draw_no_class_matrix(monkeypatch, h16, h16_table, c60_file):
-    from fusionaudit import characters
-    drawn = []
-    real = characters._class_matrices
-
-    def spy(G):
-        for A in real(G):
-            drawn.append(A)
-            yield A
-
-    monkeypatch.setattr(characters, "_class_matrices", spy)
+    built = _spy_class_rows(monkeypatch)
     assert dixon_table(h16).residues == h16_table.residues
     assert len(dixon_table(load_group_file(str(c60_file))).irreducibles) == 60
-    assert drawn == []
+    assert built == []
 
 
 @st.composite

@@ -43,9 +43,10 @@ def test_no_dataclasses_in_src():
     assert found == []
 
 
-# Modules the CLI loads only for a command that runs them (the first two: never).
+# Modules the CLI loads only for a command that runs them (the first two: never;
+# fractions, which loads decimal, only for the constructive route).
 WATCHED = ("dataclasses", "inspect", "fusionaudit.groupfile", "fusionaudit.construction",
-           "fusionaudit.gf2", "fusionaudit.constructive")
+           "fusionaudit.gf2", "fusionaudit.constructive", "fractions", "decimal")
 
 
 def _modules_after(code, tmp_path):
@@ -72,13 +73,15 @@ def test_builtin_scan_does_not_load_the_group_file_parser(tmp_path):
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, d30_file):
     # A table file needs the parser but not the GF(2) algebra (a `table`
-    # file, not `semidirect-gf2`), the construction or the constructive route.
+    # file, not `semidirect-gf2`), the construction, the constructive route
+    # or fractions: Dixon's values are integer vectors, rendered from integers.
     code = ("from fusionaudit import cli\n"
             f"assert cli.main(['table', '--group', 'file:{d30_file}']) == 0")
     assert _modules_after(code, tmp_path) == "['fusionaudit.groupfile']"
     code = "from fusionaudit import cli\nassert cli.main(['verify']) == 0"
     assert _modules_after(code, tmp_path) == (
-        "['fusionaudit.construction', 'fusionaudit.constructive', 'fusionaudit.gf2']")
+        "['decimal', 'fractions', 'fusionaudit.construction', 'fusionaudit.constructive', "
+        "'fusionaudit.gf2']")
 
 
 def test_table_report_is_identical_under_python_O(d30_file, d120_file):
