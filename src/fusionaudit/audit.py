@@ -262,8 +262,8 @@ def table_report(group_label: str, G: FiniteGroup, method: str = "dixon",
     rows = []
     matches = {}
     for name, c in constructive:
-        rows.append({"degree": int(c.degree()),
-                     "indicator": int(fs_indicator(c)),
+        rows.append({"degree": c.degree(),
+                     "indicator": fs_indicator(c),
                      "values": [v.render() for v in c.values],
                      "name": name})
         if dix is not None:

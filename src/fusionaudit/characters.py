@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from math import isqrt, lcm
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .cyclotomic import Cyclotomic
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class ClassFunction:
@@ -32,11 +29,9 @@ class ClassFunction:
     def value_at(self, g: int) -> Cyclotomic:
         return self.values[self.group.class_of(g)]
 
-    def degree(self) -> Fraction:
-        r = self.values[0].as_rational()
-        if r is None:
-            raise ValueError("value at identity is irrational")
-        return r
+    def degree(self) -> int:
+        """The value at the identity; raises unless it is a rational integer."""
+        return self.values[0].as_integer()
 
     def root_order(self) -> int:
         return self.values[0].n

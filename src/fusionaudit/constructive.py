@@ -6,7 +6,6 @@ indicators, lifts from G/H) build the order-128 group's chi and phi.  Only
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +49,7 @@ def induce(G: FiniteGroup, sub: Sequence[int], values: Dict[int, Cyclotomic],
         c = G.class_of(x)
         sums[c] = sums[c] + v.to_order(n)
     return ClassFunction(G, tuple(
-        acc * Fraction(G.order, len(cl) * len(sub_set)) for acc, cl in zip(sums, classes)))
+        acc * G.order / (len(cl) * len(sub_set)) for acc, cl in zip(sums, classes)))
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
@@ -61,7 +60,7 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     acc = Cyclotomic.zero(n)
     for cl, av, bv in zip(a.group.conjugacy_classes(), a.values, b.values):
         acc = acc + len(cl) * (av.to_order(n) * bv.to_order(n).conjugate())
-    return acc * Fraction(1, a.group.order)
+    return acc / a.group.order
 
 
 def pointwise_product(a: ClassFunction, b: ClassFunction) -> ClassFunction:
@@ -72,18 +71,19 @@ def pointwise_product(a: ClassFunction, b: ClassFunction) -> ClassFunction:
         av.to_order(n) * bv.to_order(n) for av, bv in zip(a.values, b.values)))
 
 
-def fs_indicator(a: ClassFunction) -> Fraction:
-    """Second Frobenius-Schur indicator |G|^-1 sum_g a(g^2)."""
+def fs_indicator(a: ClassFunction) -> int:
+    """Second Frobenius-Schur indicator |G|^-1 sum_g a(g^2).
+
+    For a character this is -1, 0 or 1; any other class function whose
+    indicator is not a rational integer raises ValueError.
+    """
     G = a.group
     n = a.root_order()
     acc = Cyclotomic.zero(n)
     for cl in G.conjugacy_classes():
         g2 = G.mul(cl[0], cl[0])
         acc = acc + len(cl) * a.value_at(g2)
-    r = (acc * Fraction(1, G.order)).as_rational()
-    if r is None:
-        raise ValueError("indicator sum is irrational; input is not a character")
-    return r
+    return (acc / G.order).as_integer()
 
 
 def lift_from_quotient(c: ClassFunction, G: FiniteGroup,
@@ -97,13 +97,15 @@ def lift_from_quotient(c: ClassFunction, G: FiniteGroup,
 
 
 def conjugate_stabilizer_check(cg: ConstructedGroup, lam: LambdaChoice) -> bool:
-    """True iff ^x(lambda) differs from lambda for every x outside H."""
+    """True iff ^x(lambda) differs from lambda for every x outside H.
+
+    H is abelian and normal, so x = hq acts on H by conjugation as q does:
+    (hq)^-1 h' (hq) = q^-1 h' q.  One representative q of each of the 7
+    nontrivial cosets therefore decides for the whole coset.
+    """
     G = cg.group
-    h_set = set(cg.h_subgroup)
-    for x in range(G.order):
-        if x in h_set:
-            continue
-        if all(lam.value_sign(G.conj(h, x)) == lam.value_sign(h)
+    for q in filter(None, cg.q_subgroup):
+        if all(lam.value_sign(G.conj(h, q)) == lam.value_sign(h)
                for h in cg.h_subgroup):
             return False
     return True
@@ -160,9 +162,10 @@ def _covector_free_claims(data: ConstructiveData) -> Dict:
     # Claim 3 first in dependency order: the embedding exists.
     regular = construction.q8_regular_embedding()
     evens = all(construction.permutation_is_even(p) for p in regular.values())
+    Q = q8_group()
     order4_cycles = all(
         construction.cycle_type(regular[q]) == (4, 4)
-        for q in range(8) if q8_group().element_order(q) == 4)
+        for q in range(8) if Q.element_order(q) == 4)
     try:
         cg.embedding.check()
         hom_ok = True
@@ -189,7 +192,7 @@ def _covector_free_claims(data: ConstructiveData) -> Dict:
     h0 = construction.compute_h0(cg)
     h_set = set(cg.h_subgroup)
     c_h_z = [g for g in centralizer_of_set(G, [cg.z_lift]) if g in h_set]
-    center = set(centralizer_of_set(G, range(G.order)))
+    center = {cl[0] for cl in G.conjugacy_classes() if len(cl) == 1}
     claims.append(ClaimResult(
         "claim4_h0",
         len(h0) == 2 and len(c_h_z) == 8 and set(h0) <= center,
@@ -200,7 +203,7 @@ def _covector_free_claims(data: ConstructiveData) -> Dict:
     return {"claims": claims, "h0": h0,
             "inter": construction.intersect_commutators(cg),
             "valid": construction.valid_covectors(cg),
-            "reg_mult": inner_product(ind_sq, data.phi).as_rational(),
+            "reg_mult": inner_product(ind_sq, data.phi),
             "nu_phi": fs_indicator(data.phi)}
 
 
@@ -225,20 +228,21 @@ def _claims_report(data: ConstructiveData, fixed: Dict) -> AuditReport:
     report.claims.append(ClaimResult(
         "claim1_chi_irreducible",
         norm == 1 and stab_ok and chi.degree() == 8,
-        {"inner_product": norm.render(), "degree": int(chi.degree()),
+        {"inner_product": norm.render(), "degree": chi.degree(),
          "conjugate_stabilizer_check": stab_ok}))
 
     # Claim 2: chi^2 contains the lifted 2-dimensional quaternion character.
     chi2 = pointwise_product(chi, chi)
-    mult = inner_product(chi2, phi).as_rational()
+    mult = inner_product(chi2, phi)
     reg_mult, nu_phi = fixed["reg_mult"], fixed["nu_phi"]
     report.claims.append(ClaimResult(
         "claim2_constituent_phi",
-        mult is not None and mult >= 1 and nu_phi == -1 and phi.degree() == 2
+        # a multiplicity is an integer: mult must equal its constant term, and that be >= 1
+        mult == mult.num[0] >= 1 and nu_phi == -1 and phi.degree() == 2
         and reg_mult == 2,
-        {"multiplicity_in_chi_squared": str(mult),
-         "multiplicity_in_induced_square": str(reg_mult),
-         "phi_degree": int(phi.degree()), "nu2_phi": str(nu_phi)}))
+        {"multiplicity_in_chi_squared": mult.render(),
+         "multiplicity_in_induced_square": reg_mult.render(),
+         "phi_degree": phi.degree(), "nu2_phi": str(nu_phi)}))
 
     # Claim 6: nu2(chi) = +1 with the element-by-element breakdown.
     breakdown = claim6_breakdown(data)

@@ -3,17 +3,14 @@
 Values are stored in the power basis 1, z, ..., z^(d-1) modulo the n-th
 cyclotomic polynomial (d = deg Phi_n), as an integer coefficient vector over
 a common positive denominator, gcd-reduced.  Canonical form is unique, so
-equality is tuple comparison.  No floating point anywhere, and no Fraction
-outside as_rational and parse, the only importers of fractions.
+equality is tuple comparison.  This is the program's one exact number type:
+no floating point anywhere, and rationals are the elements with num[1:] = 0.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Iterable, List, Sequence, Tuple
 
 
 @lru_cache(maxsize=None)
@@ -177,6 +174,11 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return Cyclotomic(self.n, self.num, self.den * other)
+
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation zeta -> zeta^-1; an involutive automorphism."""
         return self.galois(self.n - 1) if self.n > 1 else self
@@ -192,9 +194,8 @@ class Cyclotomic:
         """Re-express in Q(zeta_m).  Needs self rational or n | m."""
         if m == self.n:
             return self
-        r = self.as_rational()
-        if r is not None:
-            return Cyclotomic.from_rational(m, r)
+        if not any(self.num[1:]):
+            return Cyclotomic.from_rational(m, self.num[0]) / self.den
         if m % self.n == 0:
             terms = ((i * (m // self.n), c) for i, c in enumerate(self.num))
             return Cyclotomic(m, _reduce(m, terms), self.den)
@@ -204,13 +205,6 @@ class Cyclotomic:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.num)
-
-    def as_rational(self) -> Optional[Fraction]:
-        """The rational value, or None when genuinely irrational."""
-        if any(c for c in self.num[1:]):
-            return None
-        from fractions import Fraction
-        return Fraction(self.num[0], self.den)
 
     def as_integer(self) -> int:
         if self.den != 1 or any(self.num[1:]):
@@ -254,23 +248,19 @@ class Cyclotomic:
 
     @staticmethod
     def parse(n: int, text: str) -> "Cyclotomic":
-        """Inverse of render (round-trip exact)."""
-        from fractions import Fraction
+        """Inverse of render (round-trip exact); coefficients read `a` or `a/b`."""
         s = text.replace(" ", "").replace("-", "+-")
         total = Cyclotomic.zero(n)
         for term in s.split("+"):
             if not term:
                 continue
-            if "z" in term:
-                coeff_s, _, pow_s = term.partition("z")
-                k = int(pow_s[1:]) if pow_s.startswith("^") else 1
-                if coeff_s in ("", "-"):
-                    coeff = Fraction(coeff_s + "1")
-                else:
-                    coeff = Fraction(coeff_s.rstrip("*"))
-            else:
-                coeff, k = Fraction(term), 0
-            total = total + coeff * Cyclotomic.zeta(n, k)
+            coeff_s, z, pow_s = term.partition("z")
+            k = int(pow_s[1:]) if pow_s else (1 if z else 0)
+            coeff_s = coeff_s.rstrip("*")
+            if coeff_s in ("", "-"):        # a bare z^k or -z^k
+                coeff_s += "1"
+            a, _, b = coeff_s.partition("/")
+            total = total + Cyclotomic.zeta(n, k) * int(a) / int(b or 1)
         return total
 
     def __repr__(self):

@@ -11,7 +11,8 @@ comment running to end of line.  See docs/group-file-format.md.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NoReturn, Tuple
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Dict, List, NoReturn, Optional, Tuple
 
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
 
@@ -25,45 +26,43 @@ class GroupFileError(ValueError):
         self.line = line
 
 
-def _tokenize(text: str) -> Tuple[List[str], List[int]]:
-    """The tokens, and in a parallel list the line each one is on."""
-    tokens: List[str] = []
-    lines: List[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        words = line.split("#", 1)[0].split()
-        tokens.extend(words)
-        lines.extend([lineno] * len(words))
-    return tokens, lines
-
-
 class _Stream:
-    def __init__(self, tokens: List[str], lines: List[int]):
-        self.tokens = tokens
-        self.lines = lines
+    """The tokens of a text, and per line the count of tokens up to its end.
+
+    A token's line is looked up from those counts only to report an error.
+    """
+
+    def __init__(self, text: str):
+        self.tokens: List[str] = []
+        self.ends: List[int] = []
+        for line in text.splitlines():
+            self.tokens.extend(line.split("#", 1)[0].split())
+            self.ends.append(len(self.tokens))
         self.pos = 0
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos], self.lines[self.pos]
-        return None
+    def error(self, message: str, pos: Optional[int] = None) -> GroupFileError:
+        """The error at the line of token pos; by default the token last read."""
+        pos = self.pos - 1 if pos is None else pos
+        return GroupFileError(bisect_right(self.ends, pos) + 1, message)
 
-    def next(self, what: str) -> Tuple[str, int]:
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, what: str) -> str:
         if self.pos >= len(self.tokens):
-            last = self.lines[-1] if self.lines else 1
-            raise GroupFileError(last, f"unexpected end of file, expected {what}")
+            raise self.error(f"unexpected end of file, expected {what}")
         self.pos += 1
-        return self.tokens[self.pos - 1], self.lines[self.pos - 1]
+        return self.tokens[self.pos - 1]
 
 
 def load_group(text: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    stream = _Stream(*_tokenize(text))
-    kind, line = stream.next("format tag")
+    stream = _Stream(text)
+    kind = stream.next("format tag")
     if kind == "table":
         return _load_table(stream, max_order)
     if kind == "semidirect-gf2":
         return _load_semidirect(stream, max_order)
-    raise GroupFileError(line, f"unknown format {kind!r} "
-                               "(expected 'table' or 'semidirect-gf2')")
+    raise stream.error(f"unknown format {kind!r} (expected 'table' or 'semidirect-gf2')")
 
 
 def load_group_file(path: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -72,15 +71,15 @@ def load_group_file(path: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGrou
 
 
 def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
-    tok, line = stream.next("group order")
+    tok = stream.next("group order")
     try:
         n = int(tok)
     except ValueError:
-        raise GroupFileError(line, f"group order must be an integer, got {tok!r}")
+        raise stream.error(f"group order must be an integer, got {tok!r}")
     if n < 1:
-        raise GroupFileError(line, f"group order must be positive, got {n}")
+        raise stream.error(f"group order must be positive, got {n}")
     if n > max_order:
-        raise GroupFileError(line, f"group order {n} exceeds the cap {max_order}")
+        raise stream.error(f"group order {n} exceeds the cap {max_order}")
     start = stream.pos
     table = []
     for i in range(n):
@@ -94,7 +93,7 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
     stream.pos = start + n * n
     extra = stream.peek()
     if extra is not None:
-        raise GroupFileError(extra[1], f"unexpected trailing token {extra[0]!r}")
+        raise stream.error(f"unexpected trailing token {extra!r}", stream.pos)
     try:
         G = FiniteGroup(table)
         G.check_axioms()
@@ -107,22 +106,22 @@ def _reject_row(stream: _Stream, pos: int, i: int, n: int) -> NoReturn:
     """Raise the error for the first bad or missing entry of row i."""
     stream.pos = pos
     for j in range(n):
-        tok, line = stream.next(f"table entry ({i},{j})")
+        tok = stream.next(f"table entry ({i},{j})")
         try:
             v = int(tok)
         except ValueError:
-            raise GroupFileError(line, f"entry ({i},{j}) is not an integer: {tok!r}")
+            raise stream.error(f"entry ({i},{j}) is not an integer: {tok!r}")
         if not 0 <= v < n:
-            raise GroupFileError(line, f"entry ({i},{j}) = {v} out of range 0..{n-1}")
+            raise stream.error(f"entry ({i},{j}) = {v} out of range 0..{n-1}")
 
 
 def _parse_matrix_rows(stream: _Stream, name: str) -> gf2.GF2Matrix:
     rows = []
     for i in range(4):
-        tok, line = stream.next(f"row {i} of generator {name}")
+        tok = stream.next(f"row {i} of generator {name}")
         if len(tok) != 4 or any(c not in "01" for c in tok):
-            raise GroupFileError(line, f"row {i} of generator {name} must be "
-                                       f"4 bits of 0/1, got {tok!r}")
+            raise stream.error(f"row {i} of generator {name} must be 4 bits of 0/1, "
+                               f"got {tok!r}")
         rows.append(int(tok, 2))
     return tuple(rows)
 
@@ -130,30 +129,28 @@ def _parse_matrix_rows(stream: _Stream, name: str) -> gf2.GF2Matrix:
 def _load_semidirect(stream: _Stream, max_order: int) -> FiniteGroup:
     from . import gf2               # only this dialect needs the GF(2) algebra
     gens: Dict[str, gf2.GF2Matrix] = {}
-    relations: List[Tuple[str, int]] = []
-    while True:
-        item = stream.peek()
-        if item is None:
-            break
-        tok, line = stream.next("'gen' or 'rel'")
+    relations: List[Tuple[str, int]] = []       # (word, token position)
+    while stream.peek() is not None:
+        tok = stream.next("'gen' or 'rel'")
         if tok == "gen":
-            name, nline = stream.next("generator name")
+            name = stream.next("generator name")
+            name_pos = stream.pos - 1
             if name in gens:
-                raise GroupFileError(nline, f"duplicate generator {name!r}")
+                raise stream.error(f"duplicate generator {name!r}")
             m = _parse_matrix_rows(stream, name)
             if not gf2.is_invertible(m):
-                raise GroupFileError(nline, f"generator {name} is not invertible")
+                raise stream.error(f"generator {name} is not invertible", name_pos)
             gens[name] = m
         elif tok == "rel":
-            relations.append(stream.next("relation word"))
+            relations.append((stream.next("relation word"), stream.pos - 1))
         else:
-            raise GroupFileError(line, f"expected 'gen' or 'rel', got {tok!r}")
+            raise stream.error(f"expected 'gen' or 'rel', got {tok!r}")
     if not gens:
         raise GroupFileError(1, "no generators given")
 
-    for word, line in relations:
-        if _evaluate_word(word, line, gens) != gf2.IDENTITY:
-            raise GroupFileError(line, f"relation {word!r} does not hold")
+    for word, pos in relations:
+        if _evaluate_word(word, gens, stream, pos) != gf2.IDENTITY:
+            raise stream.error(f"relation {word!r} does not hold", pos)
 
     mats = _matrix_closure(list(gens.values()), max_order)
     if 16 * len(mats) > max_order:      # the closure stops past the cap: no exact order
@@ -161,17 +158,19 @@ def _load_semidirect(stream: _Stream, max_order: int) -> FiniteGroup:
     return FiniteGroup(gf2.semidirect_table(mats))
 
 
-def _evaluate_word(word: str, line: int, gens: Dict[str, gf2.GF2Matrix]) -> gf2.GF2Matrix:
+def _evaluate_word(word: str, gens: Dict[str, gf2.GF2Matrix], stream: _Stream,
+                   pos: int) -> gf2.GF2Matrix:
+    """The matrix of a relation word; errors point at its token, stream.tokens[pos]."""
     from . import gf2
     result = gf2.IDENTITY
     for factor in word.split("*"):
         name, _, exp_s = factor.partition("^")
         if name not in gens:
-            raise GroupFileError(line, f"unknown generator {name!r} in relation {word!r}")
+            raise stream.error(f"unknown generator {name!r} in relation {word!r}", pos)
         try:
             exp = int(exp_s) if exp_s else 1
         except ValueError:
-            raise GroupFileError(line, f"bad exponent {exp_s!r} in relation {word!r}")
+            raise stream.error(f"bad exponent {exp_s!r} in relation {word!r}", pos)
         m = gens[name] if exp >= 0 else gf2.mat_inverse(gens[name])
         exp = abs(exp)
         while exp:                      # square and multiply: O(log |exp|)

@@ -507,6 +507,26 @@ def test_cli_internal_check_failure_exits_1(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_cli_verify_fails_claim2_on_a_non_integer_multiplicity(monkeypatch, capsys):
+    # chi^2 scaled by 3/4 gives <chi^2, phi> = 3/2: a multiplicity that is no
+    # integer fails claim 2 (exit 1) instead of passing as ">= 1".
+    from fusionaudit import constructive
+    from fusionaudit.characters import ClassFunction
+    real = constructive.pointwise_product
+
+    def scaled(a, b):
+        c = real(a, b)
+        return ClassFunction(c.group, tuple(v * 3 / 4 for v in c.values))
+
+    monkeypatch.setattr(constructive, "pointwise_product", scaled)
+    assert main(["verify", "--report", "json"]) == 1
+    claims = json.loads(capsys.readouterr().out)["claims"]
+    claim2 = next(c for c in claims if c["name"] == "claim2_constituent_phi")
+    assert not claim2["passed"]
+    assert claim2["witness"]["multiplicity_in_chi_squared"] == "3/2"
+    assert all(c["passed"] for c in claims if c is not claim2)
+
+
 def test_cli_json_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -115,11 +115,19 @@ def test_fs_indicator_basics(cg, data):
     assert fs_indicator(data.phi) == -1
 
 
+def test_fs_indicator_rejects_a_non_integer(q8):
+    # Half the trivial character has indicator 1/2: neither 1/2 nor a
+    # truncated 0 may come back as an indicator.
+    half = Cyclotomic.from_rational(q8.exponent(), Fraction(1, 2))
+    with pytest.raises(ValueError, match="not a rational integer"):
+        fs_indicator(ClassFunction(q8, (half,) * 5))
+
+
 def test_fs_indicator_range_and_reality(g128_table, q8_table, h16_table):
     for table in (g128_table, q8_table, h16_table):
         for chi in table.irreducibles:
             nu = fs_indicator(chi)
-            assert nu in (Fraction(-1), Fraction(0), Fraction(1))
+            assert nu in (-1, 0, 1)
             real = all(is_real(v) for v in chi.values)
             assert (nu == 0) == (not real)
 
@@ -132,7 +140,7 @@ def test_pointwise_square(cg, data):
         if g not in h_set:
             assert chi2.value_at(g).is_zero()
     mult = inner_product(chi2, data.phi)
-    assert mult.as_rational() == 2
+    assert mult == 2
 
 
 def test_lift_from_quotient(cg, data):
@@ -148,7 +156,7 @@ def test_lift_from_quotient(cg, data):
 def test_induced_square_constituent(cg, data):
     ind = constructive.induced_square_constituent(data)
     assert ind.degree() == 8
-    assert inner_product(ind, data.phi).as_rational() == 2
+    assert inner_product(ind, data.phi) == 2
     # lambda^2 = 1_H since H has exponent 2
     lam = data.lam
     for g in cg.h_subgroup:

@@ -31,13 +31,21 @@ def test_conjugation():
     assert z.conjugate().conjugate() == z
 
 
-def test_as_rational():
-    assert Cyclotomic.from_rational(8, -1).as_rational() == -1
-    assert Cyclotomic.zeta(8).as_rational() is None
-    half = Cyclotomic.from_rational(4, Fraction(1, 2))
-    assert half.as_rational() == Fraction(1, 2)
+def test_rational_reads():
+    assert Cyclotomic.from_rational(8, -1).as_integer() == -1
+    with pytest.raises(ValueError):
+        Cyclotomic.zeta(8).as_integer()
+    half = Cyclotomic.from_rational(4, 1) / 2
+    assert half == Fraction(1, 2) and (half.num, half.den) == ((1, 0), 2)
     with pytest.raises(ValueError):
         half.as_integer()
+    assert Cyclotomic.from_rational(4, -6) / -4 == Fraction(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        half / 0
+    for text in ("1/2*z", "-3/4"):
+        assert Cyclotomic.parse(8, text).render() == text
+    assert Cyclotomic.parse(8, "1/2*z") == Cyclotomic.zeta(8) / 2
+    assert Cyclotomic.parse(8, "-3/4") == Fraction(-3, 4)
 
 
 def test_canonical_form_unique():

@@ -38,15 +38,18 @@ def test_runtime_imports_only_the_standard_library():
 def test_no_dataclasses_in_src():
     # dataclasses pulls in inspect and generates code at import, which every
     # CLI child would pay for; the record classes are plain __slots__ classes.
-    found = [path.name for path in sorted(SRC.glob("*.py"))
-             if "dataclass" in path.read_text(encoding="utf-8")]
+    # fractions (which loads decimal and numbers) is not needed either: the
+    # one exact number type is Cyclotomic.
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in ("dataclass", "fractions")
+             if name in path.read_text(encoding="utf-8")]
     assert found == []
 
 
-# Modules the CLI loads only for a command that runs them (the first two: never;
-# fractions, which loads decimal, only for the constructive route).
+# Modules the CLI loads only for a command that runs them (dataclasses, inspect
+# and the last three: never).
 WATCHED = ("dataclasses", "inspect", "fusionaudit.groupfile", "fusionaudit.construction",
-           "fusionaudit.gf2", "fusionaudit.constructive", "fractions", "decimal")
+           "fusionaudit.gf2", "fusionaudit.constructive", "fractions", "decimal", "numbers")
 
 
 def _modules_after(code, tmp_path):
@@ -73,15 +76,18 @@ def test_builtin_scan_does_not_load_the_group_file_parser(tmp_path):
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, d30_file):
     # A table file needs the parser but not the GF(2) algebra (a `table`
-    # file, not `semidirect-gf2`), the construction, the constructive route
-    # or fractions: Dixon's values are integer vectors, rendered from integers.
+    # file, not `semidirect-gf2`), the construction or the constructive route.
+    # No command loads fractions: every exact value is a Cyclotomic.
     code = ("from fusionaudit import cli\n"
             f"assert cli.main(['table', '--group', 'file:{d30_file}']) == 0")
     assert _modules_after(code, tmp_path) == "['fusionaudit.groupfile']"
+    constructive = ("['fusionaudit.construction', 'fusionaudit.constructive', "
+                    "'fusionaudit.gf2']")
     code = "from fusionaudit import cli\nassert cli.main(['verify']) == 0"
-    assert _modules_after(code, tmp_path) == (
-        "['decimal', 'fractions', 'fusionaudit.construction', 'fusionaudit.constructive', "
-        "'fusionaudit.gf2']")
+    assert _modules_after(code, tmp_path) == constructive
+    code = ("from fusionaudit import cli\nassert cli.main(['table', '--group', "
+            "'builtin:g128', '--table-method', 'both']) == 0")
+    assert _modules_after(code, tmp_path) == constructive
 
 
 def test_table_report_is_identical_under_python_O(d30_file, d120_file):
