@@ -235,6 +235,14 @@ def table_to_dict(table: CharacterTable) -> Dict:
     }
 
 
+def check_table_method(method: str, cg: Optional[ConstructedGroup]) -> None:
+    """Raise ValueError unless `table` can run method on a group with construction cg."""
+    if method not in ("dixon", "constructive", "both"):
+        raise ValueError(f"unknown table method {method!r}")
+    if method in ("constructive", "both") and cg is None:
+        raise ValueError("constructive characters are defined only for builtin:g128")
+
+
 def table_report(group_label: str, G: FiniteGroup, method: str = "dixon",
                  cg: Optional[ConstructedGroup] = None) -> AuditReport:
     """The `table` command: print/serialize the character table.
@@ -244,12 +252,8 @@ def table_report(group_label: str, G: FiniteGroup, method: str = "dixon",
     available for g128 alone; "both" additionally requires every
     constructive character to match a Dixon row verbatim.
     """
+    check_table_method(method, cg)
     report = AuditReport(command="table", group_label=group_label)
-    if method not in ("dixon", "constructive", "both"):
-        raise ValueError(f"unknown table method {method!r}")
-    if method in ("constructive", "both") and cg is None:
-        raise ValueError("constructive characters are defined only for builtin:g128")
-
     dix = dixon_table(G) if method in ("dixon", "both") else None
     if method == "dixon":
         report.table = table_to_dict(dix)

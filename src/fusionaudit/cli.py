@@ -88,27 +88,33 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and not args.group.startswith("builtin:g128"):
+        parser.error("verify applies to the construction; use --group builtin:g128")
     t0 = time.monotonic()
     try:
+        try:
+            G, cg = _resolve_group(args.group, args.max_order)
+            if args.command == "table":
+                audit.check_table_method(args.table_method, cg)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.command == "verify":
-            if not args.group.startswith("builtin:g128"):
-                parser.error("verify applies to the construction; use --group builtin:g128")
-            _, cg = _resolve_group(args.group, args.max_order)
             report = (audit.verify_all_lambdas(cg) if args.all_lambdas
                       else audit.verify_claims(cg=cg))
         elif args.command == "scan":
-            G, _ = _resolve_group(args.group, args.max_order)
             report = audit.scan_report(args.group, G)
         else:
-            G, cg = _resolve_group(args.group, args.max_order)
             report = audit.table_report(args.group, G, method=args.table_method, cg=cg)
-        _emit(report, args.report, args.out)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:       # a self-check failed: the verdict is void
+    except (ValueError, AssertionError) as exc:
+        # The input was accepted: a computed value or self-check failed.
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
+    try:
+        _emit(report, args.report, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"elapsed: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return 0 if report.ok else 1
 

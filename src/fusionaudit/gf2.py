@@ -42,28 +42,22 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
 
 
 def is_invertible(a: GF2Matrix) -> bool:
-    try:
-        mat_inverse(a)
-    except ValueError:
-        return False
-    return True
+    """True when a sends no nonzero vector to 0."""
+    return all(mat_vec(a, v) for v in range(1, 16))
 
 
-def mat_inverse(a: GF2Matrix) -> GF2Matrix:
-    """Inverse via Gauss-Jordan on the augmented system."""
-    rows = [(a[i] << DIM) | IDENTITY[i] for i in range(DIM)]
-    rank = 0
-    for col in range(DIM):
-        bit = 1 << (2 * DIM - 1 - col)
-        pivot = next((i for i in range(rank, DIM) if rows[i] & bit), None)
-        if pivot is None:
-            raise ValueError(f"matrix {a} is singular")
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(DIM):
-            if i != rank and rows[i] & bit:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return tuple(r & 0b1111 for r in rows)
+def mat_order(a: GF2Matrix) -> int:
+    """The least k >= 1 with a^k = I, for invertible a, in at most 14 products.
+
+    k <= 15: GL(4,2) is isomorphic to A8, whose elements have order at most 15,
+    so a matrix with no such k is singular.
+    """
+    b = a
+    for k in range(1, 16):
+        if b == IDENTITY:
+            return k
+        b = mat_mul(b, a)
+    raise ValueError(f"matrix {a} is singular")
 
 
 def mat_key(a: GF2Matrix) -> int:

@@ -171,13 +171,8 @@ def _evaluate_word(word: str, gens: Dict[str, gf2.GF2Matrix], stream: _Stream,
             exp = int(exp_s) if exp_s else 1
         except ValueError:
             raise stream.error(f"bad exponent {exp_s!r} in relation {word!r}", pos)
-        m = gens[name] if exp >= 0 else gf2.mat_inverse(gens[name])
-        exp = abs(exp)
-        while exp:                      # square and multiply: O(log |exp|)
-            if exp & 1:
-                result = gf2.mat_mul(result, m)
-            m = gf2.mat_mul(m, m)
-            exp >>= 1
+        for _ in range(exp % gf2.mat_order(gens[name])):     # m^e = m^(e mod ord m)
+            result = gf2.mat_mul(result, gens[name])
     return result
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from fusionaudit import audit, construction
 from fusionaudit.characters import dixon_table, fusion_tensor
-from fusionaudit.groups import elementary_abelian_16, q8_group
+from fusionaudit.groups import FiniteGroup, elementary_abelian_16, q8_group
 
 
 @pytest.fixture(scope="session")
@@ -55,18 +55,32 @@ def dihedral_mul(m):
     return mul
 
 
-def cayley_table(n, mul, rnd=None):
-    """mul on range(n) as a table; with a random.Random, the elements
-    relabelled at random, keeping 0 the identity."""
+def relabelling(n, rnd=None):
+    """perm[x] is the new label of x: with a random.Random, a random
+    permutation of range(n) that keeps 0 the identity; else the identity."""
     perm = list(range(n))
     if rnd is not None:
         rest = perm[1:]
         rnd.shuffle(rest)
         perm = [0] + rest
+    return perm
+
+
+def cayley_table(n, mul, rnd=None):
+    """mul on range(n) as a table; with a random.Random, the elements
+    relabelled at random, keeping 0 the identity."""
+    perm = relabelling(n, rnd)
     back = [0] * n
     for x, px in enumerate(perm):
         back[px] = x
     return [[perm[mul(back[a], back[b])] for b in range(n)] for a in range(n)]
+
+
+def direct_table(G, K):
+    """The table of G x K: index g * |K| + k stands for (g, k)."""
+    m = K.order
+    return [[G.mul(a // m, b // m) * m + K.mul(a % m, b % m)
+             for b in range(G.order * m)] for a in range(G.order * m)]
 
 
 def cayley_file(tmp_path_factory, name, n, mul, seed=None):
@@ -97,3 +111,15 @@ def c30_file(tmp_path_factory):
 @pytest.fixture(scope="session")
 def d120_file(tmp_path_factory):
     return cayley_file(tmp_path_factory, "d120", 120, dihedral_mul(60), seed=5)
+
+
+@pytest.fixture(scope="session")
+def g128xc2_file(tmp_path_factory, cg):
+    table = direct_table(cg.group, FiniteGroup([[0, 1], [1, 0]]))
+    return cayley_file(tmp_path_factory, "g128xc2", 256, lambda x, y: table[x][y], seed=3)
+
+
+@pytest.fixture(scope="session")
+def g128xq8_file(tmp_path_factory, cg, q8):
+    table = direct_table(cg.group, q8)
+    return cayley_file(tmp_path_factory, "g128xq8", 1024, lambda x, y: table[x][y])

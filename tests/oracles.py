@@ -113,6 +113,14 @@ def mat_order(a: gf2.GF2Matrix) -> int:
     return k
 
 
+def mat_pow(a: gf2.GF2Matrix, e: int) -> gf2.GF2Matrix:
+    """a^e for e >= 0, one product at a time; a^-1 is a^(mat_order(a) - 1)."""
+    b = gf2.IDENTITY
+    for _ in range(e):
+        b = gf2.mat_mul(b, a)
+    return b
+
+
 def kernel_of(f: int) -> list:
     """Vectors annihilated by the covector; a hyperplane when f != 0."""
     return [v for v in range(16) if gf2.dot(f, v) == 0]

