@@ -33,9 +33,6 @@ class ClassFunction:
         """The value at the identity; raises unless it is a rational integer."""
         return self.values[0].as_integer()
 
-    def root_order(self) -> int:
-        return self.values[0].n
-
     def __eq__(self, other):
         return (isinstance(other, ClassFunction)
                 and self.group is other.group
@@ -88,9 +85,8 @@ class CharacterTable:
 
     def row_of(self, c: ClassFunction) -> Optional[int]:
         """Index of an irreducible equal to c as a class function, if any."""
-        target = tuple(v.to_order(self.root_order) for v in c.values)
         for i, chi in enumerate(self.irreducibles):
-            if chi.values == target:
+            if chi.values == c.values:
                 return i
         return None
 

@@ -1,12 +1,12 @@
 """The constructive route: chi = lambda^G by induction, and the six claims.
 
-Class functions in Z[zeta_n] (induction, inner and pointwise products, FS
-indicators, lifts from G/H) build the order-128 group's chi and phi.  Only
+Class functions on G with values in Q(zeta_e), e = exp G (induction, inner
+and pointwise products, FS indicators, lifts from G/H) build the order-128
+group's chi and phi; a value from another field raises ValueError.  Only
 `verify` and the constructive methods of `table` import this module.
 """
 from __future__ import annotations
 
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import construction
@@ -17,15 +17,14 @@ from .cyclotomic import Cyclotomic
 from .groups import FiniteGroup, centralizer_of_set, is_subgroup, q8_group, squares_in
 
 
-def regular_character(G: FiniteGroup, n: Optional[int] = None) -> ClassFunction:
-    n = n or G.exponent()
+def regular_character(G: FiniteGroup) -> ClassFunction:
+    n = G.exponent()
     vals = [Cyclotomic.from_rational(n, G.order if cl == (0,) else 0)
             for cl in G.conjugacy_classes()]
     return ClassFunction(G, tuple(vals))
 
 
-def induce(G: FiniteGroup, sub: Sequence[int], values: Dict[int, Cyclotomic],
-           n: Optional[int] = None) -> ClassFunction:
+def induce(G: FiniteGroup, sub: Sequence[int], values: Dict[int, Cyclotomic]) -> ClassFunction:
     """Induced class function: g -> |S|^-1 sum_{t in G} value(t^-1 g t), zero off S.
 
     Computed from class sums.  t -> t^-1 g t maps G onto cl(g), and the
@@ -35,19 +34,18 @@ def induce(G: FiniteGroup, sub: Sequence[int], values: Dict[int, Cyclotomic],
         chi(g) = |G| / (|cl(g)| |S|) * sum_{x in cl(g) & S} value(x),
 
     for any subgroup S and any values on it (S need not be normal).  The
-    values stay exact in Z[zeta_n].
+    values must lie in Q(zeta_e), e = exp G, and the result stays there.
     """
     sub_set = set(sub)
     if not is_subgroup(G, sub_set):
         raise ValueError("induction subgroup is not a subgroup")
     if set(values) != sub_set:
         raise ValueError("values must cover exactly the subgroup")
-    n = n or G.exponent()
     classes = G.conjugacy_classes()
-    sums = [Cyclotomic.zero(n)] * len(classes)
+    sums = [Cyclotomic.zero(G.exponent())] * len(classes)
     for x, v in values.items():
         c = G.class_of(x)
-        sums[c] = sums[c] + v.to_order(n)
+        sums[c] = sums[c] + v
     return ClassFunction(G, tuple(
         acc * G.order / (len(cl) * len(sub_set)) for acc, cl in zip(sums, classes)))
 
@@ -56,19 +54,14 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     """<a, b> = |G|^-1 sum_g a(g) conj(b(g)), computed classwise."""
     if a.group is not b.group:
         raise ValueError("class functions live on different groups")
-    n = lcm(a.root_order(), b.root_order())
-    acc = Cyclotomic.zero(n)
-    for cl, av, bv in zip(a.group.conjugacy_classes(), a.values, b.values):
-        acc = acc + len(cl) * (av.to_order(n) * bv.to_order(n).conjugate())
-    return acc / a.group.order
+    return sum(len(cl) * av * bv.conjugate() for cl, av, bv in
+               zip(a.group.conjugacy_classes(), a.values, b.values)) / a.group.order
 
 
 def pointwise_product(a: ClassFunction, b: ClassFunction) -> ClassFunction:
     if a.group is not b.group:
         raise ValueError("class functions live on different groups")
-    n = lcm(a.root_order(), b.root_order())
-    return ClassFunction(a.group, tuple(
-        av.to_order(n) * bv.to_order(n) for av, bv in zip(a.values, b.values)))
+    return ClassFunction(a.group, tuple(av * bv for av, bv in zip(a.values, b.values)))
 
 
 def fs_indicator(a: ClassFunction) -> int:
@@ -78,22 +71,19 @@ def fs_indicator(a: ClassFunction) -> int:
     indicator is not a rational integer raises ValueError.
     """
     G = a.group
-    n = a.root_order()
-    acc = Cyclotomic.zero(n)
-    for cl in G.conjugacy_classes():
-        g2 = G.mul(cl[0], cl[0])
-        acc = acc + len(cl) * a.value_at(g2)
-    return (acc / G.order).as_integer()
+    return (sum(len(cl) * a.value_at(G.mul(cl[0], cl[0])) for cl in G.conjugacy_classes())
+            / G.order).as_integer()
 
 
 def lift_from_quotient(c: ClassFunction, G: FiniteGroup,
                        proj: Sequence[int]) -> ClassFunction:
-    """Pull a class function on G/N back to G along the projection."""
-    Q = c.group
+    """Pull a class function on G/N back to G along the projection, into
+    Q(zeta_e), e = exp G: exp(G/N) divides e."""
+    Q, e = c.group, G.exponent()
     if len(proj) != G.order or max(proj) != Q.order - 1:
         raise ValueError("projection does not match the quotient")
     return ClassFunction(G, tuple(
-        c.value_at(proj[cl[0]]) for cl in G.conjugacy_classes()))
+        c.value_at(proj[cl[0]]).to_order(e) for cl in G.conjugacy_classes()))
 
 
 def conjugate_stabilizer_check(cg: ConstructedGroup, lam: LambdaChoice) -> bool:
@@ -137,7 +127,7 @@ def _lambda_and_chi(cg: ConstructedGroup,
     n = cg.group.exponent()
     lam = construction.choose_lambda(cg, covector)
     values = {g: Cyclotomic.from_rational(n, lam.value_sign(g)) for g in cg.h_subgroup}
-    return lam, induce(cg.group, cg.h_subgroup, values, n=n)
+    return lam, induce(cg.group, cg.h_subgroup, values)
 
 
 def induced_square_constituent(data: ConstructiveData) -> ClassFunction:
@@ -146,8 +136,8 @@ def induced_square_constituent(data: ConstructiveData) -> ClassFunction:
     n = G.exponent()
     sq_values = {g: Cyclotomic.from_rational(n, data.lam.value_sign(g) ** 2)
                  for g in cg.h_subgroup}
-    ind = induce(G, cg.h_subgroup, sq_values, n=n)
-    reg_lift = lift_from_quotient(regular_character(data.quotient, n), G, data.proj)
+    ind = induce(G, cg.h_subgroup, sq_values)
+    reg_lift = lift_from_quotient(regular_character(data.quotient), G, data.proj)
     if ind != reg_lift:
         raise AssertionError("(lambda^2)^G differs from the lifted regular character")
     return ind

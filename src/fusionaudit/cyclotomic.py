@@ -104,16 +104,13 @@ class Cyclotomic:
 
     @staticmethod
     def zero(n: int) -> "Cyclotomic":
-        d = len(cyclotomic_polynomial(n)) - 1
-        return Cyclotomic(n, [0] * d)
+        return Cyclotomic.from_rational(n, 0)
 
     @staticmethod
-    def from_rational(n: int, value) -> "Cyclotomic":
-        """value: an int or a numbers.Rational (anything with .denominator)."""
+    def from_rational(n: int, value: int) -> "Cyclotomic":
+        """The integer value as an element of Q(zeta_n)."""
         d = len(cyclotomic_polynomial(n)) - 1
-        num = [0] * d
-        num[0] = value.numerator
-        return Cyclotomic(n, num, value.denominator)
+        return Cyclotomic(n, [value] + [0] * (d - 1))
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
@@ -125,25 +122,23 @@ class Cyclotomic:
         """Sum of c_k * zeta_n^k from a {k: c_k} dict (k arbitrary ints)."""
         return Cyclotomic(n, _reduce(n, powers.items()))
 
-    # -- promotion ----------------------------------------------------
-
-    def _coerce(self, other) -> "Cyclotomic":
-        if isinstance(other, Cyclotomic):
-            if other.n != self.n:
-                raise ValueError(f"incompatible root orders {self.n} and {other.n}")
-            return other
-        if hasattr(other, "denominator"):
-            return Cyclotomic.from_rational(self.n, other)
-        return NotImplemented
-
     # -- ring operations ----------------------------------------------
+    # Operands are a Cyclotomic of the same n or an int; an int is added to
+    # the constant term or scales the coefficients, with no convolution.
+
+    def _check_field(self, other: "Cyclotomic") -> None:
+        if other.n != self.n:
+            raise ValueError(f"incompatible root orders {self.n} and {other.n}")
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, int):
+            return Cyclotomic(self.n, (self.num[0] + other * self.den,) + self.num[1:],
+                              self.den)
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        da, db = self.den, o.den
-        num = [a * db + b * da for a, b in zip(self.num, o.num)]
+        self._check_field(other)
+        da, db = self.den, other.den
+        num = [a * db + b * da for a, b in zip(self.num, other.num)]
         return Cyclotomic(self.n, num, da * db)
 
     __radd__ = __add__
@@ -152,25 +147,24 @@ class Cyclotomic:
         return Cyclotomic(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, int):
+            return Cyclotomic(self.n, [c * other for c in self.num], self.den)
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
+        self._check_field(other)
         conv = [0] * (2 * len(self.num) - 1)
         for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.num):
+                for j, b in enumerate(other.num):
                     if b:
                         conv[i + j] += a * b
-        return Cyclotomic(self.n, _reduce(self.n, enumerate(conv)), self.den * o.den)
+        return Cyclotomic(self.n, _reduce(self.n, enumerate(conv)), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -212,8 +206,8 @@ class Cyclotomic:
         return self.num[0]
 
     def __eq__(self, other):
-        if hasattr(other, "denominator"):
-            other = Cyclotomic.from_rational(self.n, other)
+        if isinstance(other, int):
+            return self.den == 1 and self.num[0] == other and not any(self.num[1:])
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return (self.n, self.num, self.den) == (other.n, other.num, other.den)

@@ -11,6 +11,7 @@ comment running to end of line.  See docs/group-file-format.md.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Dict, List, NoReturn, Optional, Tuple
 
@@ -18,6 +19,11 @@ from .groups import DEFAULT_ORDER_CAP, FiniteGroup
 
 if TYPE_CHECKING:
     from . import gf2
+
+# semidirect-gf2 words: a generator name is an ASCII identifier other than the
+# keywords gen and rel; an exponent is an optional minus sign and ASCII digits.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_EXPONENT = re.compile(r"-?[0-9]+")
 
 
 class GroupFileError(ValueError):
@@ -135,6 +141,9 @@ def _load_semidirect(stream: _Stream, max_order: int) -> FiniteGroup:
         if tok == "gen":
             name = stream.next("generator name")
             name_pos = stream.pos - 1
+            if not _NAME.fullmatch(name) or name in ("gen", "rel"):
+                raise stream.error(f"bad generator name {name!r} (ASCII letters, digits "
+                                   f"and _, not starting with a digit, not gen or rel)")
             if name in gens:
                 raise stream.error(f"duplicate generator {name!r}")
             m = _parse_matrix_rows(stream, name)
@@ -164,13 +173,12 @@ def _evaluate_word(word: str, gens: Dict[str, gf2.GF2Matrix], stream: _Stream,
     from . import gf2
     result = gf2.IDENTITY
     for factor in word.split("*"):
-        name, _, exp_s = factor.partition("^")
+        name, caret, exp_s = factor.partition("^")
         if name not in gens:
             raise stream.error(f"unknown generator {name!r} in relation {word!r}", pos)
-        try:
-            exp = int(exp_s) if exp_s else 1
-        except ValueError:
+        if caret and not _EXPONENT.fullmatch(exp_s):
             raise stream.error(f"bad exponent {exp_s!r} in relation {word!r}", pos)
+        exp = int(exp_s) if caret else 1
         for _ in range(exp % gf2.mat_order(gens[name])):     # m^e = m^(e mod ord m)
             result = gf2.mat_mul(result, gens[name])
     return result

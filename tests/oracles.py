@@ -1,7 +1,7 @@
 """Test-side helpers: small reference functions with no production caller,
 and field-by-field access to the program's record classes."""
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from fusionaudit import gf2
 from fusionaudit.characters import ClassFunction
@@ -37,9 +37,8 @@ def rebuild(obj, **changes):
 # Characters and groups
 # ---------------------------------------------------------------------------
 
-def trivial_character(G: FiniteGroup, n: Optional[int] = None) -> ClassFunction:
-    n = n or G.exponent()
-    one = Cyclotomic.from_rational(n, 1)
+def trivial_character(G: FiniteGroup) -> ClassFunction:
+    one = Cyclotomic.from_rational(G.exponent(), 1)
     return ClassFunction(G, tuple(one for _ in G.conjugacy_classes()))
 
 
@@ -48,9 +47,11 @@ def dual_character(a: ClassFunction) -> ClassFunction:
 
 
 def restrict(a: ClassFunction, H: FiniteGroup, embed: Sequence[int]) -> ClassFunction:
-    """Restrict along an embedding H -> G given by G-indices."""
+    """Restrict along an embedding H -> G given by G-indices, into Q(zeta_exp H);
+    raises ValueError if a value does not lie there."""
+    e = H.exponent()
     return ClassFunction(H, tuple(
-        a.value_at(embed[cl[0]]) for cl in H.conjugacy_classes()))
+        a.value_at(embed[cl[0]]).to_order(e) for cl in H.conjugacy_classes()))
 
 
 def subgroup_as_group(G: FiniteGroup, S) -> Tuple[FiniteGroup, List[int]]:

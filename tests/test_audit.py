@@ -336,10 +336,13 @@ def test_huge_relation_exponents_are_cheap(tmp_path, capsys):
 @pytest.mark.parametrize("word, holds", [
     ("A^0", True), ("A^-4", True), ("A^-400000000000", True), ("B^-1*A^-1*B*A^-1", True),
     ("A^-3", False), ("A^-1", False), ("A^-400000000001", False), ("B^-2*A^-1", False),
+    ("A^-0", True), ("A^004", True), ("A^-04", True), ("A^0000000000000000000012", True),
+    ("A^-05", False),
 ])
 def test_negative_and_zero_relation_exponents(word, holds):
     # A and B have order 4, so a power is its exponent mod 4: A^-3 = A, and
-    # A^-400000000001 = A^3; B^-2 = A^2 makes B^-2*A^-1 = A.
+    # A^-400000000001 = A^3; B^-2 = A^2 makes B^-2*A^-1 = A.  -0 is the
+    # integer 0, and leading zeros do not change an exponent.
     text = (EXAMPLES / "g128.grp").read_text() + f"rel {word}\n"
     if holds:
         assert load_group(text).order == 128
@@ -348,6 +351,33 @@ def test_negative_and_zero_relation_exponents(word, holds):
         load_group(text)
     assert str(exc.value) == f"line 22: relation {word!r} does not hold"
     assert exc.value.line == 22
+
+
+@pytest.mark.parametrize("name", [
+    "rel", "gen", "0001", "1A", "A^2", "A*B", "A-1", "\u00c4", "A\u0664", "\uff21"])
+def test_generator_names_are_ascii_identifiers(name):
+    # A name that no relation word could spell, or that reads as a keyword
+    # or a matrix row, is rejected at its own line.
+    def text(gen):
+        return f"semidirect-gf2\n# A^4 = I\ngen\n{gen}\n0001\n0010\n0100\n1110\n"
+
+    with pytest.raises(GroupFileError) as exc:
+        load_group(text(name))
+    assert str(exc.value).startswith(f"line 4: bad generator name {name!r} ")
+    for good in ("A", "a_1", "_x", "Gen", "REL", "rel2"):
+        assert load_group(text(good) + f"rel {good}^4\n").order == 64
+
+
+@pytest.mark.parametrize("exp", ["+4", "1_5", "\u0664", "", "4.0", "0x4", "--4", "4-", "-",
+                                 "-+4", "\uff14"])
+def test_exponents_are_an_optional_minus_and_ascii_digits(exp):
+    # int() would read +4, 1_5 (as 15) and the Arabic-Indic and full-width
+    # digits; the grammar takes none of them.
+    word = f"B^2*A^{exp}"
+    text = (EXAMPLES / "g128.grp").read_text() + f"rel {word}\n"
+    with pytest.raises(GroupFileError) as exc:
+        load_group(text)
+    assert str(exc.value) == f"line 22: bad exponent {exp!r} in relation {word!r}"
 
 
 def test_singular_generator_error_names_its_line():

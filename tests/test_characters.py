@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -34,7 +33,7 @@ from fusionaudit.constructive import (
 )
 from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
 from fusionaudit.groupfile import load_group_file
-from fusionaudit.groups import FiniteGroup
+from fusionaudit.groups import FiniteGroup, quotient_group
 from conftest import cayley_file, cayley_table, dihedral_mul
 from oracles import (
     class_matrix,
@@ -83,7 +82,7 @@ def test_conjugate_stabilizer_check_matches_irreducibility(cg):
         lam = LambdaChoice(covector=v, h0_element=h0[1])
         values = {g: Cyclotomic.from_rational(n, lam.value_sign(g))
                   for g in cg.h_subgroup}
-        chi = induce(G, cg.h_subgroup, values, n=n)
+        chi = induce(G, cg.h_subgroup, values)
         stab = constructive.conjugate_stabilizer_check(cg, lam)
         assert (inner_product(chi, chi) == 1) == stab
         passing += stab
@@ -118,7 +117,7 @@ def test_fs_indicator_basics(cg, data):
 def test_fs_indicator_rejects_a_non_integer(q8):
     # Half the trivial character has indicator 1/2: neither 1/2 nor a
     # truncated 0 may come back as an indicator.
-    half = Cyclotomic.from_rational(q8.exponent(), Fraction(1, 2))
+    half = Cyclotomic.from_rational(q8.exponent(), 1) / 2
     with pytest.raises(ValueError, match="not a rational integer"):
         fs_indicator(ClassFunction(q8, (half,) * 5))
 
@@ -147,10 +146,30 @@ def test_lift_from_quotient(cg, data):
     G = cg.group
     lifted_triv = lift_from_quotient(
         trivial_character(data.quotient), G, data.proj)
-    assert lifted_triv == trivial_character(G, n=lifted_triv.root_order())
+    assert lifted_triv == trivial_character(G)
     assert data.phi.degree() == 2
     for h in cg.h_subgroup:
         assert data.phi.value_at(h) == 2
+
+
+def test_every_class_function_lives_in_its_groups_field(cg, data, q8_table, h16_table,
+                                                        g128_table, d120_file, d10_table):
+    # One field per group: every value is in Q(zeta_e), e = exp G, so class
+    # functions on G multiply and compare with no conversion.
+    d120_table = dixon_table(load_group_file(str(d120_file)))
+    built = [(t.group, t.irreducibles) for t in (q8_table, h16_table, g128_table, d120_table)]
+    chis = [data.for_covector(v).chi for v in valid_covectors(cg)]
+    assert len(chis) == 8 and len(data.lifts) == 5
+    built.append((cg.group, [*chis, data.phi, *data.lifts,
+                             constructive.induced_square_constituent(data)]))
+    # g128 / H has g128's exponent 4; D_10 / <r> = C_2 has 2, against D_10's 10.
+    D = d10_table.group
+    Q, proj = quotient_group(D, range(10))
+    assert (Q.exponent(), D.exponent()) == (2, 10)
+    built.append((D, [lift_from_quotient(c, D, proj) for c in dixon_table(Q).irreducibles]))
+    for G, functions in built:
+        assert all(c.group is G for c in functions)
+        assert {v.n for c in functions for v in c.values} == {G.exponent()}
 
 
 def test_induced_square_constituent(cg, data):
@@ -211,14 +230,14 @@ def test_constructive_rows_appear_in_dixon(data, g128_table):
 
 def test_frobenius_reciprocity_exhaustive(cg, data, g128_table):
     H, embed = subgroup_as_group(cg.group, cg.h_subgroup)
-    n = cg.group.exponent()
+    n = H.exponent()
     lam_h = ClassFunction(H, tuple(
         Cyclotomic.from_rational(n, data.lam.value_sign(embed[cl[0]]))
         for cl in H.conjugacy_classes()))
     for theta in g128_table.irreducibles:
         lhs = inner_product(data.chi, theta)
         rhs = inner_product(lam_h, restrict(theta, H, embed))
-        assert lhs == rhs
+        assert lhs == rhs.to_order(cg.group.exponent())   # from Q(zeta_exp H) into G's field
 
 
 def test_involution_counting(cg, q8, h16, g128_table, q8_table, h16_table):
@@ -286,10 +305,10 @@ def test_induce_validates_inputs(cg):
 # Oracle: induction by the defining sum over every conjugator
 # ---------------------------------------------------------------------------
 
-def naive_induce(G, sub, values, n=None):
+def naive_induce(G, sub, values):
     """g -> |S|^-1 sum_{t in G} value(t^-1 g t), one walk over G per class."""
     sub_set = set(sub)
-    n = n or G.exponent()
+    n = G.exponent()
     vals = []
     for cl in G.conjugacy_classes():
         g = cl[0]
@@ -297,8 +316,8 @@ def naive_induce(G, sub, values, n=None):
         for t in range(G.order):
             x = G.conj(g, t)
             if x in sub_set:
-                acc = acc + values[x].to_order(n)
-        vals.append(acc * Fraction(1, len(sub_set)))
+                acc = acc + values[x]
+        vals.append(acc / len(sub_set))
     return ClassFunction(G, tuple(vals))
 
 
@@ -310,9 +329,9 @@ def test_induce_matches_naive_oracle_for_every_lambda(cg):
     for v in covectors:
         lam = choose_lambda(cg, v)
         values = {g: Cyclotomic.from_rational(n, lam.value_sign(g)) for g in H}
-        assert induce(G, H, values, n=n) == naive_induce(G, H, values, n=n)
+        assert induce(G, H, values) == naive_induce(G, H, values)
         squares = {g: Cyclotomic.from_rational(n, lam.value_sign(g) ** 2) for g in H}
-        assert induce(G, H, squares, n=n) == naive_induce(G, H, squares, n=n)
+        assert induce(G, H, squares) == naive_induce(G, H, squares)
 
 
 def _is_normal(G, S):

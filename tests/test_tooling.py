@@ -46,6 +46,20 @@ def test_no_dataclasses_in_src():
     assert found == []
 
 
+def test_no_duck_typed_operands_in_src():
+    # Cyclotomic's operands are a same-field Cyclotomic or an int, so no
+    # source file probes a value with hasattr or reads a Rational's parts.
+    rational_parts = ("numerator", "denominator")
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "hasattr")
+             or (isinstance(node, ast.Attribute) and node.attr in rational_parts)
+             or (isinstance(node, ast.Constant) and node.value in rational_parts)]
+    assert found == []
+
+
 # Modules the CLI loads only for a command that runs them (dataclasses, inspect
 # and the last three: never).
 WATCHED = ("dataclasses", "inspect", "fusionaudit.groupfile", "fusionaudit.construction",
