@@ -259,24 +259,18 @@ def table_report(group_label: str, G: FiniteGroup, method: str = "dixon",
         report.table = table_to_dict(dix)
         return report
 
-    from .constructive import fs_indicator
     data = constructive_data(cg)
     constructive = [("induced_chi", data.chi)] + [
         (f"quotient_lift_{i}", l) for i, l in enumerate(data.lifts)]
-    rows = []
-    matches = {}
-    for name, c in constructive:
-        rows.append({"degree": c.degree(),
-                     "indicator": fs_indicator(c),
-                     "values": [v.render() for v in c.values],
-                     "name": name})
-        if dix is not None:
-            matches[name] = dix.row_of(c)
     if method == "constructive":
-        report.table = {"order": G.order, "root_order": G.exponent(),
-                        "irreducibles": rows}
+        from .constructive import fs_indicator
+        report.table = {"order": G.order, "root_order": G.exponent(), "irreducibles": [
+            {"degree": c.degree(), "indicator": fs_indicator(c),
+             "values": [v.render() for v in c.values], "name": name}
+            for name, c in constructive]}
         return report
 
+    matches = {name: dix.row_of(c) for name, c in constructive}
     report.table = table_to_dict(dix)
     report.extra["constructive_rows"] = matches
     missing = [k for k, v in matches.items() if v is None]

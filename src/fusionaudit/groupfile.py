@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Dict, List, NoReturn, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, closure
 
 if TYPE_CHECKING:
     from . import gf2
 
-# semidirect-gf2 words: a generator name is an ASCII identifier other than the
-# keywords gen and rel; an exponent is an optional minus sign and ASCII digits.
+# An integer (a table's order and entries, an exponent) is an optional minus
+# sign and ASCII digits.  In semidirect-gf2 words, a generator name is an ASCII
+# identifier other than the keywords gen and rel.
+_INTEGER = re.compile(r"-?[0-9]+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_EXPONENT = re.compile(r"-?[0-9]+")
 
 
 class GroupFileError(ValueError):
@@ -76,25 +77,43 @@ def load_group_file(path: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGrou
         return load_group(fh.read(), max_order=max_order)
 
 
+def _integer(tok: str) -> int:
+    """The value of a token that matches _INTEGER, whatever its length: int()
+    alone refuses more than 4,300 digits (sys.get_int_max_str_digits())."""
+    digits = tok.lstrip("-")
+    value = 0
+    for k in range(0, len(digits), 4000):
+        chunk = digits[k:k + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if tok[0] == "-" else value
+
+
+def _decimal(tok: str) -> str:
+    """str(_integer(tok)), also past str()'s 4,300-digit limit."""
+    digits = tok.lstrip("-").lstrip("0") or "0"
+    return "-" + digits if tok[0] == "-" and digits != "0" else digits
+
+
 def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
     tok = stream.next("group order")
-    try:
-        n = int(tok)
-    except ValueError:
+    if not _INTEGER.fullmatch(tok):
         raise stream.error(f"group order must be an integer, got {tok!r}")
+    n = _integer(tok)
     if n < 1:
-        raise stream.error(f"group order must be positive, got {n}")
+        raise stream.error(f"group order must be positive, got {_decimal(tok)}")
     if n > max_order:
-        raise stream.error(f"group order {n} exceeds the cap {max_order}")
+        raise stream.error(f"group order {_decimal(tok)} exceeds the cap {max_order}")
     start = stream.pos
     table = []
     for i in range(n):
+        toks = stream.tokens[start + i * n:start + (i + 1) * n]
+        digits = "".join(toks)      # a row of ASCII digits only is read at once
         try:
-            row = list(map(int, stream.tokens[start + i * n:start + (i + 1) * n]))
-        except ValueError:
+            row = list(map(int, toks)) if digits.isascii() and digits.isdigit() else []
+        except ValueError:          # a token past int()'s 4,300 digits
             row = []
         if len(row) < n or min(row) < 0 or max(row) >= n:
-            _reject_row(stream, start + i * n, i, n)
+            row = _read_row(stream, start + i * n, i, n)
         table.append(row)
     stream.pos = start + n * n
     extra = stream.peek()
@@ -108,17 +127,20 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
     return G
 
 
-def _reject_row(stream: _Stream, pos: int, i: int, n: int) -> NoReturn:
-    """Raise the error for the first bad or missing entry of row i."""
+def _read_row(stream: _Stream, pos: int, i: int, n: int) -> List[int]:
+    """Row i read token by token: its entries, or the error for the first bad
+    or missing one."""
     stream.pos = pos
+    row = []
     for j in range(n):
         tok = stream.next(f"table entry ({i},{j})")
-        try:
-            v = int(tok)
-        except ValueError:
+        if not _INTEGER.fullmatch(tok):
             raise stream.error(f"entry ({i},{j}) is not an integer: {tok!r}")
+        v = _integer(tok)
         if not 0 <= v < n:
-            raise stream.error(f"entry ({i},{j}) = {v} out of range 0..{n-1}")
+            raise stream.error(f"entry ({i},{j}) = {_decimal(tok)} out of range 0..{n-1}")
+        row.append(v)
+    return row
 
 
 def _parse_matrix_rows(stream: _Stream, name: str) -> gf2.GF2Matrix:
@@ -176,29 +198,18 @@ def _evaluate_word(word: str, gens: Dict[str, gf2.GF2Matrix], stream: _Stream,
         name, caret, exp_s = factor.partition("^")
         if name not in gens:
             raise stream.error(f"unknown generator {name!r} in relation {word!r}", pos)
-        if caret and not _EXPONENT.fullmatch(exp_s):
+        if caret and not _INTEGER.fullmatch(exp_s):
             raise stream.error(f"bad exponent {exp_s!r} in relation {word!r}", pos)
-        exp = int(exp_s) if caret else 1
+        exp = _integer(exp_s) if caret else 1
         for _ in range(exp % gf2.mat_order(gens[name])):     # m^e = m^(e mod ord m)
             result = gf2.mat_mul(result, gens[name])
     return result
 
 
 def _matrix_closure(gens: List[gf2.GF2Matrix], max_order: int) -> List[gf2.GF2Matrix]:
+    """The matrices gens generate, identity first and the rest in canonical
+    order.  No round of the walk starts once the group, 16 elements per
+    matrix, would pass the cap."""
     from . import gf2
-    members = {gf2.IDENTITY}
-    frontier = [gf2.IDENTITY]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = gf2.mat_mul(m, g)
-                if prod not in members:
-                    members.add(prod)
-                    new.append(prod)
-        frontier = new
-        if 16 * len(members) > max_order:
-            break
-    # Identity first, remaining matrices in canonical order.
-    rest = sorted((m for m in members if m != gf2.IDENTITY), key=gf2.mat_key)
-    return [gf2.IDENTITY] + rest
+    rest = closure(gf2.IDENTITY, gens, gf2.mat_mul, max_order // 16) - {gf2.IDENTITY}
+    return [gf2.IDENTITY] + sorted(rest, key=gf2.mat_key)

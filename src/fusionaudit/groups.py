@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 DEFAULT_ORDER_CAP = 1024
 
@@ -55,6 +55,7 @@ class FiniteGroup:
         self._classes: Tuple[Tuple[int, ...], ...] | None = None
         self._class_index: List[int] | None = None
         self._exponent: int | None = None
+        self._generators: Tuple[int, ...] | None = None
 
     def _compute_inverses(self) -> Tuple[int, ...]:
         inv = []
@@ -90,26 +91,44 @@ class FiniteGroup:
             self._exponent = lcm(*(self.element_order(g) for g in range(self.order)))
         return self._exponent
 
+    def generators(self) -> Tuple[int, ...]:
+        """The greedy generators, computed once per group: each is the least
+        element not reached from the identity by right multiplication by
+        the ones before it.
+
+        The walk ends in any table with identity 0, as 0 s = s reaches each
+        new generator s.  If the table is a group, the reached set is the
+        subgroup the generators so far generate, and each new generator lies
+        outside it, so it at least doubles: there are at most log2(n)
+        generators.
+        """
+        if self._generators is None:
+            gens: List[int] = []
+            reached = {0}
+            while len(reached) < self.order:
+                gens.append(next(x for x in range(self.order) if x not in reached))
+                reached = closure(0, gens, self.mul)
+            self._generators = tuple(gens)
+        return self._generators
+
     def conjugacy_classes(self) -> Tuple[Tuple[int, ...], ...]:
         """Partition into conjugacy classes, ordered by least member.
 
-        Class 0 is always {identity}.  Each class is sorted ascending.
+        Class 0 is always {identity}.  Each class is sorted ascending.  The
+        class of g is its orbit under x -> s^-1 x s for the generators s:
+        that is a right action, so the orbit under G is its closure.
         """
         if self._classes is None:
-            seen = [False] * self.order
-            classes = []
-            for g in range(self.order):
-                if seen[g]:
-                    continue
-                orbit = sorted({self.conj(g, x) for x in range(self.order)})
-                for h in orbit:
-                    seen[h] = True
-                classes.append(tuple(orbit))
-            self._classes = tuple(classes)
+            gens = self.generators()
             index = [-1] * self.order
-            for ci, cl in enumerate(self._classes):
-                for g in cl:
-                    index[g] = ci
+            classes: List[Tuple[int, ...]] = []
+            for g in range(self.order):
+                if index[g] < 0:
+                    orbit = tuple(sorted(closure(g, gens, self.conj)))
+                    for h in orbit:
+                        index[h] = len(classes)
+                    classes.append(orbit)
+            self._classes = tuple(classes)
             self._class_index = index
         return self._classes
 
@@ -124,32 +143,33 @@ class FiniteGroup:
         inverses.  The set S of elements s with (a*s)*c = a*(s*c) for all
         a, c contains 0 and is closed under multiplication, in any table
         with a two-sided identity.  So the identity is checked only for
-        s = the least element not yet reached; the reached set is then
-        closed under right multiplication by the checked elements, and
-        this repeats until every element is reached.  Each reached
-        element is a product of checked elements, so it lies in S.  In a
-        group each new s at least doubles the reached subgroup, so at most
-        log2(n) rounds of n^2 lookups run.
+        the greedy generators, in order: every element is a product of
+        them, so it lies in S.  In a group that is at most log2(n) rounds
+        of n^2 lookups.
         """
         n = self.order
         t = self.table
         if min(map(min, t)) < 0 or max(map(max, t)) >= n:
             raise AssertionError("not closed")
-        reached = {0}
-        gens: List[int] = []
-        while len(reached) < n:
-            s = next(x for x in range(n) if x not in reached)
+        for s in self.generators():
             right = itemgetter(*t[s])      # a row ta -> (ta[s*c] for all c)
             for a, ta in enumerate(t):
                 lhs, rhs = t[ta[s]], right(ta)
                 if lhs != rhs:
                     c = next(c for c in range(n) if lhs[c] != rhs[c])
                     raise AssertionError(f"associativity fails at {(a, s, c)}")
-            gens.append(s)
-            frontier = reached
-            while frontier:
-                frontier = {t[x][g] for x in frontier for g in gens} - reached
-                reached |= frontier
+
+
+def closure(start, gens: Sequence, mul: Callable, limit: Optional[int] = None) -> set:
+    """Everything reached from start by right multiplication by gens, found
+    breadth first: the orbit of start when mul is a right action.  With a
+    limit, no round starts once more than limit are reached.
+    """
+    members, frontier = {start}, {start}
+    while frontier and (limit is None or len(members) <= limit):
+        frontier = {mul(x, g) for x in frontier for g in gens} - members
+        members |= frontier
+    return members
 
 
 def q8_group() -> FiniteGroup:
@@ -170,19 +190,7 @@ def is_subgroup(G: FiniteGroup, S: Iterable[int]) -> bool:
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Tuple[int, ...]:
     """Least subgroup containing gens: their products, as G is finite."""
-    members = {0}
-    frontier = [0]
-    gens = list(gens)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = G.mul(a, g)
-                if b not in members:
-                    members.add(b)
-                    new.append(b)
-        frontier = new
-    return tuple(sorted(members))
+    return tuple(sorted(closure(0, tuple(gens), G.mul)))
 
 
 def centralizer_of_set(G: FiniteGroup, S: Iterable[int]) -> Tuple[int, ...]:

@@ -68,6 +68,20 @@ def subgroup_as_group(G: FiniteGroup, S) -> Tuple[FiniteGroup, List[int]]:
     return FiniteGroup(table), members
 
 
+def conjugacy_classes_sweep(G: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
+    """The classes as FiniteGroup.conjugacy_classes orders them, each one
+    found by conjugating its least member by all n elements: r n products."""
+    seen = [False] * G.order
+    classes = []
+    for g in range(G.order):
+        if not seen[g]:
+            orbit = tuple(sorted({G.conj(g, x) for x in range(G.order)}))
+            for h in orbit:
+                seen[h] = True
+            classes.append(orbit)
+    return tuple(classes)
+
+
 def is_real(v: Cyclotomic) -> bool:
     return v.conjugate() == v
 

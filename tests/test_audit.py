@@ -3,13 +3,16 @@ import pathlib
 import random
 
 import pytest
+from conftest import cayley_table, dihedral_mul
+from test_cli_fuzz import ODD_TOKENS
 
 from fusionaudit import audit, gf2
 from fusionaudit.characters import fusion_tensor
 from fusionaudit.cli import main
 from fusionaudit.cyclotomic import Cyclotomic
-from fusionaudit.groupfile import GroupFileError, _matrix_closure, load_group, \
-    load_group_file
+from fusionaudit.groups import Q8_TABLE
+from fusionaudit.groupfile import GroupFileError, _decimal, _integer, _matrix_closure, \
+    load_group, load_group_file
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
@@ -203,6 +206,19 @@ def test_table_report_methods(cg):
         audit.table_report("builtin:g128", cg.group, method="bogus", cg=cg)
 
 
+def test_table_both_builds_no_constructive_rows(monkeypatch, cg):
+    # "both" reports the Dixon table and the row matches only: the
+    # constructive rows' indicators and renders are for "constructive".
+    from fusionaudit import constructive
+    calls = []
+    real = constructive.fs_indicator
+    monkeypatch.setattr(constructive, "fs_indicator", lambda c: calls.append(c) or real(c))
+    both = audit.table_report("builtin:g128", cg.group, method="both", cg=cg)
+    assert both.ok and calls == []
+    audit.table_report("builtin:g128", cg.group, method="constructive", cg=cg)
+    assert len(calls) == 6
+
+
 def test_table_to_dict_renders_every_value(g128_table):
     rows = audit.table_to_dict(g128_table)["irreducibles"]
     assert len(rows) == len(g128_table.irreducibles)
@@ -380,6 +396,78 @@ def test_exponents_are_an_optional_minus_and_ascii_digits(exp):
     assert str(exc.value) == f"line 22: bad exponent {exp!r} in relation {word!r}"
 
 
+@pytest.mark.parametrize("exp, holds", [
+    ("9" * 5000, False), ("-" + "9" * 5000, False), ("4" + "0" * 5000, True),
+    ("0" * 5000 + "4", True), ("-" + "0" * 5000 + "3", False)])
+def test_exponents_past_the_int_digit_limit(exp, holds, capsys):
+    # int() refuses more than 4,300 digits; the exponent is still reduced
+    # mod ord A = 4 exactly (10^5000 - 1 = 3 mod 4), with leading zeros.
+    text = (EXAMPLES / "g128.grp").read_text() + f"rel A^{exp}\n"
+    if holds:
+        assert load_group(text).order == 128
+        return
+    with pytest.raises(GroupFileError) as exc:
+        load_group(text)
+    assert str(exc.value) == f"line 22: relation 'A^{exp}' does not hold"
+
+
+def test_integer_tokens_of_any_length():
+    # The values are checked by arithmetic: str() and int() stop at 4,300 digits.
+    assert _integer("1" + "0" * 5000) == 10 ** 5000
+    assert _integer("9" * 8001) == 10 ** 8001 - 1
+    assert _integer("-" + "0" * 5000 + "12") == -12
+    assert _integer("-0") == 0 and _integer("007") == 7
+    assert _decimal("-" + "0" * 5000 + "12") == "-12" and _decimal("-00") == "0"
+
+
+def test_table_integers_past_the_int_digit_limit():
+    # A 5,000-digit entry is out of range and a 5,000-digit order is over the
+    # cap, each at its own line; 5,000 leading zeros leave a value as it is.
+    huge = "9" * 5000
+    with pytest.raises(GroupFileError) as exc:
+        load_group(Z4_TABLE.replace("1 2 3 0", f"1 2 {huge} 0"))
+    assert str(exc.value) == f"line 5: entry (1,2) = {huge} out of range 0..3"
+    with pytest.raises(GroupFileError) as exc:
+        load_group(f"table\n{huge}\n0")
+    assert str(exc.value) == f"line 2: group order {huge} exceeds the cap 1024"
+    with pytest.raises(GroupFileError) as exc:
+        load_group(f"table\n-{huge}\n0")
+    assert str(exc.value) == f"line 2: group order must be positive, got -{huge}"
+    zeros = "0" * 5000
+    G = load_group(Z4_TABLE.replace("table 4", f"table {zeros}4")
+                   .replace("1 2 3 0", f"1 2 {zeros}3 -{zeros}"))
+    assert G.order == 4 and G.table[1] == (1, 2, 3, 0)
+
+
+def test_cli_reports_a_huge_exponent_at_its_line(tmp_path, capsys):
+    path = tmp_path / "huge.grp"
+    path.write_text((EXAMPLES / "g128.grp").read_text() + f"rel A^{'9' * 5000}\n")
+    assert main(["scan", "--group", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 22: relation 'A^999") and "does not hold" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("table +2\n0 1\n1 0", "line 1: group order must be an integer, got '+2'"),
+    ("table 2\n0 1\n1 +0", "line 3: entry (1,1) is not an integer: '+0'"),
+    ("table 2\n0 1\n1 0_0", "line 3: entry (1,1) is not an integer: '0_0'"),
+    ("table \u0662\n0 1\n1 0", "line 1: group order must be an integer, got '\u0662'"),
+    ("table 2\n0 \uff11\n1 0", "line 2: entry (0,1) is not an integer: '\uff11'"),
+    ("table 2\n0 1\n1 -1", "line 3: entry (1,1) = -1 out of range 0..1"),
+    ("table 2\n0 1\n1 x", "line 3: entry (1,1) is not an integer: 'x'"),
+    ("table 2\n0 1\n1", "line 3: unexpected end of file, expected table entry (1,1)"),
+    ("table 2\n0 1\n1 0 1", "line 3: unexpected trailing token '1'"),
+])
+def test_table_integers_follow_the_grammar(text, message):
+    # The order and the entries are read by the one integer grammar, an
+    # optional minus and ASCII digits; int() would read +2, 0_0 and the
+    # Arabic-Indic and full-width digits.
+    with pytest.raises(GroupFileError) as exc:
+        load_group(text)
+    assert str(exc.value) == message
+    assert load_group("table 02\n-0 001\n01 -00").order == 2
+
+
 def test_singular_generator_error_names_its_line():
     # Rank 3 with no zero row: the rows of B sum to 0.
     text = ("semidirect-gf2\ngen A\n0001\n0010\n0100\n1110\n"
@@ -494,6 +582,60 @@ def test_semidirect_mutations_keep_their_outcomes():
     expected = json.loads((GOLDEN / "semidirect-mutations.json").read_text())
     assert len(expected) >= 1000
     assert [load_outcome(text) for text in mutated_semidirect_texts()] == expected
+
+
+def _table_text(n, mul, seed=None):
+    table = cayley_table(n, mul, None if seed is None else random.Random(seed))
+    return f"table {n}\n" + "\n".join(" ".join(map(str, row)) for row in table)
+
+
+# The table sweep's seeds: Z/4, S3, Q8, a relabelled D30, and a loop that is
+# not associative.  Its tokens: the fuzzer's odd tokens, and spellings that
+# int() reads but the integer grammar does not (+1, 0_1, Arabic-Indic and
+# full-width digits) or does (-0, leading zeros).
+TABLE_SWEEP_BASES = [
+    Z4_TABLE,
+    _table_text(6, dihedral_mul(3)),
+    _table_text(8, lambda a, b: Q8_TABLE[a][b]),
+    _table_text(30, dihedral_mul(15), seed=7),
+    LOOP5_TABLE,
+]
+TABLE_SWEEP_TOKENS = ODD_TOKENS + ["2", "3", "+1", "+0", "0_1", "1_0", "\u0662", "\uff11",
+                                   "-0", "00", "01"]
+
+
+def mutated_table_texts(count=1500, seed=19):
+    """Deterministic table texts, each a base with one to three token
+    mutations: a replaced entry or order, a dropped, swapped or cut token."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        tokens = [tok for line in rnd.choice(TABLE_SWEEP_BASES).splitlines()
+                  for tok in line.split("#")[0].split()]
+        for _ in range(rnd.randint(1, 3)):
+            kind = rnd.choice(["replace", "replace", "replace", "order", "drop", "swap",
+                               "truncate"])
+            i = rnd.randrange(len(tokens)) if tokens else 0
+            if kind == "order" and len(tokens) > 1:
+                tokens[1] = rnd.choice(TABLE_SWEEP_TOKENS)
+            elif kind == "replace" and tokens:
+                tokens[i] = rnd.choice(TABLE_SWEEP_TOKENS)
+            elif kind == "drop" and tokens:
+                del tokens[i]
+            elif kind == "swap" and tokens:
+                j = rnd.randrange(len(tokens))
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+            elif kind == "truncate":
+                del tokens[i:]
+        yield "".join(tok + rnd.choice(["\n", "\n", " "]) for tok in tokens)
+
+
+def test_table_mutations_keep_their_outcomes():
+    # Every outcome, group order or error message with its line (Light's
+    # associativity witnesses included), is pinned in
+    # tests/golden/table-mutations.json.
+    expected = json.loads((GOLDEN / "table-mutations.json").read_text())
+    assert len(expected) >= 1000
+    assert [load_outcome(text) for text in mutated_table_texts()] == expected
 
 
 # ---------------------------------------------------------------------------

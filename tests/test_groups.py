@@ -1,14 +1,17 @@
 import ast
+import pathlib
+import random
 from itertools import product
 
 import pytest
 from conftest import cayley_table, dihedral_mul
-from oracles import subgroup_as_group
+from oracles import conjugacy_classes_sweep, subgroup_as_group
 from test_audit import LOOP5_TABLE
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fusionaudit import groups
+from fusionaudit.groupfile import load_group_file
 from fusionaudit.groups import (
     FiniteGroup,
     Q8_MINUS_ONE,
@@ -71,6 +74,18 @@ def test_class_equation(cg, q8, h16):
 def test_group_axioms_exhaustive(cg, q8, h16):
     for G in (cg.group, q8, h16):
         G.check_axioms()
+
+
+def test_closure_rounds_and_limit():
+    # Z/10 from 0 under +1 gains one element a round; a limit stops the walk
+    # after the first round that leaves more than limit reached.
+    def add(x, g):
+        return (x + g) % 10
+    assert groups.closure(0, [1], add) == set(range(10))
+    assert groups.closure(3, [4], add) == {1, 3, 5, 7, 9}
+    assert groups.closure(0, [], add) == {0}
+    assert groups.closure(0, [1], add, limit=4) == set(range(5))
+    assert groups.closure(0, [1], add, limit=0) == {0}
 
 
 def test_centralizer_of_identity(q8):
@@ -323,3 +338,46 @@ def test_light_check_agrees_with_exhaustive_oracle(table):
         a, b, c = ast.literal_eval(light.split(" at ", 1)[1])
         t = G.table
         assert t[t[a][b]][c] != t[a][t[b][c]]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: each class by conjugating its least member by every element
+# ---------------------------------------------------------------------------
+
+def _check_generators_and_classes(G):
+    gens = G.generators()
+    assert 2 ** len(gens) <= G.order
+    for k, s in enumerate(gens):           # greedy: the least element not reached yet
+        reached = set(subgroup_generated(G, gens[:k]))
+        assert s == min(set(range(G.order)) - reached)
+    assert subgroup_generated(G, gens) == tuple(range(G.order))
+    classes = G.conjugacy_classes()
+    assert classes == conjugacy_classes_sweep(G)
+    assert all(G.class_of(g) == i for i, cl in enumerate(classes) for g in cl)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_relabelled_groups())
+def test_classes_match_the_sweep_oracle_on_relabelled_groups(table):
+    _check_generators_and_classes(FiniteGroup(table))
+
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
+
+
+@pytest.mark.parametrize("name", ["q8", "h16", "g128", "d120-1", "d120-2", "d120-3",
+                                  "d120-4", "d120-5", "g128xc2", "g128xq8",
+                                  "unitriangular-1024"])
+def test_classes_match_the_sweep_oracle(name, request):
+    if name == "g128":
+        G = request.getfixturevalue("cg").group
+    elif name.startswith("d120-"):
+        seed = int(name.split("-")[1])
+        G = FiniteGroup(cayley_table(120, dihedral_mul(60), random.Random(seed)))
+    elif name.startswith("g128x"):
+        G = load_group_file(str(request.getfixturevalue(f"{name}_file")))
+    elif name == "unitriangular-1024":
+        G = load_group_file(str(EXAMPLES / f"{name}.grp"))
+    else:
+        G = request.getfixturevalue(name)
+    _check_generators_and_classes(G)

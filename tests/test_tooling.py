@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 from test_audit import LOOP5_TABLE
 
@@ -166,3 +167,28 @@ def test_lift_split_check_exits_1_under_python_O():
     assert run.returncode == 1, run.stderr
     assert run.stderr.startswith("internal check failed: power sums"), run.stderr
     assert "does not split" in run.stderr and "Traceback" not in run.stderr
+
+
+def _benchmark_tracing():
+    """perfbench/tracing.py as a module, compiled from its text: nothing is
+    written next to it."""
+    path = SRC.parents[1] / "perfbench" / "tracing.py"
+    module = types.ModuleType("benchmark_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_benchmark_tracing_wraps_live_functions(tmp_path, d30_file):
+    # The benchmark's per-layer spans wrap functions by name; a renamed one
+    # would fail here rather than only in the benchmark's own tests.
+    tracing = _benchmark_tracing()
+    commands = [["scan", "--group", "builtin:q8"], ["table", "--group", f"file:{d30_file}"]]
+    plain = [tracing.run_cli(argv, tmp_path / "plain.json")[:2] for argv in commands]
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        runs = [tracing.run_cli(argv, tmp_path / "traced.json") for argv in commands]
+    assert all("Traceback" not in err for _, _, err in runs), runs
+    assert [run[:2] for run in runs] == plain
+    assert [code for code, _ in plain] == [0, 0] and all(report for _, report in plain)
+    names = [span["name"] for span in tracer.spans]
+    assert "groups.check_axioms" in names and "groups.conjugacy_classes" in names
