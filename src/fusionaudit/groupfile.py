@@ -6,13 +6,12 @@ Two dialects, selected by the first token:
   semidirect-gf2  F2^4 semidirect a matrix group generated by named
                   4x4 GF(2) matrices, with optional relation checks
 
-The format is token-based and whitespace-insensitive; `#` starts a
-comment running to end of line.  See docs/group-file-format.md.
+The format is token-based and whitespace-insensitive, read a line at a
+time; `#` starts a comment running to end of line.  See docs/group-file-format.md.
 """
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, closure
@@ -34,32 +33,41 @@ class GroupFileError(ValueError):
 
 
 class _Stream:
-    """The tokens of a text, and per line the count of tokens up to its end.
+    """The tokens of a text, split off one line at a time.
 
-    A token's line is looked up from those counts only to report an error.
+    `line` is the line of the token last handed out or peeked at (1 before
+    the first), and an error about that token is reported there.
     """
 
     def __init__(self, text: str):
-        self.tokens: List[str] = []
-        self.ends: List[int] = []
-        for line in text.splitlines():
-            self.tokens.extend(line.split("#", 1)[0].split())
-            self.ends.append(len(self.tokens))
-        self.pos = 0
+        self._lines = ((k, toks) for k, line in enumerate(text.splitlines(), 1)
+                       if (toks := line.split("#", 1)[0].split()))
+        self._tokens: List[str] = []    # the current line's tokens, of which
+        self._at = 0                    # this many are handed out
+        self.line = 1
 
-    def error(self, message: str, pos: Optional[int] = None) -> GroupFileError:
-        """The error at the line of token pos; by default the token last read."""
-        pos = self.pos - 1 if pos is None else pos
-        return GroupFileError(bisect_right(self.ends, pos) + 1, message)
+    def error(self, message: str) -> GroupFileError:
+        return GroupFileError(self.line, message)
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        """The next token, not handed out; None at the end of the text."""
+        if self._at == len(self._tokens):
+            self.line, self._tokens = next(self._lines, (self.line, []))
+            self._at = 0
+        return self._tokens[self._at] if self._tokens else None
+
+    def take(self, n: int) -> List[str]:
+        """The next n tokens, as many as the next line holds; none at the end."""
+        self.peek()
+        toks = self._tokens[self._at:self._at + n]
+        self._at += len(toks)
+        return toks
 
     def next(self, what: str) -> str:
-        if self.pos >= len(self.tokens):
+        toks = self.take(1)
+        if not toks:
             raise self.error(f"unexpected end of file, expected {what}")
-        self.pos += 1
-        return self.tokens[self.pos - 1]
+        return toks[0]
 
 
 def load_group(text: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -103,22 +111,11 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
         raise stream.error(f"group order must be positive, got {_decimal(tok)}")
     if n > max_order:
         raise stream.error(f"group order {_decimal(tok)} exceeds the cap {max_order}")
-    start = stream.pos
-    table = []
-    for i in range(n):
-        toks = stream.tokens[start + i * n:start + (i + 1) * n]
-        digits = "".join(toks)      # a row of ASCII digits only is read at once
-        try:
-            row = list(map(int, toks)) if digits.isascii() and digits.isdigit() else []
-        except ValueError:          # a token past int()'s 4,300 digits
-            row = []
-        if len(row) < n or min(row) < 0 or max(row) >= n:
-            row = _read_row(stream, start + i * n, i, n)
-        table.append(row)
-    stream.pos = start + n * n
-    extra = stream.peek()
-    if extra is not None:
-        raise stream.error(f"unexpected trailing token {extra!r}", stream.pos)
+    index = {str(v): v for v in range(n)}       # every entry is one of these n ints
+    table = [_read_row(stream, i, n, index) for i in range(n)]
+    extra = stream.take(1)
+    if extra:
+        raise stream.error(f"unexpected trailing token {extra[0]!r}")
     try:
         G = FiniteGroup(table)
         G.check_axioms()
@@ -127,20 +124,24 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
     return G
 
 
-def _read_row(stream: _Stream, pos: int, i: int, n: int) -> List[int]:
-    """Row i read token by token: its entries, or the error for the first bad
-    or missing one."""
-    stream.pos = pos
-    row = []
-    for j in range(n):
-        tok = stream.next(f"table entry ({i},{j})")
-        if not _INTEGER.fullmatch(tok):
-            raise stream.error(f"entry ({i},{j}) is not an integer: {tok!r}")
-        v = _integer(tok)
-        if not 0 <= v < n:
-            raise stream.error(f"entry ({i},{j}) = {_decimal(tok)} out of range 0..{n-1}")
-        row.append(v)
-    return row
+def _read_row(stream: _Stream, i: int, n: int, index: Dict[str, int]) -> Tuple[int, ...]:
+    """Row i, taken a line at a time (take() is empty only at the end, where
+    next() raises): its entries, or the error for the first bad or missing one.
+    A line of canonical decimals is one lookup each; any other goes by token."""
+    row: List[int] = []
+    while len(row) < n:
+        toks = stream.take(n - len(row)) or [stream.next(f"table entry ({i},{len(row)})")]
+        try:
+            row += [index[tok] for tok in toks]
+        except KeyError:
+            for tok in toks:
+                if not _INTEGER.fullmatch(tok):
+                    raise stream.error(f"entry ({i},{len(row)}) is not an integer: {tok!r}")
+                if _decimal(tok) not in index:
+                    raise stream.error(f"entry ({i},{len(row)}) = {_decimal(tok)} "
+                                       f"out of range 0..{n-1}")
+                row.append(index[_decimal(tok)])
+    return tuple(row)
 
 
 def _parse_matrix_rows(stream: _Stream, name: str) -> gf2.GF2Matrix:
@@ -157,12 +158,12 @@ def _parse_matrix_rows(stream: _Stream, name: str) -> gf2.GF2Matrix:
 def _load_semidirect(stream: _Stream, max_order: int) -> FiniteGroup:
     from . import gf2               # only this dialect needs the GF(2) algebra
     gens: Dict[str, gf2.GF2Matrix] = {}
-    relations: List[Tuple[str, int]] = []       # (word, token position)
+    relations: List[Tuple[str, int]] = []       # (word, its line)
     while stream.peek() is not None:
         tok = stream.next("'gen' or 'rel'")
         if tok == "gen":
             name = stream.next("generator name")
-            name_pos = stream.pos - 1
+            name_line = stream.line
             if not _NAME.fullmatch(name) or name in ("gen", "rel"):
                 raise stream.error(f"bad generator name {name!r} (ASCII letters, digits "
                                    f"and _, not starting with a digit, not gen or rel)")
@@ -170,36 +171,34 @@ def _load_semidirect(stream: _Stream, max_order: int) -> FiniteGroup:
                 raise stream.error(f"duplicate generator {name!r}")
             m = _parse_matrix_rows(stream, name)
             if not gf2.is_invertible(m):
-                raise stream.error(f"generator {name} is not invertible", name_pos)
+                raise GroupFileError(name_line, f"generator {name} is not invertible")
             gens[name] = m
         elif tok == "rel":
-            relations.append((stream.next("relation word"), stream.pos - 1))
+            relations.append((stream.next("relation word"), stream.line))
         else:
             raise stream.error(f"expected 'gen' or 'rel', got {tok!r}")
     if not gens:
         raise GroupFileError(1, "no generators given")
 
-    for word, pos in relations:
-        if _evaluate_word(word, gens, stream, pos) != gf2.IDENTITY:
-            raise stream.error(f"relation {word!r} does not hold", pos)
-
+    for word, line in relations:
+        if _evaluate_word(word, gens, line) != gf2.IDENTITY:
+            raise GroupFileError(line, f"relation {word!r} does not hold")
     mats = _matrix_closure(list(gens.values()), max_order)
     if 16 * len(mats) > max_order:      # the closure stops past the cap: no exact order
         raise GroupFileError(1, f"group order exceeds the cap {max_order}")
     return FiniteGroup(gf2.semidirect_table(mats))
 
 
-def _evaluate_word(word: str, gens: Dict[str, gf2.GF2Matrix], stream: _Stream,
-                   pos: int) -> gf2.GF2Matrix:
-    """The matrix of a relation word; errors point at its token, stream.tokens[pos]."""
+def _evaluate_word(word: str, gens: Dict[str, gf2.GF2Matrix], line: int) -> gf2.GF2Matrix:
+    """The matrix of a relation word; errors name its line."""
     from . import gf2
     result = gf2.IDENTITY
     for factor in word.split("*"):
         name, caret, exp_s = factor.partition("^")
         if name not in gens:
-            raise stream.error(f"unknown generator {name!r} in relation {word!r}", pos)
+            raise GroupFileError(line, f"unknown generator {name!r} in relation {word!r}")
         if caret and not _INTEGER.fullmatch(exp_s):
-            raise stream.error(f"bad exponent {exp_s!r} in relation {word!r}", pos)
+            raise GroupFileError(line, f"bad exponent {exp_s!r} in relation {word!r}")
         exp = _integer(exp_s) if caret else 1
         for _ in range(exp % gf2.mat_order(gens[name])):     # m^e = m^(e mod ord m)
             result = gf2.mat_mul(result, gens[name])
