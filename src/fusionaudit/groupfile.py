@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, closure
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, TableError, closure
 
 if TYPE_CHECKING:
     from . import gf2
@@ -112,15 +112,19 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
     if n > max_order:
         raise stream.error(f"group order {_decimal(tok)} exceeds the cap {max_order}")
     index = {str(v): v for v in range(n)}       # every entry is one of these n ints
-    table = [_read_row(stream, i, n, index) for i in range(n)]
+    table, lines = [], []                       # the rows, and the line each starts at
+    for i in range(n):
+        stream.peek()
+        lines.append(stream.line)
+        table.append(_read_row(stream, i, n, index))
     extra = stream.take(1)
     if extra:
         raise stream.error(f"unexpected trailing token {extra[0]!r}")
     try:
         G = FiniteGroup(table)
         G.check_axioms()
-    except (ValueError, AssertionError) as exc:
-        raise GroupFileError(1, f"not a group table: {exc}")
+    except TableError as exc:
+        raise GroupFileError(lines[exc.row], f"not a group table: {exc}")
     return G
 
 

@@ -40,6 +40,15 @@ Q8_TABLE: Tuple[Tuple[int, ...], ...] = tuple(
 )
 
 
+class TableError(ValueError, AssertionError):
+    """A table that is not a group's, and the row that holds the entry at
+    fault.  It is both types that the checks raised before it had a row."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class FiniteGroup:
     """Finite group given by an explicit multiplication table on indices."""
 
@@ -49,8 +58,10 @@ class FiniteGroup:
         self.table = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in self.table):
             raise ValueError("multiplication table is not square")
-        if any(self.table[0][g] != g or self.table[g][0] != g for g in range(n)):
-            raise ValueError("index 0 is not the identity")
+        wrong = next((g for g, row in enumerate(self.table)   # the first row at fault
+                      if row[0] != g or g == 0 and row != tuple(range(n))), None)
+        if wrong is not None:
+            raise TableError("index 0 is not the identity", wrong)
         self.inverse = self._compute_inverses()
         self._classes: Tuple[Tuple[int, ...], ...] | None = None
         self._class_index: List[int] | None = None
@@ -61,10 +72,10 @@ class FiniteGroup:
         inv = []
         for g, row in enumerate(self.table):
             if 0 not in row:
-                raise ValueError(f"element {g} has no inverse")
+                raise TableError(f"element {g} has no inverse", g)
             h = row.index(0)
             if self.table[h][g] != 0:
-                raise ValueError(f"one-sided inverse at element {g}")
+                raise TableError(f"one-sided inverse at element {g}", h)
             inv.append(h)
         return tuple(inv)
 
@@ -157,7 +168,7 @@ class FiniteGroup:
                 lhs, rhs = t[ta[s]], right(ta)
                 if lhs != rhs:
                     c = next(c for c in range(n) if lhs[c] != rhs[c])
-                    raise AssertionError(f"associativity fails at {(a, s, c)}")
+                    raise TableError(f"associativity fails at {(a, s, c)}", a)
 
 
 def closure(start, gens: Sequence, mul: Callable, limit: Optional[int] = None) -> set:

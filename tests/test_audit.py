@@ -334,6 +334,26 @@ def test_group_file_error_line_numbers():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ("table 2\n1 0\n0 1", "line 2: not a group table: index 0 is not the identity"),
+    ("table 2\n0 1\n0 1", "line 3: not a group table: index 0 is not the identity"),
+    ("table 3\n0 1 2\n1 0 2\n2 2 1", "line 4: not a group table: element 2 has no inverse"),
+    ("table 3\n0 1 2\n1 0 2\n2\n2 1", "line 4: not a group table: element 2 has no inverse"),
+    ("table 3\n0 1 2\n1 2 0\n2 1 1",
+     "line 4: not a group table: one-sided inverse at element 1"),
+    ("table 3\n0 1 2\n1 2\n0\n2 1 1",
+     "line 5: not a group table: one-sided inverse at element 1"),
+    (LOOP5_TABLE, "line 4: not a group table: associativity fails at (1, 1, 2)"),
+])
+def test_not_a_group_names_the_row_at_fault(text, message):
+    # The line where the row holding the entry at fault starts: the first
+    # row that 0 is not the identity for, the row without a 0, row h for a
+    # one-sided inverse (h, g), and row a for associativity at (a, s, c).
+    with pytest.raises(GroupFileError) as exc:
+        load_group(text)
+    assert str(exc.value) == message
+
+
 def test_huge_relation_exponents_are_cheap(tmp_path, capsys):
     # A has order 4: A^99999999999 = A^3 fails, A^400000000000 = I holds.
     # A power walk would take |exp| products; the order rule takes 3 to find
