@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 from conftest import cayley_table, dihedral_mul
@@ -344,7 +345,8 @@ def test_group_file_error_line_numbers():
     ("table 3\n0 1 2\n1 2\n0\n2 1 1",
      "line 5: not a group table: one-sided inverse at element 1"),
     (LOOP5_TABLE, "line 4: not a group table: associativity fails at (1, 1, 2)"),
-])
+], ids=["row 0", "column 0", "no inverse", "no inverse, split row", "one-sided",
+        "one-sided, split row", "associativity"])
 def test_not_a_group_names_the_row_at_fault(text, message):
     # The line where the row holding the entry at fault starts: the first
     # row that 0 is not the identity for, the row without a 0, row h for a
@@ -486,6 +488,71 @@ def test_table_integers_follow_the_grammar(text, message):
         load_group(text)
     assert str(exc.value) == message
     assert load_group("table 02\n-0 001\n01 -00").order == 2
+
+
+def table_layouts(rows):
+    """The `table` text of rows, lists of tokens, in five layouts."""
+    n, lines = len(rows), [" ".join(row) for row in rows]
+    return {
+        "crlf": "\r\n".join([f"table {n}"] + lines) + "\r\n",
+        "split rows": "\n".join([f"table {n}"] + [
+            " ".join(row[:1 + i % (n - 1)]) + "\n  " + " ".join(row[1 + i % (n - 1):])
+            for i, row in enumerate(rows)]),
+        "two rows a line": "\n".join([f"table {n}"] + [
+            lines[i] + "   " + lines[i + 1] for i in range(0, n, 2)]),
+        "comments": "\n".join(["# a header", f"table {n}  # the order"] + [
+            f"# row {i}: 0 1 2\n\n{line}  # {i} {i}" for i, line in enumerate(lines)]),
+        "one line": f"table {n} " + " ".join(lines),
+    }
+
+
+@pytest.mark.parametrize("layout", ["crlf", "split rows", "two rows a line", "comments",
+                                    "one line"])
+def test_table_layouts_load_alike_and_name_the_bad_entry(layout):
+    # The file is read a line at a time, whatever its layout: each loads the
+    # same table (a leading zero included), and a bad entry is reported at
+    # the line it sits on.
+    table = cayley_table(12, dihedral_mul(6), random.Random(5))
+    rows = [[str(v) for v in row] for row in table]
+    rows[4][2] = "00" + rows[4][2]
+    assert load_group(table_layouts(rows)[layout]).table == tuple(map(tuple, table))
+    for i, j in [(0, 0), (5, 11), (6, 3), (6, 9), (11, 11)]:
+        bad = [row[:] for row in rows]
+        bad[i][j] = "-1"
+        text = table_layouts(bad)[layout]
+        line = next(k for k, text_line in enumerate(text.splitlines(), 1)
+                    if "-1" in text_line.split("#")[0].split())
+        with pytest.raises(GroupFileError) as exc:
+            load_group(text)
+        assert str(exc.value) == f"line {line}: entry ({i},{j}) = -1 out of range 0..11"
+
+
+def test_table_entries_are_interned():
+    # Every entry is one of n shared ints, those past the small-int cache
+    # and those written with leading zeros included.
+    table = cayley_table(300, dihedral_mul(150), random.Random(3))
+    rows = [" ".join(map(str, row)) for row in table]
+    rows[7] = " ".join("000" + tok for tok in rows[7].split())
+    G = load_group(f"table 300\n" + "\n".join(rows))
+    assert G.table == tuple(map(tuple, table))
+    assert len({id(v) for row in G.table for v in row}) == 300
+
+
+def test_loading_a_table_at_the_cap_stays_small(tmp_path):
+    # No token list of the whole file: the peak is the text, the lines and
+    # the table, about 16 MB for a 4 MB file.
+    n = 1024
+    path = tmp_path / "c1024.grp"
+    path.write_text(f"table {n}\n" + "".join(
+        " ".join(str((a + b) % n) for b in range(n)) + "\n" for a in range(n)))
+    tracemalloc.start()
+    try:
+        G = load_group_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == n and G.table[1][n - 1] == 0
+    assert peak < 40 * 2 ** 20
 
 
 def test_singular_generator_error_names_its_line():
