@@ -114,7 +114,7 @@ def _load_table(stream: _Stream, max_order: int) -> FiniteGroup:
     index = {str(v): v for v in range(n)}       # every entry is one of these n ints
     table, lines = [], []                       # the rows, and the line each starts at
     for i in range(n):
-        stream.peek()
+        stream.peek()                           # moves line to row i's first token
         lines.append(stream.line)
         table.append(_read_row(stream, i, n, index))
     extra = stream.take(1)

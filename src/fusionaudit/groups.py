@@ -42,7 +42,8 @@ Q8_TABLE: Tuple[Tuple[int, ...], ...] = tuple(
 
 class TableError(ValueError, AssertionError):
     """A table that is not a group's, and the row that holds the entry at
-    fault.  It is both types that the checks raised before it had a row."""
+    fault.  Both a ValueError and an AssertionError, as the constructor's
+    and check_axioms' checks raised before it carried the row."""
 
     def __init__(self, message: str, row: int):
         super().__init__(message)
