@@ -57,7 +57,7 @@ class _Stream:
         return self._tokens[self._at] if self._tokens else None
 
     def take(self, n: int) -> List[str]:
-        """The next n tokens, as many as the next line holds; none at the end."""
+        """Up to n next tokens, all from one line; none only at the end."""
         self.peek()
         toks = self._tokens[self._at:self._at + n]
         self._at += len(toks)
