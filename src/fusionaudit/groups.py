@@ -59,10 +59,9 @@ class FiniteGroup:
         self.table = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in self.table):
             raise ValueError("multiplication table is not square")
-        wrong = next((g for g, row in enumerate(self.table)   # the first row at fault
-                      if row[0] != g or g == 0 and row != tuple(range(n))), None)
-        if wrong is not None:
-            raise TableError("index 0 is not the identity", wrong)
+        for g, row in enumerate(self.table):              # the first row at fault
+            if row[0] != g or g == 0 and row != tuple(range(n)):
+                raise TableError("index 0 is not the identity", g)
         self.inverse = self._compute_inverses()
         self._classes: Tuple[Tuple[int, ...], ...] | None = None
         self._class_index: List[int] | None = None

@@ -533,7 +533,7 @@ def test_table_entries_are_interned():
     table = cayley_table(300, dihedral_mul(150), random.Random(3))
     rows = [" ".join(map(str, row)) for row in table]
     rows[7] = " ".join("000" + tok for tok in rows[7].split())
-    G = load_group(f"table 300\n" + "\n".join(rows))
+    G = load_group("table 300\n" + "\n".join(rows))
     assert G.table == tuple(map(tuple, table))
     assert len({id(v) for row in G.table for v in row}) == 300
 
