@@ -1,10 +1,12 @@
+import hashlib
 import json
+import operator
 import pathlib
 import random
 import tracemalloc
 
 import pytest
-from conftest import cayley_table, dihedral_mul
+from conftest import cayley_file, cayley_table, dihedral_mul
 from test_cli_fuzz import ODD_TOKENS
 
 from fusionaudit import audit, gf2
@@ -948,6 +950,32 @@ def test_json_reports_match_golden_files(name, argv, tmp_path, request):
         assert main([*argv, "--report", "json", "--out", str(out)]) == 0
         live = out.read_bytes()
     assert live == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# The groups of order 1024 whose `table` reports tests/golden/table-digests.json
+# pins: C1024 and F2^10 on identity labels, D1024 relabelled (seed 1), and
+# g128 x Q8 from its fixture.
+CAP_TABLE_FILES = {
+    "c1024": lambda factory, request: cayley_file(factory, "c1024", 1024,
+                                                  lambda x, y: (x + y) % 1024),
+    "f2-10": lambda factory, request: cayley_file(factory, "f2-10", 1024, operator.xor),
+    "d1024": lambda factory, request: cayley_file(factory, "d1024", 1024, dihedral_mul(512),
+                                                  seed=1),
+    "g128xq8": lambda factory, request: request.getfixturevalue("g128xq8_file"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_TABLE_FILES))
+def test_table_reports_at_the_cap_match_their_digests(name, tmp_path_factory, request):
+    """The `table` report at the 1024 cap, as text and as JSON, against its
+    SHA-256 in tests/golden/table-digests.json: the reports are 1-20 MB, so
+    only the digests are kept.  One table serves both renders, under a fixed
+    label, so that the fixture's temporary path does not enter the bytes."""
+    G = load_group_file(str(CAP_TABLE_FILES[name](tmp_path_factory, request)))
+    report = audit.table_report(f"file:{name}.grp", G)
+    live = {fmt: hashlib.sha256(render().encode("utf-8")).hexdigest()
+            for fmt, render in (("text", report.to_text), ("json", report.to_json))}
+    assert live == json.loads((GOLDEN / "table-digests.json").read_text())[name]
 
 
 @pytest.mark.parametrize("label, seed", [("g128xc2", 3), ("g128xq8", None)])
