@@ -8,7 +8,7 @@ arithmetic of the constructive route lives in `constructive`.
 """
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import isqrt
 from operator import itemgetter, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -434,16 +434,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     classes = G.conjugacy_classes()
     r = len(classes)
 
-    # power_class[j][t] = class of g_j^t for t < ord(g_j), ending at the class
-    # of g_j^-1.  Element order is a class function: n is the lcm of the lengths.
-    power_class = []
-    for g in (cl[0] for cl in classes):
-        row, x = [0], g
-        while x != 0:
-            row.append(G.class_of(x))
-            x = G.mul(x, g)
-        power_class.append(row)
-    n = lcm(*map(len, power_class))
+    power_class, n = G.power_classes(), G.exponent()  # the group's power map, and exp G
     p = dixon_prime(G.order, n)
     omega = pow(_primitive_root(p), (p - 1) // n, p)
     omega_pows = [1]

@@ -65,7 +65,7 @@ class FiniteGroup:
         self.inverse = self._compute_inverses()
         self._classes: Tuple[Tuple[int, ...], ...] | None = None
         self._class_index: List[int] | None = None
-        self._exponent: int | None = None
+        self._power_classes: Tuple[Tuple[int, ...], ...] | None = None
         self._generators: Tuple[int, ...] | None = None
 
     def _compute_inverses(self) -> Tuple[int, ...]:
@@ -89,18 +89,27 @@ class FiniteGroup:
         """x^-1 g x."""
         return self.table[self.table[self.inverse[x]][g]][x]
 
+    def power_classes(self) -> Tuple[Tuple[int, ...], ...]:
+        """The power map, computed once per group: row j holds the class of g_j^t
+        for t < ord(g_j), g_j the least member of class j.  So it ends at the class
+        of g_j^-1, and its length is the order of class j (a class function)."""
+        if self._power_classes is None:
+            rows = []
+            for g in (cl[0] for cl in self.conjugacy_classes()):
+                row, x = [0], g
+                while x != 0:
+                    row.append(self.class_of(x))
+                    x = self.mul(x, g)
+                rows.append(tuple(row))
+            self._power_classes = tuple(rows)
+        return self._power_classes
+
     def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != 0:
-            x = self.table[x][g]
-            k += 1
-        return k
+        return len(self.power_classes()[self.class_of(g)])
 
     def exponent(self) -> int:
-        """lcm of the element orders, computed once per group."""
-        if self._exponent is None:
-            self._exponent = lcm(*(self.element_order(g) for g in range(self.order)))
-        return self._exponent
+        """lcm of the element orders."""
+        return lcm(*map(len, self.power_classes()))
 
     def generators(self) -> Tuple[int, ...]:
         """The greedy generators, computed once per group: each is the least

@@ -55,6 +55,15 @@ def dihedral_mul(m):
     return mul
 
 
+def dicyclic_mul(m):
+    """Multiplication of Q_4m = <a, x | a^2m = 1, x^2 = a^m, x a x^-1 = a^-1>:
+    index k + 2m*e stands for a^k x^e."""
+    def mul(u, v):
+        (e, i), (f, j) = divmod(u, 2 * m), divmod(v, 2 * m)
+        return (i + (j if e == 0 else -j) + m * e * f) % (2 * m) + 2 * m * ((e + f) % 2)
+    return mul
+
+
 def relabelling(n, rnd=None):
     """perm[x] is the new label of x: with a random.Random, a random
     permutation of range(n) that keeps 0 the identity; else the identity."""

@@ -68,6 +68,17 @@ def subgroup_as_group(G: FiniteGroup, S) -> Tuple[FiniteGroup, List[int]]:
     return FiniteGroup(table), members
 
 
+def power_walk(G: FiniteGroup, g: int) -> List[int]:
+    """g^0, g^1, ..., g^(ord(g) - 1), walked one product at a time up to the
+    identity: the reference for FiniteGroup.power_classes, element_order and
+    exponent."""
+    walk, x = [0], g
+    while x != 0:
+        walk.append(x)
+        x = G.table[x][g]
+    return walk
+
+
 def conjugacy_classes_sweep(G: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
     """The classes as FiniteGroup.conjugacy_classes orders them, each one
     found by conjugating its least member by all n elements: r n products."""

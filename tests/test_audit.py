@@ -775,23 +775,23 @@ def test_cli_verify_all_lambdas_spans_each_commutator_once(monkeypatch, tmp_path
 
 
 def test_cli_verify_all_lambdas_walks_each_group_once(monkeypatch, tmp_path):
-    # The exponent is cached on the group: no element's powers are walked
-    # twice, though every covector's run and the table report ask for it.
-    from collections import Counter
-
+    # The power map is cached on the group: no group's powers are walked
+    # twice, though every covector's run and the table report ask for the
+    # exponent.  A second walk would hand back a second map.
     from fusionaudit.groups import FiniteGroup
-    walks = Counter()
-    real = FiniteGroup.element_order
+    maps = {}
+    real = FiniteGroup.power_classes
 
-    def spy(G, g):
-        walks[G, g] += 1
-        return real(G, g)
+    def spy(G):
+        power_map = real(G)
+        maps.setdefault(G, []).append(power_map)
+        return power_map
 
-    monkeypatch.setattr(FiniteGroup, "element_order", spy)
+    monkeypatch.setattr(FiniteGroup, "power_classes", spy)
     assert main(["verify", "--all-lambdas", "--report", "json",
                  "--out", str(tmp_path / "report.json")]) == 0
-    assert any(G.order == 128 for G, _ in walks)
-    assert set(walks.values()) == {1}
+    assert any(G.order == 128 for G in maps)
+    assert all(m is walked[0] for walked in maps.values() for m in walked)
 
 
 def test_cli_verify_rejects_other_groups():

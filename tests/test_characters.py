@@ -1,6 +1,8 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -34,12 +36,13 @@ from fusionaudit.constructive import (
 from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
 from fusionaudit.groupfile import load_group_file
 from fusionaudit.groups import FiniteGroup, quotient_group
-from conftest import cayley_file, cayley_table, dihedral_mul
+from conftest import cayley_file, cayley_table, dicyclic_mul, dihedral_mul, relabelling
 from oracles import (
     class_matrix,
     dual_character,
     fields,
     is_real,
+    power_walk,
     rebuild,
     restrict,
     subgroup_as_group,
@@ -583,12 +586,14 @@ def naive_dixon_table(G):
     """dixon_table's algorithm without its shortcuts: no central blocks,
     every class matrix, every lambda in F_p gets a nullspace solve, and each
     value is lifted by the length-n Fourier sum over t < exp G with one pow
-    call per term."""
+    call per term.  The element orders come from walking each element's
+    powers, not from the group's power map."""
     classes = G.conjugacy_classes()
     reps = [cl[0] for cl in classes]
     sizes = [len(cl) for cl in classes]
     r = len(classes)
-    n = G.exponent()
+    orders = [len(power_walk(G, g)) for g in range(G.order)]
+    n = lcm(*orders)
     p = dixon_prime(G.order, n)
     spaces = [_rref_mod([[int(i == j) for j in range(r)] for i in range(r)], p)]
     for cl in classes[1:]:
@@ -654,7 +659,7 @@ def naive_dixon_table(G):
         group=G, irreducibles=tuple(chars),
         rendered=tuple(tuple(v.render() for v in c.values) for c in chars),
         residues=lifted_residues(chars, p, n),
-        class_sizes=tuple(sizes), class_rep_orders=tuple(G.element_order(g) for g in reps),
+        class_sizes=tuple(sizes), class_rep_orders=tuple(orders[g] for g in reps),
         inv_class=inv_class, square_class=tuple(G.class_of(G.mul(g, g)) for g in reps),
         root_order=n, prime=p)
 
@@ -867,17 +872,68 @@ def test_dixon_matches_closed_form_on_cyclic_groups(name, request):
     assert rows == closed
 
 
+def _closed_forms(family, m):
+    """(nu, values) for each irreducible of D_m (r^i s^e at index i + m e) or of
+    Q_4m (a^i x^e at index i + 2m e): values(i, e) lists the k with chi = sum
+    zeta_4m^k (Serre 1977, 5.3; the dicyclic rows are induced from <a> alike)."""
+    if family == "dihedral":                # zeta_4m^2m = -1
+        for br in range(1 + (m % 2 == 0)):
+            for bs in range(2):
+                yield 1, lambda i, e, br=br, bs=bs: [2 * m * (br * i + bs * e)]
+        for h in range(1, (m + 1) // 2):
+            yield 1, lambda i, e, h=h: [] if e else [4 * h * i, -4 * h * i]
+    else:                                   # a -> (-1)^be, x -> zeta_4^j: x^2 = a^m, so j = be m mod 2
+        for be in range(2):
+            for j in range(be * m % 2, 4, 2):
+                yield 1 - j % 2, lambda i, e, be=be, j=j: [2 * m * be * i + m * j * e]
+        for h in range(1, m):
+            yield (-1) ** h, lambda i, e, h=h: [] if e else [2 * h * i, -2 * h * i]
+
+
+@pytest.mark.parametrize("family, m, seed", [("dihedral", 256, 2), ("dicyclic", 128, 4)])
+def test_dixon_matches_closed_form_on_d512_and_q512(family, m, seed, tmp_path_factory):
+    # Relabelled D512 and Q512, value by value as rendered strings, with the
+    # indicators: nu = 1 on D_m, and nu(chi_h) = (-1)^h on Q_4m.
+    n_elems = 2 * m if family == "dihedral" else 4 * m
+    mul = dihedral_mul(m) if family == "dihedral" else dicyclic_mul(m)
+    path = cayley_file(tmp_path_factory, family, n_elems, mul, seed=seed)
+    table = dixon_table(load_group_file(str(path)))
+    n, half = table.root_order, n_elems // 2
+    back = {px: x for x, px in enumerate(relabelling(n_elems, random.Random(seed)))}
+    reps = [divmod(back[cl[0]], half)[::-1] for cl in table.group.conjugacy_classes()]
+
+    def render(ks):
+        assert all(k * n % (4 * m) == 0 for k in ks)
+        return Cyclotomic.from_powers(n, dict(Counter(k * n // (4 * m) for k in ks))).render()
+
+    closed = {tuple(render(values(i, e)) for i, e in reps): nu
+              for nu, values in _closed_forms(family, m)}
+    assert len(table.rendered) == len(closed) == (m // 2 + 3 if family == "dihedral" else m + 3)
+    assert dict(zip(table.rendered, table.indicators())) == closed
+
+
 def test_dixon_takes_the_exponent_from_the_power_classes(monkeypatch, cg, d30_file):
-    # Element order is a class function: n is the lcm of the power-class
-    # row lengths, and no element's powers are walked by FiniteGroup.exponent.
+    # Dixon reads the group's one cached power map: n is the lcm of its row
+    # lengths, each class's element order is its row's length, and each row
+    # ends at the class of the inverse and holds the class of the square.
     groups = [cg.group, load_group_file(str(d30_file))]
     calls = []
-    real = FiniteGroup.exponent
-    monkeypatch.setattr(FiniteGroup, "exponent", lambda G: calls.append(G) or real(G))
+    real = FiniteGroup.power_classes
+    monkeypatch.setattr(FiniteGroup, "power_classes",
+                        lambda G: calls.append((G, real(G))) or calls[-1][1])
     tables = [dixon_table(G) for G in groups]
-    assert calls == []
     monkeypatch.undo()
+    assert {G for G, _ in calls} == set(groups)
+    assert all(m is G.power_classes() for G, m in calls)
     assert [t.root_order for t in tables] == [G.exponent() for G in groups] == [4, 30]
+    for G, t in zip(groups, tables):
+        rows = G.power_classes()
+        reps = [cl[0] for cl in G.conjugacy_classes()]
+        assert t.class_rep_orders == tuple(map(len, rows))
+        assert t.inv_class == tuple(row[-1] for row in rows) \
+            == tuple(G.class_of(G.inv(g)) for g in reps)
+        assert t.square_class == tuple(row[2 % len(row)] for row in rows) \
+            == tuple(G.class_of(G.mul(g, g)) for g in reps)
 
 
 def _spy_class_rows(monkeypatch):

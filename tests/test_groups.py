@@ -2,10 +2,11 @@ import ast
 import pathlib
 import random
 from itertools import product
+from math import lcm
 
 import pytest
 from conftest import cayley_table, dihedral_mul
-from oracles import conjugacy_classes_sweep, subgroup_as_group
+from oracles import conjugacy_classes_sweep, power_walk, subgroup_as_group
 from test_audit import LOOP5_TABLE
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -354,10 +355,17 @@ def _check_generators_and_classes(G):
     classes = G.conjugacy_classes()
     assert classes == conjugacy_classes_sweep(G)
     assert all(G.class_of(g) == i for i, cl in enumerate(classes) for g in cl)
+    walks = [power_walk(G, g) for g in range(G.order)]   # the power map, element by element
+    assert G.power_classes() == tuple(tuple(map(G.class_of, walks[cl[0]])) for cl in classes)
+    assert [G.element_order(g) for g in range(G.order)] == list(map(len, walks))
+    assert G.exponent() == lcm(*map(len, walks))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_relabelled_groups())
+@example(cayley_table(1, lambda a, b: 0))
+@example(cayley_table(2, lambda a, b: a ^ b))
+@example(cayley_table(3, lambda a, b: (a + b) % 3))
 def test_classes_match_the_sweep_oracle_on_relabelled_groups(table):
     _check_generators_and_classes(FiniteGroup(table))
 
