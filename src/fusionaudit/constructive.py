@@ -51,11 +51,11 @@ def induce(G: FiniteGroup, sub: Sequence[int], values: Dict[int, Cyclotomic]) ->
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
-    """<a, b> = |G|^-1 sum_g a(g) conj(b(g)), computed classwise."""
+    """<a, b> = |G|^-1 sum_g a(g) b(g^-1); for a character b, b(g^-1) = conj b(g)."""
     if a.group is not b.group:
         raise ValueError("class functions live on different groups")
-    return sum(len(cl) * av * bv.conjugate() for cl, av, bv in
-               zip(a.group.conjugacy_classes(), a.values, b.values)) / a.group.order
+    return sum(len(cl) * av * b.values[row[-1]] for cl, av, row in zip(   # row[-1]: g^-1
+        a.group.conjugacy_classes(), a.values, a.group.power_classes())) / a.group.order
 
 
 def pointwise_product(a: ClassFunction, b: ClassFunction) -> ClassFunction:
@@ -65,14 +65,14 @@ def pointwise_product(a: ClassFunction, b: ClassFunction) -> ClassFunction:
 
 
 def fs_indicator(a: ClassFunction) -> int:
-    """Second Frobenius-Schur indicator |G|^-1 sum_g a(g^2).
+    """Second Frobenius-Schur indicator |G|^-1 sum_g a(g^2), g^2 from the power map.
 
     For a character this is -1, 0 or 1; any other class function whose
     indicator is not a rational integer raises ValueError.
     """
     G = a.group
-    return (sum(len(cl) * a.value_at(G.mul(cl[0], cl[0])) for cl in G.conjugacy_classes())
-            / G.order).as_integer()
+    return (sum(len(cl) * a.values[row[2 % len(row)]] for cl, row in
+                zip(G.conjugacy_classes(), G.power_classes())) / G.order).as_integer()
 
 
 def lift_from_quotient(c: ClassFunction, G: FiniteGroup,

@@ -240,22 +240,5 @@ class Cyclotomic:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
 
-    @staticmethod
-    def parse(n: int, text: str) -> "Cyclotomic":
-        """Inverse of render (round-trip exact); coefficients read `a` or `a/b`."""
-        s = text.replace(" ", "").replace("-", "+-")
-        total = Cyclotomic.zero(n)
-        for term in s.split("+"):
-            if not term:
-                continue
-            coeff_s, z, pow_s = term.partition("z")
-            k = int(pow_s[1:]) if pow_s else (1 if z else 0)
-            coeff_s = coeff_s.rstrip("*")
-            if coeff_s in ("", "-"):        # a bare z^k or -z^k
-                coeff_s += "1"
-            a, _, b = coeff_s.partition("/")
-            total = total + Cyclotomic.zeta(n, k) * int(a) / int(b or 1)
-        return total
-
     def __repr__(self):
         return f"Cyclotomic({self.n}, {self.render()!r})"

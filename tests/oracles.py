@@ -97,6 +97,40 @@ def is_real(v: Cyclotomic) -> bool:
     return v.conjugate() == v
 
 
+def parse_cyclotomic(n: int, text: str) -> Cyclotomic:
+    """Inverse of Cyclotomic.render (round-trip exact) in Q(zeta_n);
+    coefficients read `a` or `a/b`."""
+    s = text.replace(" ", "").replace("-", "+-")
+    total = Cyclotomic.zero(n)
+    for term in s.split("+"):
+        if not term:
+            continue
+        coeff_s, z, pow_s = term.partition("z")
+        k = int(pow_s[1:]) if pow_s else (1 if z else 0)
+        coeff_s = coeff_s.rstrip("*")
+        if coeff_s in ("", "-"):        # a bare z^k or -z^k
+            coeff_s += "1"
+        a, _, b = coeff_s.partition("/")
+        total = total + Cyclotomic.zeta(n, k) * int(a) / int(b or 1)
+    return total
+
+
+def conjugate_inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
+    """<a, b> = |G|^-1 sum_g a(g) conj(b(g)), classwise, with conj the field
+    automorphism: the reference for constructive.inner_product on characters."""
+    G = a.group
+    return sum(len(cl) * av * bv.conjugate() for cl, av, bv in
+               zip(G.conjugacy_classes(), a.values, b.values)) / G.order
+
+
+def squaring_fs_indicator(a: ClassFunction) -> int:
+    """|G|^-1 sum_g a(g^2), each class's square taken by one product: the
+    reference for constructive.fs_indicator."""
+    G = a.group
+    return (sum(len(cl) * a.value_at(G.mul(cl[0], cl[0])) for cl in G.conjugacy_classes())
+            / G.order).as_integer()
+
+
 def class_matrix(G: FiniteGroup, i: int) -> List[List[int]]:
     """The structure constants of class C_i in full: a[j][k] = #{x in C_i :
     x^-1 g_k in C_j}, from |C_i| r products."""

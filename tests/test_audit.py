@@ -7,12 +7,12 @@ import tracemalloc
 
 import pytest
 from conftest import cayley_file, cayley_table, dihedral_mul
+from oracles import parse_cyclotomic
 from test_cli_fuzz import ODD_TOKENS
 
 from fusionaudit import audit, gf2
 from fusionaudit.characters import fusion_tensor
 from fusionaudit.cli import main
-from fusionaudit.cyclotomic import Cyclotomic
 from fusionaudit.groups import Q8_TABLE
 from fusionaudit.groupfile import GroupFileError, _decimal, _integer, _matrix_closure, \
     load_group, load_group_file
@@ -226,7 +226,7 @@ def test_table_to_dict_renders_every_value(g128_table):
     rows = audit.table_to_dict(g128_table)["irreducibles"]
     assert len(rows) == len(g128_table.irreducibles)
     for row, chi in zip(rows, g128_table.irreducibles):
-        assert [Cyclotomic.parse(g128_table.root_order, s) for s in row["values"]] \
+        assert [parse_cyclotomic(g128_table.root_order, s) for s in row["values"]] \
             == list(chi.values)
 
 

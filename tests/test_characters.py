@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from functools import cache
 from itertools import permutations
 from math import lcm
 
@@ -39,15 +40,28 @@ from fusionaudit.groups import FiniteGroup, quotient_group
 from conftest import cayley_file, cayley_table, dicyclic_mul, dihedral_mul, relabelling
 from oracles import (
     class_matrix,
+    conjugate_inner_product,
     dual_character,
     fields,
     is_real,
     power_walk,
     rebuild,
     restrict,
+    squaring_fs_indicator,
     subgroup_as_group,
     trivial_character,
 )
+
+TABLES = ["q8_table", "h16_table", "g128_table", "d10_table", "d30_table", "c30_table"]
+
+
+def characters_by_group(cg, data, request):
+    """Characters to check the constructive route's products on, a list per
+    group: chi for each of the 8 valid covectors, phi and the 5 quotient
+    lifts on g128, then the Dixon rows of each of TABLES."""
+    chis = [data.for_covector(v).chi for v in valid_covectors(cg)]
+    return [[*chis, data.phi, *data.lifts],
+            *(request.getfixturevalue(name).irreducibles for name in TABLES)]
 
 
 def test_induced_chi_values(cg, data):
@@ -61,11 +75,16 @@ def test_induced_chi_values(cg, data):
     assert chi.value_at(h0[1]) == -8
 
 
-def test_inner_products(cg, data):
+def test_inner_products(cg, data, request):
     G = cg.group
     one = trivial_character(G)
     assert inner_product(one, one) == 1
     assert inner_product(data.chi, data.chi) == 1
+    # b(g^-1) from the power map is conj b(g) for characters
+    for chars in characters_by_group(cg, data, request):
+        for a in chars:
+            for b in chars:
+                assert inner_product(a, b) == conjugate_inner_product(a, b)
 
 
 def test_regular_character_of_q8_contains_phi_twice(q8, q8_table):
@@ -111,10 +130,13 @@ def test_stabilizer_check_fails_when_kernel_contains_h0(cg):
     assert not constructive.conjugate_stabilizer_check(cg, lam)
 
 
-def test_fs_indicator_basics(cg, data):
+def test_fs_indicator_basics(cg, data, request):
     assert fs_indicator(trivial_character(cg.group)) == 1
     assert fs_indicator(data.chi) == 1
     assert fs_indicator(data.phi) == -1
+    # the class of g^2 from the power map is the class of the product g g
+    for chars in characters_by_group(cg, data, request):
+        assert [fs_indicator(a) for a in chars] == [squaring_fs_indicator(a) for a in chars]
 
 
 def test_fs_indicator_rejects_a_non_integer(q8):
@@ -480,9 +502,6 @@ def conjugate_duals(table):
     """p -> p* by conjugating every lifted value and comparing tuples."""
     rows = [chi.values for chi in table.irreducibles]
     return [rows.index(tuple(v.conjugate() for v in vals)) for vals in rows]
-
-
-TABLES = ["q8_table", "h16_table", "g128_table", "d10_table", "d30_table", "c30_table"]
 
 
 @pytest.mark.parametrize("name", TABLES)
@@ -854,11 +873,17 @@ def c120_file(tmp_path_factory):
     return cayley_file(tmp_path_factory, "c120", 120, lambda x, y: (x + y) % 120, seed=5)
 
 
+@pytest.fixture(scope="module")
+def c512_file(tmp_path_factory):
+    return cayley_file(tmp_path_factory, "c512", 512, lambda x, y: (x + y) % 512, seed=3)
+
+
 # In C60 the first class matrix is multiplication by a generator, so every
 # root of the first split is simple and no nullspace is solved; the
 # relabelled C120 splits through repeated roots as well.  The Galois orbits
-# of classes are as large as phi(m).
-@pytest.mark.parametrize("name", ["c60_file", "c120_file"])
+# of classes are as large as phi(m).  The relabelled C512 takes the oracle
+# near the cap.
+@pytest.mark.parametrize("name", ["c60_file", "c120_file", "c512_file"])
 def test_dixon_matches_closed_form_on_cyclic_groups(name, request):
     G = load_group_file(str(request.getfixturevalue(name)))
     m = G.order
@@ -867,7 +892,8 @@ def test_dixon_matches_closed_form_on_cyclic_groups(name, request):
     for _ in range(m - 1):
         powers.append(G.mul(powers[-1], g))
     # chi_a(g^b) = zeta_m^(ab), whichever generator g is picked
-    closed = {tuple(Cyclotomic.zeta(m, a * b) for b in range(m)) for a in range(m)}
+    zetas = [Cyclotomic.zeta(m, k) for k in range(m)]     # shared: C512 has m^2 entries
+    closed = {tuple(zetas[a * b % m] for b in range(m)) for a in range(m)}
     rows = {tuple(chi.value_at(x) for x in powers) for chi in dixon_table(G).irreducibles}
     assert rows == closed
 
@@ -890,10 +916,12 @@ def _closed_forms(family, m):
             yield (-1) ** h, lambda i, e, h=h: [] if e else [2 * h * i, -2 * h * i]
 
 
-@pytest.mark.parametrize("family, m, seed", [("dihedral", 256, 2), ("dicyclic", 128, 4)])
-def test_dixon_matches_closed_form_on_d512_and_q512(family, m, seed, tmp_path_factory):
-    # Relabelled D512 and Q512, value by value as rendered strings, with the
-    # indicators: nu = 1 on D_m, and nu(chi_h) = (-1)^h on Q_4m.
+@pytest.mark.parametrize("family, m, seed", [("dihedral", 256, 2), ("dicyclic", 128, 4),
+                                             ("dihedral", 512, 1)])
+def test_dixon_matches_closed_form_on_dihedral_and_dicyclic_groups(family, m, seed,
+                                                                   tmp_path_factory):
+    # Relabelled D512, Q512 and D1024 (at the cap), value by value as rendered
+    # strings, with the indicators: nu = 1 on D_m, and nu(chi_h) = (-1)^h on Q_4m.
     n_elems = 2 * m if family == "dihedral" else 4 * m
     mul = dihedral_mul(m) if family == "dihedral" else dicyclic_mul(m)
     path = cayley_file(tmp_path_factory, family, n_elems, mul, seed=seed)
@@ -902,11 +930,12 @@ def test_dixon_matches_closed_form_on_d512_and_q512(family, m, seed, tmp_path_fa
     back = {px: x for x, px in enumerate(relabelling(n_elems, random.Random(seed)))}
     reps = [divmod(back[cl[0]], half)[::-1] for cl in table.group.conjugacy_classes()]
 
-    def render(ks):
+    @cache
+    def render(ks):             # ks reduced mod 4m: D1024 has about 512 distinct values
         assert all(k * n % (4 * m) == 0 for k in ks)
         return Cyclotomic.from_powers(n, dict(Counter(k * n // (4 * m) for k in ks))).render()
 
-    closed = {tuple(render(values(i, e)) for i, e in reps): nu
+    closed = {tuple(render(tuple(k % (4 * m) for k in values(i, e))) for i, e in reps): nu
               for nu, values in _closed_forms(family, m)}
     assert len(table.rendered) == len(closed) == (m // 2 + 3 if family == "dihedral" else m + 3)
     assert dict(zip(table.rendered, table.indicators())) == closed

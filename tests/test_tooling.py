@@ -20,6 +20,17 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_no_galois_calls_outside_cyclotomic():
+    # The character routes read g^-1 from the power map; conjugate() and
+    # galois() stay in Cyclotomic as the tests' independent oracle.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "cyclotomic.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("conjugate", "galois")]
+    assert found == []
+
+
 def test_runtime_imports_only_the_standard_library():
     # Every import in the package is relative or names a stdlib module.
     found = []
