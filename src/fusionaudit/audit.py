@@ -180,10 +180,7 @@ def wang_scan(table: CharacterTable, N: List[List[List[int]]]) -> List[Dict]:
     """Pairs with N_{p,p_dual}^r > 0 but nu_r != 1."""
     nus = table.indicators()
     out = []
-    # Exact: distinct irreducibles have distinct (independent) residue rows.
-    index = {row: i for i, row in enumerate(table.residues)}
-    for p, row in enumerate(table.residues):
-        p_dual = index[tuple(row[j] for j in table.inv_class)]
+    for p, p_dual in enumerate(table.duals):
         for r in range(len(nus)):
             if N[p][p_dual][r] > 0 and nus[r] != 1:
                 out.append({"tag": "wang", "p": p, "p_dual": p_dual, "r": r,
@@ -218,15 +215,15 @@ def scan_report(group_label: str, G: FiniteGroup) -> AuditReport:
 # ---------------------------------------------------------------------------
 
 def table_to_dict(table: CharacterTable) -> Dict:
-    classes = table.group.conjugacy_classes()
+    G = table.group
     return {
-        "order": table.group.order,
+        "order": G.order,
         "root_order": table.root_order,
         "dixon_prime": table.prime,
         "classes": [
             {"representative": cl[0], "size": len(cl),
-             "element_order": table.class_rep_orders[i]}
-            for i, cl in enumerate(classes)],
+             "element_order": len(pw)}
+            for cl, pw in zip(G.conjugacy_classes(), G.power_classes())],
         "irreducibles": [
             {"degree": deg,
              "indicator": nu,

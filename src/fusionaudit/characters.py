@@ -47,23 +47,18 @@ class ClassFunction:
 # or Newton's k <= deg < p.
 
 class CharacterTable:
-    __slots__ = ("group", "irreducibles", "rendered", "residues", "class_sizes",
-                 "class_rep_orders", "inv_class", "square_class", "root_order", "prime",
-                 "_indicators")
+    __slots__ = ("group", "irreducibles", "rendered", "residues", "duals", "root_order",
+                 "prime", "_indicators")
 
     def __init__(self, group: FiniteGroup, irreducibles: Tuple[ClassFunction, ...],
                  rendered: Tuple[Tuple[str, ...], ...],
-                 residues: Tuple[Tuple[int, ...], ...], class_sizes: Tuple[int, ...],
-                 class_rep_orders: Tuple[int, ...], inv_class: Tuple[int, ...],
-                 square_class: Tuple[int, ...], root_order: int, prime: int):
+                 residues: Tuple[Tuple[int, ...], ...], duals: Tuple[int, ...],
+                 root_order: int, prime: int):
         self.group = group
         self.irreducibles = irreducibles  # lifted to Z[zeta_root_order]: row order, rendering
         self.rendered = rendered  # per row, each value's render(), as the row order reads it
         self.residues = residues  # Dixon's rows chi(g_j) mod prime: the table itself
-        self.class_sizes = class_sizes
-        self.class_rep_orders = class_rep_orders
-        self.inv_class = inv_class        # class of g_j^-1
-        self.square_class = square_class  # class of g_j^2
+        self.duals = duals        # duals[a] = the row of chi_a*(g) = chi_a(g^-1)
         self.root_order = root_order
         self.prime = prime
         self._indicators: Optional[Tuple[int, ...]] = None  # set by indicators()
@@ -75,9 +70,10 @@ class CharacterTable:
         """Frobenius-Schur indicators |G|^-1 sum_j |C_j| chi(g_j^2) mod prime, one
         per row, computed once.  Exact: nu is -1, 0 or 1 and prime >= 3."""
         if self._indicators is None:
-            p, order_inv = self.prime, pow(self.group.order, -1, self.prime)
-            nus = [sum(s * row[c] for s, c in zip(self.class_sizes, self.square_class))
-                   * order_inv % p for row in self.residues]
+            G, p = self.group, self.prime
+            weights = [(len(cl) * pow(G.order, -1, p), pw[2 % len(pw)])
+                       for cl, pw in zip(G.conjugacy_classes(), G.power_classes())]
+            nus = [sum(w * row[c] for w, c in weights) % p for row in self.residues]
             if any(nu not in (0, 1, p - 1) for nu in nus):
                 raise AssertionError(f"indicator residues {nus} mod {p} are not all 0, +-1")
             self._indicators = tuple(nu if nu < 2 else -1 for nu in nus)
@@ -493,19 +489,20 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
 
     rows.sort(key=lambda row: row[:2])
     _, rendered, chars, residues = zip(*rows)
+    # chi_a* is row a read at the classes of g^-1; a missing row is left to _checked.
+    index = {row: a for a, row in enumerate(residues)}
+    inverse = itemgetter(*(pw[-1] for pw in power_class)) if r > 1 else tuple  # G = 1
+    duals = tuple(index.get(inverse(row)) for row in residues)
     return _checked(CharacterTable(
-        group=G, irreducibles=chars, rendered=rendered, residues=residues,
-        class_sizes=tuple(len(cl) for cl in classes),
-        class_rep_orders=tuple(len(row) for row in power_class),
-        inv_class=tuple(row[-1] for row in power_class),
-        square_class=tuple(row[2 % len(row)] for row in power_class),
+        group=G, irreducibles=chars, rendered=rendered, residues=residues, duals=duals,
         root_order=n, prime=p))
 
 
 def _checked(table: CharacterTable) -> CharacterTable:
-    """The table, once sum d^2 = |G|, sum_j |C_j| chi_a(g_j^-1) chi_b(g_j) = |G| delta_ab
-    mod p (p does not divide |G|) and sum nu(chi) chi(1) = #{g : g^2 = 1} hold
-    (Isaacs, ch. 4).  Failures raise AssertionError explicitly, kept by python -O.
+    """The table, once sum d^2 = |G|, the duals permute the rows, sum_j |C_j|
+    chi_a*(g_j) chi_b(g_j) = |G| delta_ab mod p (a* = duals[a], p does not divide
+    |G|, and b = a catches a wrong a*) and sum nu(chi) chi(1) = #{g : g^2 = 1}
+    hold (Isaacs, ch. 4).  Failures raise AssertionError explicitly, kept by python -O.
 
     Orthogonality is summed only within a central block.  Each row must have
     chi(z g_j) = lambda(z) chi(g_j) mod p, lambda(z) = chi(z) / chi(1), at every
@@ -515,12 +512,14 @@ def _checked(table: CharacterTable) -> CharacterTable:
     lambda_a(z) != lambda_b(z), substituting g -> zg in S = sum_g chi_a(g^-1)
     chi_b(g) gives S = lambda_a(z)^-1 lambda_b(z) S, so S = 0 mod p.
     """
-    G, p, res, sizes = table.group, table.prime, table.residues, table.class_sizes
+    G, p, res, duals = table.group, table.prime, table.residues, table.duals
     degrees = table.degrees()
     if sum(d * d for d in degrees) != G.order:
         raise AssertionError(f"sum of squared degrees {degrees} is not |G| = {G.order}")
     if not all(degrees):
         raise AssertionError(f"a degree in {degrees} is 0 mod {p}")
+    if len(duals) != len(res) or set(duals) != set(range(len(res))):
+        raise AssertionError(f"duals {duals} are not a permutation of the {len(res)} rows")
     classes = G.conjugacy_classes()
     shifts = [(G.class_of(z), itemgetter(*(G.class_of(G.mul(z, cl[0])) for cl in classes)))
               for z, _, _ in _center_span(G)[0]]
@@ -533,11 +532,11 @@ def _checked(table: CharacterTable) -> CharacterTable:
         groups.setdefault(lams, []).append(a)
     for members in groups.values():
         for at, a in enumerate(members):
-            weighted = [s * res[a][j] % p for s, j in zip(sizes, table.inv_class)]
+            weighted = [len(cl) * x % p for cl, x in zip(classes, res[duals[a]])]
             for b in members[at:]:
                 if sum(map(mul, weighted, res[b])) % p != (G.order % p if a == b else 0):
                     raise AssertionError(f"rows {a} and {b} are not orthogonal mod {p}")
-    involutions = sum(s for s, o in zip(sizes, table.class_rep_orders) if o <= 2)
+    involutions = sum(len(cl) for cl, pw in zip(classes, G.power_classes()) if len(pw) <= 2)
     if sum(map(mul, table.indicators(), degrees)) != involutions:
         raise AssertionError(f"Frobenius-Schur count fails: {involutions} elements square to 1")
     return table
@@ -550,10 +549,11 @@ def _checked(table: CharacterTable) -> CharacterTable:
 def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
     """N[p][q][r] = <chi_p chi_q, chi_r>, computed exactly in F_P.
 
-    P = table.prime, and the rows are Dixon's residues chi(g_j) mod P
-    (table.residues).  P does not divide |G| (P = 1 mod exp G), so
+    P = table.prime, the rows are Dixon's residues chi(g_j) mod P, and
+    chi_r*(g) = chi_r(g^-1) is row table.duals[r].  P = 1 mod exp G does not
+    divide |G|, so
 
-        N_pq^r = |G|^-1 sum_j |C_j| chi_p(g_j) chi_q(g_j) chi_r(g_j^-1)  mod P.
+        N_pq^r = |G|^-1 sum_j |C_j| chi_p(g_j) chi_q(g_j) chi_r*(g_j)  mod P.
 
     Exactness bound: N_pq^r = N_{r q*}^p gives N <= d_p d_q / d_r and
     N <= d_r d_q / d_p, so N <= d_q, and N <= d_p by symmetry.  As
@@ -564,8 +564,8 @@ def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
     P, rows, degrees = table.prime, table.residues, table.degrees()
     r_count = len(degrees)
     order_inv = pow(table.group.order, -1, P)
-    weights = [size * order_inv % P for size in table.class_sizes]
-    inv_rows = [[row[j] for j in table.inv_class] for row in rows]
+    weights = [len(cl) * order_inv % P for cl in table.group.conjugacy_classes()]
+    dual_rows = [rows[d] for d in table.duals]
     N = [[[0] * r_count for _ in range(r_count)] for _ in range(r_count)]
     for pi in range(r_count):
         for qi in range(pi, r_count):
@@ -573,7 +573,7 @@ def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
             bound = degrees[pi] * degrees[qi]
             total = 0
             for ri in range(r_count):
-                val = sum(map(mul, prod, inv_rows[ri])) % P
+                val = sum(map(mul, prod, dual_rows[ri])) % P
                 if val * degrees[ri] > bound:
                     raise AssertionError(
                         f"fusion multiplicity at ({pi},{qi},{ri}) exceeds d_p d_q / d_r")

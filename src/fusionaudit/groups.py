@@ -40,10 +40,8 @@ Q8_TABLE: Tuple[Tuple[int, ...], ...] = tuple(
 )
 
 
-class TableError(ValueError, AssertionError):
-    """A table that is not a group's, and the row that holds the entry at
-    fault.  Both a ValueError and an AssertionError, as the constructor's
-    and check_axioms' checks raised before it carried the row."""
+class TableError(ValueError):
+    """A table that is not a group's, and the row that holds the entry at fault."""
 
     def __init__(self, message: str, row: int):
         super().__init__(message)
@@ -169,8 +167,9 @@ class FiniteGroup:
         """
         n = self.order
         t = self.table
-        if min(map(min, t)) < 0 or max(map(max, t)) >= n:
-            raise AssertionError("not closed")
+        row = next((a for a, ta in enumerate(t) if min(ta) < 0 or max(ta) >= n), None)
+        if row is not None:
+            raise TableError("not closed", row)
         for s in self.generators():
             right = itemgetter(*t[s])      # a row ta -> (ta[s*c] for all c)
             for a, ta in enumerate(t):

@@ -985,7 +985,8 @@ def test_product_scans_match_the_tensor_product_oracle(label, seed, g128_table, 
     and K alone.  Irr(G x K) is {chi (x) psi}, with
     N_{(p,a)(q,b)}^{(r,c)} = N_pq^r N_ab^c, and nu(chi (x) psi) = nu(chi) nu(psi)
     since (g, k)^2 = (g^2, k^2).  No tensor of the product is built; each
-    chi (x) psi is mapped to its row of the product's table by row_of."""
+    chi (x) psi is mapped to its row of the product's table by row_of, and
+    the rows must come in Dixon's order, by degree and then rendered values."""
     from conftest import relabelling
     from fusionaudit.characters import ClassFunction, dixon_table
     from fusionaudit.groups import FiniteGroup
@@ -999,10 +1000,10 @@ def test_product_scans_match_the_tensor_product_oracle(label, seed, g128_table, 
     reps = [back[cl[0]] for cl in table.group.conjugacy_classes()]
     e = table.root_order
 
-    def row(a, b):
+    def product(a, b):
         chi, psi = g128_table.irreducibles[a], k_table.irreducibles[b]
-        return table.row_of(ClassFunction(table.group, tuple(
-            chi.value_at(x // m).to_order(e) * psi.value_at(x % m).to_order(e) for x in reps)))
+        return ClassFunction(table.group, tuple(
+            chi.value_at(x // m).to_order(e) * psi.value_at(x % m).to_order(e) for x in reps))
 
     def dual(t, N):
         one = t.residues.index((1,) * len(N))          # the trivial character
@@ -1010,8 +1011,13 @@ def test_product_scans_match_the_tensor_product_oracle(label, seed, g128_table, 
 
     pairs = [(a, b) for a in range(len(g128_table.irreducibles))
              for b in range(len(k_table.irreducibles))]
-    idx = {ab: row(*ab) for ab in pairs}
-    assert sorted(idx.values()) == list(range(len(pairs)))
+    products = {ab: product(*ab) for ab in pairs}
+    idx = {ab: table.row_of(c) for ab, c in products.items()}
+    assert set(idx.values()) == set(range(len(pairs)))
+    # A swap of two rows shows here even where no scan record reads them.
+    ranked = sorted(pairs, key=lambda ab: (products[ab].degree(),
+                                           tuple(v.render() for v in products[ab].values)))
+    assert [idx[ab] for ab in ranked] == list(range(len(pairs)))
     nu = {(a, b): g128_table.indicators()[a] * k_table.indicators()[b] for a, b in pairs}
     report = json.loads((GOLDEN / f"scan-{label}.json").read_text())
     for a, b in pairs:

@@ -36,7 +36,7 @@ from fusionaudit.constructive import (
 )
 from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
 from fusionaudit.groupfile import load_group_file
-from fusionaudit.groups import FiniteGroup, quotient_group
+from fusionaudit.groups import FiniteGroup, q8_group, quotient_group
 from conftest import cayley_file, cayley_table, dicyclic_mul, dihedral_mul, relabelling
 from oracles import (
     class_matrix,
@@ -396,7 +396,7 @@ def exact_fusion_tensor(table):
     """N[p][q][r] = <chi_p chi_q, chi_r>, summed exactly in Z[zeta_n]."""
     n = table.root_order
     r_count = len(table.irreducibles)
-    sizes = table.class_sizes
+    sizes = [len(cl) for cl in table.group.conjugacy_classes()]
     order = table.group.order
     red = _power_reductions(n)
     deg = len(red[0])
@@ -498,12 +498,6 @@ def lifted_residues(irreducibles, p, n):
                        for v in chi.values) for chi in irreducibles)
 
 
-def conjugate_duals(table):
-    """p -> p* by conjugating every lifted value and comparing tuples."""
-    rows = [chi.values for chi in table.irreducibles]
-    return [rows.index(tuple(v.conjugate() for v in vals)) for vals in rows]
-
-
 @pytest.mark.parametrize("name", TABLES)
 def test_residues_are_the_image_of_the_lift(name, request):
     table = request.getfixturevalue(name)
@@ -520,14 +514,16 @@ def test_indicators_match_fs_indicator(name, request):
 @pytest.mark.parametrize("name", TABLES)
 def test_wang_duals_match_conjugation(name, request):
     table = request.getfixturevalue(name)
-    # Reading g^2 as g makes nu(chi) = <chi, 1>: every row but the trivial
-    # one has nu = 0, so with every N = 1 each p reports its p_dual at such an r.
+    # The dual permutation against conjugation in Z[zeta_n]; and with every
+    # N = 1 and every nu = 0, each p reports the p_dual wang_scan reads.
     r = len(table.irreducibles)
-    probe = rebuild(table, square_class=tuple(range(r)))
-    target = probe.indicators().index(0)
+    conjugated = tuple(table.row_of(dual_character(chi)) for chi in table.irreducibles)
+    assert table.duals == conjugated
+    probe = rebuild(table)
+    probe._indicators = (0,) * r
     ones = [[[1] * r for _ in range(r)] for _ in range(r)]
-    duals = [rec["p_dual"] for rec in audit.wang_scan(probe, ones) if rec["r"] == target]
-    assert duals == conjugate_duals(table)
+    duals = [rec["p_dual"] for rec in audit.wang_scan(probe, ones) if rec["r"] == 0]
+    assert tuple(duals) == conjugated
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +561,7 @@ def test_check_rejects_a_row_only_the_centre_check_catches(q8_table):
     # the norm (4 + 4 + 2 (2^2 + 3^2) = 8 mod 13) and the indicator, but
     # breaks chi(-g) = -chi(g) at +-i and +-j, and with it the orthogonality
     # to the trivial row (2 - 2 + 2 (2 + 3) = 10 mod 13).
-    p, sizes = q8_table.prime, q8_table.class_sizes
+    p, sizes = q8_table.prime, [len(cl) for cl in q8_table.group.conjugacy_classes()]
     rows = list(q8_table.residues)
     assert p == 13 and rows[4] == (2, p - 2, 0, 0, 0)
     rows[4] = (2, p - 2, 2, 3, 0)
@@ -577,20 +573,58 @@ def test_check_rejects_a_row_only_the_centre_check_catches(q8_table):
         _checked(bad)
 
 
-def test_check_rejects_an_indicator_outside_plus_minus_one(q8_table):
-    # Every square read as -1: nu(chi) = chi(-1), which is -2 for the
+def test_check_rejects_an_indicator_outside_plus_minus_one(monkeypatch):
+    # The power map of a fresh Q8 with every square of order 4 read as 1,
+    # orders and inverses kept: nu(chi) = chi(1), which is 2 for the
     # degree-2 row.
-    bad = rebuild(q8_table, square_class=(1,) * 5)
+    G = q8_group()
+    table = dixon_table(G)
+    rows = G.power_classes()
+    assert rows == ((0,), (0, 1), (0, 2, 1, 2), (0, 3, 1, 3), (0, 4, 1, 4))
+    monkeypatch.setattr(G, "power_classes", lambda: rows[:2] + tuple(
+        (0, c, 0, c) for c in (2, 3, 4)))
     with pytest.raises(AssertionError, match="indicator residues"):
-        _checked(bad)
+        _checked(rebuild(table))
 
 
 def test_check_rejects_a_wrong_frobenius_schur_count(q8_table):
-    # Claiming {+-i} has order 2 makes 4 involutions; sum nu d is 2.
-    assert q8_table.class_rep_orders == (1, 2, 4, 4, 4)
-    bad = rebuild(q8_table, class_rep_orders=(1, 2, 2, 4, 4))
+    # Every nu read as 1 makes sum nu d = 6; 2 elements of Q8 square to 1.
+    bad = rebuild(q8_table)
+    bad._indicators = (1,) * 5
     with pytest.raises(AssertionError, match="Frobenius-Schur count"):
         _checked(bad)
+
+
+def test_check_counts_involutions_from_the_power_rows(monkeypatch):
+    # A fresh Q8's row of -1 read as (0, 1, 0, 1): -1 has order 4 by the
+    # row's length, while its square, its inverse and so every nu stay.
+    # One element squares to 1, but sum nu d is 2.
+    G = q8_group()
+    table = dixon_table(G)
+    rows = G.power_classes()
+    monkeypatch.setattr(G, "power_classes", lambda: (rows[0], (0, 1, 0, 1), *rows[2:]))
+    bad = rebuild(table)
+    assert bad.indicators() == table.indicators()
+    with pytest.raises(AssertionError, match="Frobenius-Schur count fails: 1 elements"):
+        _checked(bad)
+
+
+@pytest.mark.parametrize("duals", [(0, 1, 2, 3, 3), (0, 1, 2, 3, None), (0, 1, 2, 3)])
+def test_check_rejects_duals_that_are_not_a_permutation(q8_table, duals):
+    with pytest.raises(AssertionError, match="not a permutation of the 5 rows"):
+        _checked(rebuild(q8_table, duals=duals))
+
+
+def test_check_rejects_two_swapped_duals(q8_table, g128_table):
+    # Q8's rows are real; g128's rows 8..11 are two pairs of conjugates.
+    # Either way chi_a is orthogonal to the wrong a*, so b = a fails.
+    assert q8_table.duals == tuple(range(5))
+    assert g128_table.duals[8:12] == (11, 10, 9, 8)
+    for table, a, b in ((q8_table, 1, 2), (g128_table, 8, 9)):
+        duals = list(table.duals)
+        duals[a], duals[b] = duals[b], duals[a]
+        with pytest.raises(AssertionError, match=f"rows {a} and {a} are not orthogonal"):
+            _checked(rebuild(table, duals=tuple(duals)))
 
 
 def test_indicators_are_computed_once(g128_table):
@@ -606,7 +640,8 @@ def naive_dixon_table(G):
     every class matrix, every lambda in F_p gets a nullspace solve, and each
     value is lifted by the length-n Fourier sum over t < exp G with one pow
     call per term.  The element orders come from walking each element's
-    powers, not from the group's power map."""
+    powers, and the classes of the inverses, which the degrees and the duals
+    read, from G.inv: none of them from the group's power map."""
     classes = G.conjugacy_classes()
     reps = [cl[0] for cl in classes]
     sizes = [len(cl) for cl in classes]
@@ -674,12 +709,12 @@ def naive_dixon_table(G):
         assert values[0] == deg
         chars.append(ClassFunction(G, tuple(values)))
     chars.sort(key=lambda c: (c.degree(), tuple(v.render() for v in c.values)))
+    residues = lifted_residues(chars, p, n)
     return CharacterTable(
         group=G, irreducibles=tuple(chars),
         rendered=tuple(tuple(v.render() for v in c.values) for c in chars),
-        residues=lifted_residues(chars, p, n),
-        class_sizes=tuple(sizes), class_rep_orders=tuple(orders[g] for g in reps),
-        inv_class=inv_class, square_class=tuple(G.class_of(G.mul(g, g)) for g in reps),
+        residues=residues,
+        duals=tuple(residues.index(tuple(row[j] for j in inv_class)) for row in residues),
         root_order=n, prime=p)
 
 
@@ -944,7 +979,9 @@ def test_dixon_matches_closed_form_on_dihedral_and_dicyclic_groups(family, m, se
 def test_dixon_takes_the_exponent_from_the_power_classes(monkeypatch, cg, d30_file):
     # Dixon reads the group's one cached power map: n is the lcm of its row
     # lengths, each class's element order is its row's length, and each row
-    # ends at the class of the inverse and holds the class of the square.
+    # ends at the class of the inverse and holds the class of the square,
+    # against walks by G.table, G.inv and G.mul.  Each row's dual is the row
+    # read at the inverses' classes.
     groups = [cg.group, load_group_file(str(d30_file))]
     calls = []
     real = FiniteGroup.power_classes
@@ -958,11 +995,13 @@ def test_dixon_takes_the_exponent_from_the_power_classes(monkeypatch, cg, d30_fi
     for G, t in zip(groups, tables):
         rows = G.power_classes()
         reps = [cl[0] for cl in G.conjugacy_classes()]
-        assert t.class_rep_orders == tuple(map(len, rows))
-        assert t.inv_class == tuple(row[-1] for row in rows) \
-            == tuple(G.class_of(G.inv(g)) for g in reps)
-        assert t.square_class == tuple(row[2 % len(row)] for row in rows) \
+        assert tuple(map(len, rows)) == tuple(len(power_walk(G, g)) for g in reps)
+        inverses = tuple(row[-1] for row in rows)
+        assert inverses == tuple(G.class_of(G.inv(g)) for g in reps)
+        assert tuple(row[2 % len(row)] for row in rows) \
             == tuple(G.class_of(G.mul(g, g)) for g in reps)
+        assert [t.residues[d] for d in t.duals] \
+            == [tuple(row[j] for j in inverses) for row in t.residues]
 
 
 def _spy_class_rows(monkeypatch):
@@ -1038,10 +1077,12 @@ def test_split_counts_do_not_depend_on_the_labelling(monkeypatch, tmp_path_facto
         path = cayley_file(tmp_path_factory, f"d120-{seed}", 120, dihedral_mul(60), seed)
         built.clear()
         calls.update(split=0, solve=0)
-        table = dixon_table(load_group_file(str(path)))
+        G = load_group_file(str(path))
+        dixon_table(G)
         drawn = _draws(built)
-        order = sorted((i for i, s in enumerate(table.class_sizes) if s > 1),
-                       key=lambda i: (-table.class_rep_orders[i], i))
+        classes = G.conjugacy_classes()
+        order = sorted((i for i, cl in enumerate(classes) if len(cl) > 1),
+                       key=lambda i: (-len(power_walk(G, classes[i][0])), i))
         assert drawn == order[:len(drawn)]
         counts.add((len(drawn), calls["split"], calls["solve"]))
     assert counts == {(30, 60, 2)}

@@ -17,6 +17,7 @@ from fusionaudit.groups import (
     FiniteGroup,
     Q8_MINUS_ONE,
     Q8_TABLE,
+    TableError,
     centralizer_of_set,
     commutator_span,
     is_subgroup,
@@ -75,6 +76,16 @@ def test_class_equation(cg, q8, h16):
 def test_group_axioms_exhaustive(cg, q8, h16):
     for G in (cg.group, q8, h16):
         G.check_axioms()
+
+
+def test_check_axioms_names_the_first_row_not_closed():
+    # TableError is a ValueError alone: an input error, not a failed self-check.
+    G = FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    G.table = ((0, 1, 2), (1, 2, 3), (2, -1, 1))
+    with pytest.raises(TableError, match="not closed") as exc:
+        G.check_axioms()
+    assert exc.value.row == 1
+    assert not isinstance(exc.value, AssertionError)
 
 
 def test_closure_rounds_and_limit():
@@ -314,10 +325,11 @@ def _loops(draw):
 
 
 def _failure(check):
-    """The message of the AssertionError check() raises, else None."""
+    """The message of the TableError (check_axioms) or AssertionError (the
+    oracle) check() raises, else None."""
     try:
         check()
-    except AssertionError as exc:
+    except (TableError, AssertionError) as exc:
         return str(exc)
     return None
 

@@ -148,7 +148,8 @@ def test_table_self_check_raises_under_python_O():
     code = ("from fusionaudit.characters import _checked, dixon_table\n"
             "from fusionaudit.groups import q8_group\n"
             "from oracles import rebuild\n"
-            "bad = rebuild(dixon_table(q8_group()), class_rep_orders=(1, 2, 2, 4, 4))\n"
+            "bad = rebuild(dixon_table(q8_group()))\n"
+            "bad._indicators = (1,) * 5\n"
             "try:\n"
             "    _checked(bad)\n"
             "except AssertionError as exc:\n"
