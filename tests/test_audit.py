@@ -135,6 +135,39 @@ def test_report_text_rendering(cg):
         assert f"[PASS] {name}" in text
 
 
+# Each command's report, built in process, with the sections its JSON
+# document holds besides the header.
+DOCUMENT_REPORTS = {
+    "verify": (lambda r: audit.verify_claims(cg=r.getfixturevalue("cg")),
+               {"claims", "lambda_covector"}),
+    "verify-all-lambdas": (lambda r: audit.verify_all_lambdas(r.getfixturevalue("cg")),
+                           {"claims", "lambda_runs"}),
+    "scan-g128": (lambda r: audit.scan_report("builtin:g128", r.getfixturevalue("cg").group),
+                  {"scans", "degrees", "indicators"}),
+    "scan-q8": (lambda r: audit.scan_report("builtin:q8", r.getfixturevalue("q8")),
+                {"scans", "degrees", "indicators"}),
+    "table-d30": (lambda r: audit.table_report(
+        "file:d30.grp", load_group_file(str(r.getfixturevalue("d30_file")))), {"table"}),
+    "table-g128-both": (lambda r: audit.table_report(
+        "builtin:g128", r.getfixturevalue("cg").group, method="both",
+        cg=r.getfixturevalue("cg")), {"table", "constructive_rows", "claims"}),
+    "table-g128-constructive": (lambda r: audit.table_report(
+        "builtin:g128", r.getfixturevalue("cg").group, method="constructive",
+        cg=r.getfixturevalue("cg")), {"table"}),
+}
+
+
+@pytest.mark.parametrize("name", list(DOCUMENT_REPORTS))
+def test_reports_are_their_json_documents(name, request):
+    # A report's dict is what its JSON says: the header keys, then its sections.
+    build, sections = DOCUMENT_REPORTS[name]
+    report = build(request)
+    doc = report.to_dict()
+    assert json.loads(report.to_json()) == doc
+    assert list(doc)[:4] == ["schema", "command", "group", "ok"]
+    assert set(list(doc)[4:]) == sections
+
+
 # ---------------------------------------------------------------------------
 # Scans
 # ---------------------------------------------------------------------------
@@ -922,7 +955,7 @@ def test_docs_fixture_matches_live_output(tmp_path):
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("name, argv", [
+GOLDEN_REPORTS = [
     ("verify", ["verify"]),
     ("verify-all-lambdas", ["verify", "--all-lambdas"]),
     ("scan-g128", ["scan", "--group", "builtin:g128"]),
@@ -931,25 +964,40 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
     ("table-d120", None),
     ("scan-g128xc2", None),
     ("scan-g128xq8", None),
-])
-def test_json_reports_match_golden_files(name, argv, tmp_path, request):
-    """Each JSON report, byte for byte, against tests/golden/<name>.json.
+]
+
+
+def _golden_report_bytes(name, argv, fmt, tmp_path, request):
+    """The report `name` as `--report fmt` writes it.
 
     The reports on fixture files (D30, D120, g128 x C2, g128 x Q8) go
     through audit.table_report or audit.scan_report with a fixed label, so
-    that the fixture's temporary path does not enter it.  A golden file
-    changes only with a documented change of the report.
+    that the fixture's temporary path does not enter it.
     """
     if argv is None:
         command, label = name.split("-")
         G = load_group_file(str(request.getfixturevalue(f"{label}_file")))
-        report = audit.scan_report if command == "scan" else audit.table_report
-        live = report(f"file:{label}.grp", G).to_json().encode("utf-8")
-    else:
-        out = tmp_path / "live.json"
-        assert main([*argv, "--report", "json", "--out", str(out)]) == 0
-        live = out.read_bytes()
+        report = (audit.scan_report if command == "scan" else audit.table_report)(
+            f"file:{label}.grp", G)
+        return (report.to_json() if fmt == "json" else report.to_text()).encode("utf-8")
+    out = tmp_path / f"live.{fmt}"
+    assert main([*argv, "--report", fmt, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_REPORTS)
+def test_json_reports_match_golden_files(name, argv, tmp_path, request):
+    """Each JSON report, byte for byte, against tests/golden/<name>.json.
+    A golden file changes only with a documented change of the report."""
+    live = _golden_report_bytes(name, argv, "json", tmp_path, request)
     assert live == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_REPORTS)
+def test_text_reports_match_golden_files(name, argv, tmp_path, request):
+    """Each text report, byte for byte, against tests/golden/<name>.txt."""
+    live = _golden_report_bytes(name, argv, "text", tmp_path, request)
+    assert live == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 # The groups of order 1024 whose `table` reports tests/golden/table-digests.json
