@@ -1,3 +1,4 @@
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -974,6 +975,23 @@ def test_dixon_matches_closed_form_on_dihedral_and_dicyclic_groups(family, m, se
               for nu, values in _closed_forms(family, m)}
     assert len(table.rendered) == len(closed) == (m // 2 + 3 if family == "dihedral" else m + 3)
     assert dict(zip(table.rendered, table.indicators())) == closed
+
+
+@pytest.mark.parametrize("k, seed", [(4, 6), (10, 5)])
+def test_dixon_matches_closed_form_on_elementary_abelian_groups(k, seed, tmp_path_factory):
+    # Relabelled F2^k (F2^10 at the cap), as a set of rendered rows:
+    # chi_u(v) = (-1)^popcount(u & v), read at each class's element mapped
+    # back through the relabelling, and every indicator is 1.
+    n_elems = 2 ** k
+    path = cayley_file(tmp_path_factory, f"f2-{k}", n_elems, operator.xor, seed=seed)
+    table = dixon_table(load_group_file(str(path)))
+    back = {px: x for x, px in enumerate(relabelling(n_elems, random.Random(seed)))}
+    reps = [back[cl[0]] for cl in table.group.conjugacy_classes()]
+    signs = [Cyclotomic.from_rational(table.root_order, s).render() for s in (1, -1)]
+    closed = {tuple(signs[(u & v).bit_count() % 2] for v in reps) for u in range(n_elems)}
+    assert len(table.rendered) == len(closed) == n_elems
+    assert set(table.rendered) == closed
+    assert set(table.indicators()) == {1}
 
 
 def test_dixon_takes_the_exponent_from_the_power_classes(monkeypatch, cg, d30_file):
