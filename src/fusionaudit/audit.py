@@ -20,77 +20,53 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 
 
-class ClaimResult:
-    __slots__ = ("name", "passed", "witness")
-
-    def __init__(self, name: str, passed: bool, witness: Dict):
-        self.name = name
-        self.passed = passed
-        self.witness = witness
-
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "passed": self.passed, "witness": self.witness}
-
-
 class AuditReport:
-    __slots__ = ("command", "group_label", "claims", "scans", "table", "extra")
+    """A report is its JSON document: the header (schema, command, group,
+    ok) and the sections, each a top-level key, in the order given."""
+    __slots__ = ("command", "group_label", "sections")
 
-    def __init__(self, command: str, group_label: str,
-                 claims: Optional[List[ClaimResult]] = None,
-                 scans: Optional[Dict[str, List[Dict]]] = None,
-                 table: Optional[Dict] = None, extra: Optional[Dict] = None):
+    def __init__(self, command: str, group_label: str, **sections):
         self.command = command
         self.group_label = group_label
-        self.claims = [] if claims is None else claims
-        self.scans = {} if scans is None else scans
-        self.table = table
-        self.extra = {} if extra is None else extra
+        self.sections = sections
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.claims) and not self.scans.get("odd_rule")
+        return (all(c["passed"] for c in self.sections.get("claims", ()))
+                and not self.sections.get("scans", {}).get("odd_rule"))
 
     def to_dict(self) -> Dict:
-        out = {
-            "schema": SCHEMA_VERSION,
-            "command": self.command,
-            "group": self.group_label,
-            "ok": self.ok,
-        }
-        if self.claims:
-            out["claims"] = [c.to_dict() for c in self.claims]
-        if self.scans:
-            out["scans"] = self.scans
-        if self.table is not None:
-            out["table"] = self.table
-        if self.extra:
-            out.update(self.extra)
-        return out
+        return {"schema": SCHEMA_VERSION, "command": self.command,
+                "group": self.group_label, "ok": self.ok, **self.sections}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
+        sections = self.sections
         lines = [f"group: {self.group_label}"]
-        for c in self.claims:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"[{status}] {c.name}")
-            for k, v in c.witness.items():
+        for c in sections.get("claims", ()):
+            status = "PASS" if c["passed"] else "FAIL"
+            lines.append(f"[{status}] {c['name']}")
+            for k, v in c["witness"].items():
                 lines.append(f"    {k}: {v}")
+        scans = sections.get("scans", {})
         for tag in ("positivity", "wang", "odd_rule"):
-            if tag not in self.scans:
+            if tag not in scans:
                 continue
-            recs = self.scans[tag]
+            recs = scans[tag]
             lines.append(f"{tag} violations: {len(recs)}")
             for r in recs:
                 lines.append(f"    {r}")
-        if self.table is not None:
-            lines.append(f"character table: {len(self.table['irreducibles'])} irreducibles")
-            for row in self.table["irreducibles"]:
+        table = sections.get("table")
+        if table is not None:
+            lines.append(f"character table: {len(table['irreducibles'])} irreducibles")
+            for row in table["irreducibles"]:
                 lines.append(f"    deg {row['degree']:>3}  nu2 {row['indicator']:>2}  "
                              + "  ".join(row["values"]))
-        for k, v in self.extra.items():
-            lines.append(f"{k}: {v}")
+        for k, v in sections.items():
+            if k not in ("claims", "scans", "table"):
+                lines.append(f"{k}: {v}")
         lines.append("result: " + ("OK" if self.ok else "FAILED"))
         return "\n".join(lines) + "\n"
 
@@ -145,16 +121,12 @@ def verify_all_lambdas(cg: Optional[ConstructedGroup] = None) -> AuditReport:
     for v in fixed["valid"]:
         data = base if v == base.lam.covector else base.for_covector(v)
         sub = constructive._claims_report(data, fixed)
-        runs.append({"covector": v, "ok": sub.ok,
-                     "claims": [c.to_dict() for c in sub.claims]})
+        runs.append({"covector": v, "ok": sub.ok, "claims": sub.sections["claims"]})
     all_ok = all(r["ok"] for r in runs)
-    report = AuditReport(command="verify", group_label="builtin:g128")
-    report.claims.append(ClaimResult(
-        "all_lambdas", all_ok,
-        {"covectors": [r["covector"] for r in runs],
-         "all_pass": all_ok}))
-    report.extra["lambda_runs"] = runs
-    return report
+    return AuditReport("verify", "builtin:g128", claims=[
+        {"name": "all_lambdas", "passed": all_ok,
+         "witness": {"covectors": [r["covector"] for r in runs], "all_pass": all_ok}}],
+        lambda_runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +170,14 @@ def odd_rule_scan(positivity: List[Dict]) -> List[Dict]:
 def scan_report(group_label: str, G: FiniteGroup) -> AuditReport:
     table = dixon_table(G)
     N = fusion_tensor(table)
-    report = AuditReport(command="scan", group_label=group_label)
     positivity = positivity_scan(table, N)
-    report.scans = {
+    scans = {
         "positivity": positivity,
         "wang": wang_scan(table, N),
         "odd_rule": odd_rule_scan(positivity),
     }
-    report.extra["degrees"] = list(table.degrees())
-    report.extra["indicators"] = list(table.indicators())
-    return report
+    return AuditReport("scan", group_label, scans=scans, degrees=list(table.degrees()),
+                       indicators=list(table.indicators()))
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +220,24 @@ def table_report(group_label: str, G: FiniteGroup, method: str = "dixon",
     constructive character to match a Dixon row verbatim.
     """
     check_table_method(method, cg)
-    report = AuditReport(command="table", group_label=group_label)
     dix = dixon_table(G) if method in ("dixon", "both") else None
     if method == "dixon":
-        report.table = table_to_dict(dix)
-        return report
+        return AuditReport("table", group_label, table=table_to_dict(dix))
 
     data = constructive_data(cg)
     constructive = [("induced_chi", data.chi)] + [
         (f"quotient_lift_{i}", l) for i, l in enumerate(data.lifts)]
     if method == "constructive":
         from .constructive import fs_indicator
-        report.table = {"order": G.order, "root_order": G.exponent(), "irreducibles": [
-            {"degree": c.degree(), "indicator": fs_indicator(c),
-             "values": [v.render() for v in c.values], "name": name}
-            for name, c in constructive]}
-        return report
+        return AuditReport("table", group_label, table={
+            "order": G.order, "root_order": G.exponent(), "irreducibles": [
+                {"degree": c.degree(), "indicator": fs_indicator(c),
+                 "values": [v.render() for v in c.values], "name": name}
+                for name, c in constructive]})
 
     matches = {name: dix.row_of(c) for name, c in constructive}
-    report.table = table_to_dict(dix)
-    report.extra["constructive_rows"] = matches
     missing = [k for k, v in matches.items() if v is None]
-    report.claims.append(ClaimResult(
-        "constructive_matches_dixon", not missing,
-        {"missing": missing} if missing else {"rows": matches}))
-    return report
+    return AuditReport("table", group_label, table=table_to_dict(dix),
+                       constructive_rows=matches, claims=[
+                           {"name": "constructive_matches_dixon", "passed": not missing,
+                            "witness": {"missing": missing} if missing else {"rows": matches}}])

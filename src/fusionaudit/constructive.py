@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import construction
-from .audit import AuditReport, ClaimResult
+from .audit import AuditReport
 from .characters import ClassFunction
 from .construction import ConstructedGroup, LambdaChoice
 from .cyclotomic import Cyclotomic
@@ -161,33 +161,33 @@ def _covector_free_claims(data: ConstructiveData) -> Dict:
         hom_ok = True
     except AssertionError:
         hom_ok = False
-    claims.append(ClaimResult(
-        "claim3_embedding_exists", evens and order4_cycles and hom_ok,
-        {"regular_rep_all_even": evens,
-         "order4_elements_are_double_4_cycles": order4_cycles,
-         "gl42_homomorphism_check": hom_ok,
-         "generator_a_rows": list(cg.embedding.rho[2]),
-         "generator_b_rows": list(cg.embedding.rho[4])}))
+    claims.append({
+        "name": "claim3_embedding_exists", "passed": evens and order4_cycles and hom_ok,
+        "witness": {"regular_rep_all_even": evens,
+                    "order4_elements_are_double_4_cycles": order4_cycles,
+                    "gl42_homomorphism_check": hom_ok,
+                    "generator_a_rows": list(cg.embedding.rho[2]),
+                    "generator_b_rows": list(cg.embedding.rho[4])}})
 
     # Structural facts about G itself.
     c_g_h = centralizer_of_set(G, cg.h_subgroup)
     quotient_ok = construction._check_quotient_is_q8(cg)
-    claims.append(ClaimResult(
-        "setup_group_structure",
-        G.order == 128 and c_g_h == cg.h_subgroup and quotient_ok,
-        {"order": G.order, "centralizer_of_H_is_H": c_g_h == cg.h_subgroup,
-         "quotient_is_q8": quotient_ok}))
+    claims.append({
+        "name": "setup_group_structure",
+        "passed": G.order == 128 and c_g_h == cg.h_subgroup and quotient_ok,
+        "witness": {"order": G.order, "centralizer_of_H_is_H": c_g_h == cg.h_subgroup,
+                    "quotient_is_q8": quotient_ok}})
 
     # Claim 4: |H0| = 2 and |C_H(z)| = 8.
     h0 = construction.compute_h0(cg)
     h_set = set(cg.h_subgroup)
     c_h_z = [g for g in centralizer_of_set(G, [cg.z_lift]) if g in h_set]
     center = {cl[0] for cl in G.conjugacy_classes() if len(cl) == 1}
-    claims.append(ClaimResult(
-        "claim4_h0",
-        len(h0) == 2 and len(c_h_z) == 8 and set(h0) <= center,
-        {"h0": list(h0), "centralizer_of_z_in_H_size": len(c_h_z),
-         "h0_central": set(h0) <= center}))
+    claims.append({
+        "name": "claim4_h0",
+        "passed": len(h0) == 2 and len(c_h_z) == 8 and set(h0) <= center,
+        "witness": {"h0": list(h0), "centralizer_of_z_in_H_size": len(c_h_z),
+                    "h0_central": set(h0) <= center}})
 
     ind_sq = induced_square_constituent(data)
     return {"claims": claims, "h0": h0,
@@ -200,52 +200,51 @@ def _covector_free_claims(data: ConstructiveData) -> Dict:
 def _claims_report(data: ConstructiveData, fixed: Dict) -> AuditReport:
     """The six claims for data's covector, given its covector-free facts."""
     cg, lam, chi, phi = data.cg, data.lam, data.chi, data.phi
-    report = AuditReport(command="verify", group_label="builtin:g128",
-                         claims=list(fixed["claims"]))
+    claims = list(fixed["claims"])
 
     # Claim 5 / Eq. (2): lambda exists; the commutator intersection is H0.
     lam_at_h0 = lam.value_sign(lam.h0_element)
-    report.claims.append(ClaimResult(
-        "claim5_lambda_exists",
-        fixed["inter"] == fixed["h0"] and len(fixed["valid"]) == 8 and lam_at_h0 == -1,
-        {"commutator_intersection": list(fixed["inter"]), "h0": list(fixed["h0"]),
-         "valid_covectors": fixed["valid"], "chosen_covector": lam.covector,
-         "lambda_at_h0": lam_at_h0}))
+    claims.append({
+        "name": "claim5_lambda_exists",
+        "passed": fixed["inter"] == fixed["h0"] and len(fixed["valid"]) == 8
+        and lam_at_h0 == -1,
+        "witness": {"commutator_intersection": list(fixed["inter"]), "h0": list(fixed["h0"]),
+                    "valid_covectors": fixed["valid"], "chosen_covector": lam.covector,
+                    "lambda_at_h0": lam_at_h0}})
 
     # Claim 1: chi is irreducible, by both criteria.
     norm = inner_product(chi, chi)
     stab_ok = conjugate_stabilizer_check(cg, lam)
-    report.claims.append(ClaimResult(
-        "claim1_chi_irreducible",
-        norm == 1 and stab_ok and chi.degree() == 8,
-        {"inner_product": norm.render(), "degree": chi.degree(),
-         "conjugate_stabilizer_check": stab_ok}))
+    claims.append({
+        "name": "claim1_chi_irreducible",
+        "passed": norm == 1 and stab_ok and chi.degree() == 8,
+        "witness": {"inner_product": norm.render(), "degree": chi.degree(),
+                    "conjugate_stabilizer_check": stab_ok}})
 
     # Claim 2: chi^2 contains the lifted 2-dimensional quaternion character.
     chi2 = pointwise_product(chi, chi)
     mult = inner_product(chi2, phi)
     reg_mult, nu_phi = fixed["reg_mult"], fixed["nu_phi"]
-    report.claims.append(ClaimResult(
-        "claim2_constituent_phi",
+    claims.append({
+        "name": "claim2_constituent_phi",
         # a multiplicity is an integer: mult must equal its constant term, and that be >= 1
-        mult == mult.num[0] >= 1 and nu_phi == -1 and phi.degree() == 2
+        "passed": mult == mult.num[0] >= 1 and nu_phi == -1 and phi.degree() == 2
         and reg_mult == 2,
-        {"multiplicity_in_chi_squared": mult.render(),
-         "multiplicity_in_induced_square": reg_mult.render(),
-         "phi_degree": phi.degree(), "nu2_phi": str(nu_phi)}))
+        "witness": {"multiplicity_in_chi_squared": mult.render(),
+                    "multiplicity_in_induced_square": reg_mult.render(),
+                    "phi_degree": phi.degree(), "nu2_phi": str(nu_phi)}})
 
     # Claim 6: nu2(chi) = +1 with the element-by-element breakdown.
     breakdown = claim6_breakdown(data)
     nu_chi = fs_indicator(chi)
-    report.claims.append(ClaimResult(
-        "claim6_indicator",
-        nu_chi == 1 and breakdown["counts"] == [16, 8, 8]
+    claims.append({
+        "name": "claim6_indicator",
+        "passed": nu_chi == 1 and breakdown["counts"] == [16, 8, 8]
         and breakdown["contributions"] == [8, 8, -8]
         and breakdown["total"] == 128,
-        {"nu2_chi": str(nu_chi), **breakdown}))
+        "witness": {"nu2_chi": str(nu_chi), **breakdown}})
 
-    report.extra["lambda_covector"] = lam.covector
-    return report
+    return AuditReport("verify", "builtin:g128", claims=claims, lambda_covector=lam.covector)
 
 
 def claim6_breakdown(data: ConstructiveData) -> Dict:

@@ -74,13 +74,14 @@ rel B^-1*A*B*A
 def test_verify_claims_all_pass(cg):
     report = audit.verify_claims(cg=cg)
     assert report.ok
-    assert [c.name for c in report.claims] == CLAIM_NAMES
-    assert all(c.passed for c in report.claims)
+    claims = report.sections["claims"]
+    assert [c["name"] for c in claims] == CLAIM_NAMES
+    assert all(c["passed"] for c in claims)
 
 
 def test_verify_claims_witnesses(cg):
     report = audit.verify_claims(cg=cg)
-    by_name = {c.name: c.witness for c in report.claims}
+    by_name = {c["name"]: c["witness"] for c in report.sections["claims"]}
     assert by_name["setup_group_structure"]["order"] == 128
     assert len(by_name["claim4_h0"]["h0"]) == 2
     assert len(by_name["claim5_lambda_exists"]["valid_covectors"]) == 8
@@ -95,16 +96,16 @@ def test_verify_claims_witnesses(cg):
 def test_verify_all_lambdas(cg):
     report = audit.verify_all_lambdas(cg)
     assert report.ok
-    runs = report.extra["lambda_runs"]
+    runs = report.sections["lambda_runs"]
     assert len(runs) == 8
     assert all(r["ok"] for r in runs)
 
 
 def test_all_lambdas_runs_match_single_covector_runs(cg):
-    runs = audit.verify_all_lambdas(cg).extra["lambda_runs"]
+    runs = audit.verify_all_lambdas(cg).sections["lambda_runs"]
     for run in runs:
         single = audit.verify_claims(covector=run["covector"], cg=cg)
-        assert run["claims"] == [c.to_dict() for c in single.claims]
+        assert run["claims"] == single.sections["claims"]
 
 
 def test_report_json_is_deterministic(cg):
@@ -117,15 +118,13 @@ def test_report_json_is_deterministic(cg):
 
 
 def test_report_ok_logic():
-    report = audit.AuditReport(command="scan", group_label="x")
-    assert report.ok
-    report.scans["positivity"] = [{"p": 0}]
-    assert report.ok  # positivity findings are reported, not failures
-    report.scans["odd_rule"] = [{"p": 0}]
-    assert not report.ok
-    report.scans["odd_rule"] = []
-    report.claims.append(audit.ClaimResult("x", False, {}))
-    assert not report.ok
+    assert audit.AuditReport(command="scan", group_label="x").ok
+    positivity = {"positivity": [{"p": 0}]}
+    # positivity findings are reported, not failures
+    assert audit.AuditReport("scan", "x", scans=positivity).ok
+    assert not audit.AuditReport("scan", "x", scans={**positivity, "odd_rule": [{"p": 0}]}).ok
+    assert not audit.AuditReport("scan", "x", scans={**positivity, "odd_rule": []},
+                                 claims=[{"name": "x", "passed": False, "witness": {}}]).ok
 
 
 def test_report_text_rendering(cg):
@@ -164,8 +163,8 @@ def test_reports_are_their_json_documents(name, request):
     report = build(request)
     doc = report.to_dict()
     assert json.loads(report.to_json()) == doc
-    assert list(doc)[:4] == ["schema", "command", "group", "ok"]
-    assert set(list(doc)[4:]) == sections
+    assert list(doc) == ["schema", "command", "group", "ok", *report.sections]
+    assert set(report.sections) == sections
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +215,9 @@ def test_odd_rule_scan_keeps_only_odd_violations(q8_table):
 def test_scan_report_q8(q8):
     report = audit.scan_report("builtin:q8", q8)
     assert report.ok
-    assert report.scans["positivity"] == []
-    assert report.extra["degrees"] == [1, 1, 1, 1, 2]
-    assert report.extra["indicators"] == [1, 1, 1, 1, -1]
+    assert report.sections["scans"]["positivity"] == []
+    assert report.sections["degrees"] == [1, 1, 1, 1, 2]
+    assert report.sections["indicators"] == [1, 1, 1, 1, -1]
 
 
 def test_builtin_group_names():
@@ -231,11 +230,11 @@ def test_builtin_group_names():
 def test_table_report_methods(cg):
     both = audit.table_report("builtin:g128", cg.group, method="both", cg=cg)
     assert both.ok
-    matches = both.extra["constructive_rows"]
+    matches = both.sections["constructive_rows"]
     assert len(matches) == 6
     assert all(v is not None for v in matches.values())
     cons = audit.table_report("builtin:g128", cg.group, method="constructive", cg=cg)
-    assert len(cons.table["irreducibles"]) == 6
+    assert len(cons.sections["table"]["irreducibles"]) == 6
     with pytest.raises(ValueError):
         audit.table_report("builtin:q8", cg.group, method="constructive")
     with pytest.raises(ValueError):
