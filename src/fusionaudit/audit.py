@@ -2,8 +2,8 @@
 
 scan_report checks a Dixon table's fusion data against the positivity and
 Wang conjectures and the odd-multiplicity rule, which must never fail.
-verify_claims and verify_all_lambdas check the six claims on g128; they
-and builtin:g128 import `construction` and `constructive` when called.
+verify_claims and verify_all_lambdas check the six claims on g128.  The
+`construction` and `constructive` modules are imported only where used.
 """
 from __future__ import annotations
 
@@ -99,22 +99,19 @@ def constructive_data(cg: ConstructedGroup,
     return ConstructiveData(cg, lam, chi, quot, proj, lifts, phi)
 
 
-def verify_claims(covector: Optional[int] = None,
-                  cg: Optional[ConstructedGroup] = None) -> AuditReport:
-    from . import construction, constructive
-    cg = cg or construction.build_default()
+def verify_claims(cg: ConstructedGroup, covector: Optional[int] = None) -> AuditReport:
+    from . import constructive
     data = constructive_data(cg, covector)
     return constructive._claims_report(data, constructive._covector_free_claims(data))
 
 
-def verify_all_lambdas(cg: Optional[ConstructedGroup] = None) -> AuditReport:
+def verify_all_lambdas(cg: ConstructedGroup) -> AuditReport:
     """Run the six claims once per valid covector; all 8 must pass.
 
     The quotient, its Dixon table, the lifts, phi and the covector-free
     claims are built once; only lambda and chi change per covector.
     """
-    from . import construction, constructive
-    cg = cg or construction.build_default()
+    from . import constructive
     base = constructive_data(cg)
     fixed = constructive._covector_free_claims(base)
     runs = []
