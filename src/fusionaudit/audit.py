@@ -62,7 +62,8 @@ class AuditReport:
         if table is not None:
             lines.append(f"character table: {len(table['irreducibles'])} irreducibles")
             for row in table["irreducibles"]:
-                lines.append(f"    deg {row['degree']:>3}  nu2 {row['indicator']:>2}  "
+                name = f"{row['name']}: " if "name" in row else ""
+                lines.append(f"    {name}deg {row['degree']:>3}  nu2 {row['indicator']:>2}  "
                              + "  ".join(row["values"]))
         for k, v in sections.items():
             if k not in ("claims", "scans", "table"):

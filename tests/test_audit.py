@@ -241,6 +241,13 @@ def test_table_report_methods(cg):
         audit.table_report("builtin:g128", cg.group, method="bogus", cg=cg)
 
 
+def test_constructive_table_text_names_its_rows(cg):
+    # The text names each row as the JSON does; Dixon's rows have no name.
+    text = audit.table_report("builtin:g128", cg.group, method="constructive", cg=cg).to_text()
+    assert "\n    induced_chi: deg   8  nu2  1  8  " in text
+    assert "\n    quotient_lift_4: deg   2  nu2 -1  2  -2  " in text
+
+
 def test_table_both_builds_no_constructive_rows(monkeypatch, cg):
     # "both" reports the Dixon table and the row matches only: the
     # constructive rows' indicators and renders are for "constructive".
