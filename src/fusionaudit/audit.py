@@ -66,7 +66,16 @@ class AuditReport:
                 lines.append(f"    {name}deg {row['degree']:>3}  nu2 {row['indicator']:>2}  "
                              + "  ".join(row["values"]))
         for k, v in sections.items():
-            if k not in ("claims", "scans", "table"):
+            if k == "lambda_runs":
+                # One verdict line per run; the witnesses stay in the JSON.
+                lines.append(f"lambda_runs: {len(v)}")
+                for run in v:
+                    lines.append(f"    covector {run['covector']}: "
+                                 + ("OK" if run["ok"] else "FAILED"))
+                    for c in run["claims"]:
+                        status = "PASS" if c["passed"] else "FAIL"
+                        lines.append(f"        [{status}] {c['name']}")
+            elif k not in ("claims", "scans", "table"):
                 lines.append(f"{k}: {v}")
         lines.append("result: " + ("OK" if self.ok else "FAILED"))
         return "\n".join(lines) + "\n"

@@ -1,14 +1,13 @@
 """The order-128 counterexample group and its distinguished data.
 
 Builds G = H x| Q with H = Z2^4 and Q the quaternion group acting
-faithfully through the canonical embedding Q8 -> GL4(2), found by a
-search that solves the defining relations by linear algebra over GF(2).
+faithfully through one embedding Q8 -> GL4(2), given by the images of
+i and j and checked to be a faithful homomorphism before it is used.
 Also computes H0 = [H, z], the commutator-intersection identity, and the
 linear character lambda of H driving the induced-character construction.
 """
 from __future__ import annotations
 
-from itertools import product
 from typing import Dict, List, Tuple
 
 from . import gf2
@@ -67,51 +66,21 @@ class Q8Embedding:
             raise AssertionError("embedding is not faithful")
 
 
+# The images of i and j, as in docs/examples/g128.grp. They are the least
+# pair (A, B) in gf2.mat_key order with A^4 = I, A^2 != I, B^2 = A^2 and
+# A*B = B*A^-1; the tests confirm it by a sweep over GL4(2).
+RHO_I: gf2.GF2Matrix = (0b0001, 0b0010, 0b0100, 0b1110)
+RHO_J: gf2.GF2Matrix = (0b0011, 0b0100, 0b0010, 0b1100)
+
+
 def find_q8_in_gl42() -> Q8Embedding:
-    """Canonical search for Q8 inside GL4(2), by linear algebra over GF(2).
+    """The embedding Q8 -> GL4(2) generated by i -> RHO_I and j -> RHO_J.
 
-    Returns the embedding generated by the lexicographically least pair
-    (A, B) of invertible matrices, in mat_key order, with A^4 = I,
-    A^2 != I, B^2 = A^2 and A*B = B*A^-1 (equivalently B^-1 A B = A^-1).
-    The quaternion presentation forces <A, B> to be a faithful copy of Q8.
-
-    No sweep over GL4(2) is needed to find that pair:
-
-    - A^4 = I makes A invertible with A^-1 = A^2 * A, so walking all
-      matrices in key order and keeping those with A^2 != I and A^4 = I
-      visits exactly the invertible candidates for A, in the same order.
-      A matrix with a zero row is singular and never has A^4 = I, so the
-      walk takes rows from 1..15 only; their lexicographic product is
-      key order on the matrices that remain.
-    - For fixed A, the condition A*B = B*A^-1 is linear in the 16 bits
-      of B: its solutions are the kernel of B -> A*B + B*A^-1, listed by
-      gf2.kernel_span in increasing key order.
-    - B^2 = A^2 gives B^4 = I, so every solution with B^2 = A^2 is
-      invertible; the first one in key order is the least valid B.
-
-    The candidates for A and, for each A, the candidates for B are thus
-    the same sets in the same order as in a search over GL4(2), and the
-    first hit is the same pair.
+    The quaternion presentation forces <RHO_I, RHO_J> to be a faithful copy
+    of Q8; check() certifies the result as a faithful homomorphism.
     """
-    for a in product(range(1, 16), repeat=4):
-        a2 = gf2.mat_mul(a, a)
-        if a2 == gf2.IDENTITY or gf2.mat_mul(a2, a2) != gf2.IDENTITY:
-            continue
-        a_inv = gf2.mat_mul(a2, a)
-        images = []
-        for k in range(16):
-            e = gf2.mat_from_key(1 << k)
-            images.append(gf2.mat_key(gf2.mat_mul(a, e))
-                          ^ gf2.mat_key(gf2.mat_mul(e, a_inv)))
-        for b_key in gf2.kernel_span(images):
-            b = gf2.mat_from_key(b_key)
-            if gf2.mat_mul(b, b) == a2:
-                return _embedding_from_generators(a, b)
-    raise AssertionError("no Q8 inside GL4(2); search is broken")
-
-
-def _embedding_from_generators(a: gf2.GF2Matrix, b: gf2.GF2Matrix) -> Q8Embedding:
     # Q8 index order: 1, -1, i, -i, j, -j, k, -k with i -> a, j -> b.
+    a, b = RHO_I, RHO_J
     a2 = gf2.mat_mul(a, a)
     rho = (
         gf2.IDENTITY,

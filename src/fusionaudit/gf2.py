@@ -9,7 +9,7 @@ ordering.
 from __future__ import annotations
 
 from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 GF2Vector = int                      # 0..15
 GF2Matrix = Tuple[int, int, int, int]
@@ -63,36 +63,6 @@ def mat_order(a: GF2Matrix) -> int:
 def mat_key(a: GF2Matrix) -> int:
     """16-bit row concatenation; the canonical ordering key."""
     return (a[0] << 12) | (a[1] << 8) | (a[2] << 4) | a[3]
-
-
-def mat_from_key(key: int) -> GF2Matrix:
-    return ((key >> 12) & 15, (key >> 8) & 15, (key >> 4) & 15, key & 15)
-
-
-def kernel_span(images: Sequence[int]) -> List[int]:
-    """Kernel of a GF(2)-linear map, every element, in increasing order.
-
-    images[k] is the (packed) image of the basis vector 1 << k; x lies in
-    the kernel when the XOR of images[k] over the set bits k of x is 0.
-    """
-    pivots = {}                      # leading bit -> (image, preimage)
-    basis = []
-    for k, img in enumerate(images):
-        pre = 1 << k
-        while img:
-            top = img.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (img, pre)
-                break
-            pimg, ppre = pivots[top]
-            img ^= pimg
-            pre ^= ppre
-        else:
-            basis.append(pre)
-    span = [0]
-    for v in basis:
-        span += [s ^ v for s in span]
-    return sorted(span)
 
 
 def semidirect_table(mats: Sequence[GF2Matrix]) -> Tuple[Tuple[int, ...], ...]:

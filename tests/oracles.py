@@ -191,10 +191,15 @@ def fixed_space(a: gf2.GF2Matrix) -> list:
     return [v for v in range(16) if gf2.mat_vec(a, v) == v]
 
 
+def mat_from_key(key: int) -> gf2.GF2Matrix:
+    """The matrix whose gf2.mat_key is key."""
+    return ((key >> 12) & 15, (key >> 8) & 15, (key >> 4) & 15, key & 15)
+
+
 def iter_matrices() -> Iterator[gf2.GF2Matrix]:
     """All 65536 matrices in canonical order."""
     for key in range(1 << 16):
-        yield gf2.mat_from_key(key)
+        yield mat_from_key(key)
 
 
 @lru_cache(maxsize=1)

@@ -134,6 +134,19 @@ def test_report_text_rendering(cg):
         assert f"[PASS] {name}" in text
 
 
+def test_lambda_runs_text_lists_each_run_verdict(cg):
+    # One line per covector and per claim; the witnesses stay in the JSON.
+    text = audit.verify_all_lambdas(cg).to_text()
+    assert "\nlambda_runs: 8\n" in text
+    assert len([ln for ln in text.splitlines() if ln.startswith("    covector ")]) == 8
+    assert "\n    covector 1: OK\n        [PASS] claim3_embedding_exists\n" in text
+    assert "'passed'" not in text
+    failed = audit.AuditReport("verify", "x", lambda_runs=[
+        {"covector": 3, "ok": False,
+         "claims": [{"name": "claim6_indicator", "passed": False, "witness": {}}]}])
+    assert "\n    covector 3: FAILED\n        [FAIL] claim6_indicator\n" in failed.to_text()
+
+
 # Each command's report, built in process, with the sections its JSON
 # document holds besides the header.
 DOCUMENT_REPORTS = {

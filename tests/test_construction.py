@@ -74,11 +74,11 @@ def _cycles(perm):
     return out
 
 
-def test_search_is_reproducible():
+def test_witness_is_reproducible():
     assert fields(find_q8_in_gl42()) == fields(find_q8_in_gl42())
 
 
-def test_search_matches_exhaustive_sweep_over_gl42():
+def test_witness_is_the_least_pair_of_a_gl42_sweep():
     """Oracle: the least (A, B) of a sweep over all of GL4(2), by key order."""
     candidates = invertible_matrices()
     by_square = {}
@@ -97,6 +97,20 @@ def test_search_matches_exhaustive_sweep_over_gl42():
 
     emb = find_q8_in_gl42()
     assert (emb.rho[2], emb.rho[4]) == sweep()
+
+
+def test_witness_is_the_docs_example_pair():
+    # docs/examples/g128.grp writes out the same generators as the builtin.
+    lines = [line.split("#")[0].split() for line in
+             (Path(__file__).resolve().parents[1] / "docs" / "examples" / "g128.grp")
+             .read_text().splitlines()]
+    rows = {}
+    for n, words in enumerate(lines):
+        if words[:1] == ["gen"]:
+            rows[words[1]] = [w for (w,) in lines[n + 1:n + 5]]
+    emb = find_q8_in_gl42()
+    assert rows == {"A": [format(r, "04b") for r in emb.rho[2]],
+                    "B": [format(r, "04b") for r in emb.rho[4]]}
 
 
 def test_embedding_satisfies_presentation():
@@ -264,6 +278,7 @@ def test_build_rejects_broken_embedding(cg):
 @pytest.mark.parametrize("index, replacement, message", [
     (0, 1, "rho(1) is not the identity"),
     (1, 0, "rho(-1) is the identity"),
+    (2, 3, "not a homomorphism"),
 ])
 def test_embedding_check_survives_python_O(cg, index, replacement, message):
     rho = list(cg.embedding.rho)
