@@ -105,7 +105,9 @@ def constructive_data(cg: ConstructedGroup,
     quot, proj = quotient_group(G, cg.h_subgroup)
     qtab = dixon_table(quot)
     lifts = tuple(lift_from_quotient(c, G, proj) for c in qtab.irreducibles)
-    phi = next(l for l, d in zip(lifts, qtab.degrees()) if d == 2)
+    phi = next((l for l, d in zip(lifts, qtab.degrees()) if d == 2), None)
+    if phi is None:
+        raise AssertionError(f"G/H has no irreducible of degree 2: degrees {qtab.degrees()}")
     return ConstructiveData(cg, lam, chi, quot, proj, lifts, phi)
 
 

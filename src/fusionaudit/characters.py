@@ -465,7 +465,10 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         s = sum(x * v[row[-1]] * si
                 for x, row, si in zip(v, power_class, size_inv)) % p
         d_sq = G.order * pow(s, -1, p) % p
-        deg = next(t for t in range(1, p) if t * t % p == d_sq and 2 * t < p)
+        deg = next((t for t in range(1, (p + 1) // 2) if t * t % p == d_sq), None)
+        if deg is None:
+            raise AssertionError(f"|G| / s = {d_sq} mod {p} is not the square of a degree "
+                                 f"below {p} / 2")
         chi_mod = [deg * x * si % p for x, si in zip(v, size_inv)]
         if deg not in getters:
             getters[deg] = [(n // len(pw), itemgetter(*(pw[t % len(pw)] for t in range(deg + 1))))

@@ -76,7 +76,7 @@ def _reduce(n: int, terms: Iterable[Tuple[int, int]]) -> List[int]:
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n), canonical and hashable."""
+    """An element of Q(zeta_n), canonical, compared by value."""
 
     __slots__ = ("n", "num", "den")
 
@@ -113,11 +113,6 @@ class Cyclotomic:
         return Cyclotomic(n, [value] + [0] * (d - 1))
 
     @staticmethod
-    def zeta(n: int, k: int = 1) -> "Cyclotomic":
-        """zeta_n^k."""
-        return Cyclotomic.from_powers(n, {k: 1})
-
-    @staticmethod
     def from_powers(n: int, powers: dict) -> "Cyclotomic":
         """Sum of c_k * zeta_n^k from a {k: c_k} dict (k arbitrary ints)."""
         return Cyclotomic(n, _reduce(n, powers.items()))
@@ -143,15 +138,6 @@ class Cyclotomic:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Cyclotomic(self.n, [-c for c in self.num], self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Cyclotomic(self.n, [c * other for c in self.num], self.den)
@@ -172,17 +158,6 @@ class Cyclotomic:
         if not isinstance(other, int):
             return NotImplemented
         return Cyclotomic(self.n, self.num, self.den * other)
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation zeta -> zeta^-1; an involutive automorphism."""
-        return self.galois(self.n - 1) if self.n > 1 else self
-
-    def galois(self, k: int) -> "Cyclotomic":
-        """The automorphism zeta -> zeta^k, gcd(k, n) = 1."""
-        if gcd(k, self.n) != 1:
-            raise ValueError(f"zeta -> zeta^{k} is not an automorphism for n={self.n}")
-        terms = ((i * k, c) for i, c in enumerate(self.num))
-        return Cyclotomic(self.n, _reduce(self.n, terms), self.den)
 
     def to_order(self, m: int) -> "Cyclotomic":
         """Re-express in Q(zeta_m).  Needs self rational or n | m."""
@@ -211,9 +186,6 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return (self.n, self.num, self.den) == (other.n, other.num, other.den)
-
-    def __hash__(self):
-        return hash((self.n, self.num, self.den))
 
     # -- rendering -------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Test-side helpers: small reference functions with no production caller,
 and field-by-field access to the program's record classes."""
 from functools import lru_cache
+from math import gcd
 from typing import Iterator, List, Sequence, Tuple
 
 from fusionaudit import gf2
@@ -34,6 +35,42 @@ def rebuild(obj, **changes):
 
 
 # ---------------------------------------------------------------------------
+# Cyclotomic values: the operations no production path needs
+# ---------------------------------------------------------------------------
+
+def zeta(n: int, k: int = 1) -> Cyclotomic:
+    """zeta_n^k."""
+    return Cyclotomic.from_powers(n, {k: 1})
+
+
+def galois(v: Cyclotomic, k: int) -> Cyclotomic:
+    """The automorphism zeta -> zeta^k of Q(zeta_n), gcd(k, n) = 1."""
+    if gcd(k, v.n) != 1:
+        raise ValueError(f"zeta -> zeta^{k} is not an automorphism for n={v.n}")
+    return Cyclotomic.from_powers(v.n, {i * k: c for i, c in enumerate(v.num)}) / v.den
+
+
+def conjugate(v: Cyclotomic) -> Cyclotomic:
+    """Complex conjugation zeta -> zeta^-1; an involutive automorphism."""
+    return galois(v, v.n - 1) if v.n > 1 else v
+
+
+def neg(v: Cyclotomic) -> Cyclotomic:
+    return v * -1
+
+
+def sub(a, b):
+    """a - b for a Cyclotomic or an int on either side."""
+    return a + b * -1
+
+
+def value_key(v: Cyclotomic) -> Tuple[int, Tuple[int, ...], int]:
+    """The canonical form as a tuple: Cyclotomic compares by value but is
+    not hashable, so sets and dicts of values are keyed by this."""
+    return v.n, v.num, v.den
+
+
+# ---------------------------------------------------------------------------
 # Characters and groups
 # ---------------------------------------------------------------------------
 
@@ -43,7 +80,7 @@ def trivial_character(G: FiniteGroup) -> ClassFunction:
 
 
 def dual_character(a: ClassFunction) -> ClassFunction:
-    return ClassFunction(a.group, tuple(v.conjugate() for v in a.values))
+    return ClassFunction(a.group, tuple(conjugate(v) for v in a.values))
 
 
 def restrict(a: ClassFunction, H: FiniteGroup, embed: Sequence[int]) -> ClassFunction:
@@ -94,7 +131,7 @@ def conjugacy_classes_sweep(G: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
 
 
 def is_real(v: Cyclotomic) -> bool:
-    return v.conjugate() == v
+    return conjugate(v) == v
 
 
 def parse_cyclotomic(n: int, text: str) -> Cyclotomic:
@@ -111,7 +148,7 @@ def parse_cyclotomic(n: int, text: str) -> Cyclotomic:
         if coeff_s in ("", "-"):        # a bare z^k or -z^k
             coeff_s += "1"
         a, _, b = coeff_s.partition("/")
-        total = total + Cyclotomic.zeta(n, k) * int(a) / int(b or 1)
+        total = total + zeta(n, k) * int(a) / int(b or 1)
     return total
 
 
@@ -119,7 +156,7 @@ def conjugate_inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     """<a, b> = |G|^-1 sum_g a(g) conj(b(g)), classwise, with conj the field
     automorphism: the reference for constructive.inner_product on characters."""
     G = a.group
-    return sum(len(cl) * av * bv.conjugate() for cl, av, bv in
+    return sum(len(cl) * av * conjugate(bv) for cl, av, bv in
                zip(G.conjugacy_classes(), a.values, b.values)) / G.order
 
 

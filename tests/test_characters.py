@@ -41,9 +41,11 @@ from fusionaudit.groups import FiniteGroup, q8_group, quotient_group
 from conftest import cayley_file, cayley_table, dicyclic_mul, dihedral_mul, relabelling
 from oracles import (
     class_matrix,
+    conjugate,
     conjugate_inner_product,
     dual_character,
     fields,
+    galois,
     is_real,
     power_walk,
     rebuild,
@@ -51,6 +53,8 @@ from oracles import (
     squaring_fs_indicator,
     subgroup_as_group,
     trivial_character,
+    value_key,
+    zeta,
 )
 
 TABLES = ["q8_table", "h16_table", "g128_table", "d10_table", "d30_table", "c30_table"]
@@ -243,7 +247,7 @@ def test_dixon_column_orthogonality(g128_table):
         for k in range(len(classes)):
             acc = Cyclotomic.zero(n)
             for chi in table.irreducibles:
-                acc = acc + chi.values[j] * chi.values[k].conjugate()
+                acc = acc + chi.values[j] * conjugate(chi.values[k])
             expect = G.order // len(cj) if j == k else 0
             assert acc == expect
 
@@ -275,13 +279,13 @@ def test_involution_counting(cg, q8, h16, g128_table, q8_table, h16_table):
 
 def test_galois_action_permutes_rows(g128_table):
     n = g128_table.root_order
-    rows = {chi.values for chi in g128_table.irreducibles}
+    rows = {tuple(map(value_key, chi.values)) for chi in g128_table.irreducibles}
     for k in range(1, n):
         from math import gcd
         if gcd(k, n) != 1:
             continue
         for chi in g128_table.irreducibles:
-            assert tuple(v.galois(k) for v in chi.values) in rows
+            assert tuple(value_key(galois(v, k)) for v in chi.values) in rows
 
 
 def test_dual_character(data, g128_table):
@@ -415,7 +419,7 @@ def exact_fusion_tensor(table):
 
     rows = [[v.num for v in chi.values] for chi in table.irreducibles]
     assert all(v.den == 1 for chi in table.irreducibles for v in chi.values)
-    conj_rows = [[v.conjugate().num for v in chi.values]
+    conj_rows = [[conjugate(v).num for v in chi.values]
                  for chi in table.irreducibles]
     N = [[[0] * r_count for _ in range(r_count)] for _ in range(r_count)]
     for pi in range(r_count):
@@ -873,7 +877,7 @@ def test_lift_builds_each_distinct_value_once(monkeypatch, c30_file):
 
     monkeypatch.setattr(Cyclotomic, "from_powers", staticmethod(spy))
     table = dixon_table(G)
-    distinct = {v for chi in table.irreducibles for v in chi.values}
+    distinct = {value_key(v) for chi in table.irreducibles for v in chi.values}
     assert len(built) == len(distinct) == 30
 
 
@@ -928,9 +932,10 @@ def test_dixon_matches_closed_form_on_cyclic_groups(name, request):
     for _ in range(m - 1):
         powers.append(G.mul(powers[-1], g))
     # chi_a(g^b) = zeta_m^(ab), whichever generator g is picked
-    zetas = [Cyclotomic.zeta(m, k) for k in range(m)]     # shared: C512 has m^2 entries
+    zetas = [value_key(zeta(m, k)) for k in range(m)]     # shared: C512 has m^2 entries
     closed = {tuple(zetas[a * b % m] for b in range(m)) for a in range(m)}
-    rows = {tuple(chi.value_at(x) for x in powers) for chi in dixon_table(G).irreducibles}
+    rows = {tuple(value_key(chi.value_at(x)) for x in powers)
+            for chi in dixon_table(G).irreducibles}
     assert rows == closed
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionaudit.cyclotomic import Cyclotomic, cyclotomic_polynomial
-from oracles import parse_cyclotomic
+from oracles import conjugate, galois, neg, parse_cyclotomic, sub, zeta
 
 
 def test_cyclotomic_polynomials():
@@ -18,24 +18,24 @@ def test_cyclotomic_polynomials():
 
 
 def test_zeta8_relations():
-    z = Cyclotomic.zeta(8)
+    z = zeta(8)
     assert z * z * z * z == -1
-    assert z * Cyclotomic.zeta(8, 7) == 1
-    assert (1 + z) * (1 - z) == 1 - z * z
+    assert z * zeta(8, 7) == 1
+    assert (1 + z) * sub(1, z) == sub(1, z * z)
 
 
 def test_conjugation():
     three_halves = Cyclotomic.from_rational(8, 3) / 2
-    assert three_halves.conjugate() == three_halves
-    assert Cyclotomic.zeta(8).conjugate() == Cyclotomic.zeta(8, 7)
-    z = Cyclotomic.zeta(8, 3)
-    assert z.conjugate().conjugate() == z
+    assert conjugate(three_halves) == three_halves
+    assert conjugate(zeta(8)) == zeta(8, 7)
+    z = zeta(8, 3)
+    assert conjugate(conjugate(z)) == z
 
 
 def test_rational_reads():
     assert Cyclotomic.from_rational(8, -1).as_integer() == -1
     with pytest.raises(ValueError):
-        Cyclotomic.zeta(8).as_integer()
+        zeta(8).as_integer()
     half = Cyclotomic.from_rational(4, 1) / 2
     assert half * 2 == 1 and (half.num, half.den) == ((1, 0), 2)
     with pytest.raises(ValueError):
@@ -45,7 +45,7 @@ def test_rational_reads():
         half / 0
     for text in ("1/2*z", "-3/4"):
         assert parse_cyclotomic(8, text).render() == text
-    assert parse_cyclotomic(8, "1/2*z") == Cyclotomic.zeta(8) / 2
+    assert parse_cyclotomic(8, "1/2*z") == zeta(8) / 2
     assert parse_cyclotomic(8, "-3/4") == Cyclotomic.from_rational(8, -3) / 4
 
 
@@ -58,16 +58,16 @@ def test_canonical_form_unique():
 
 def test_incompatible_orders_rejected():
     with pytest.raises(ValueError):
-        Cyclotomic.zeta(8) + Cyclotomic.zeta(12)
+        zeta(8) + zeta(12)
 
 
 def test_to_order_promotion():
-    z4 = Cyclotomic.zeta(4)
-    z8sq = Cyclotomic.zeta(8, 2)
+    z4 = zeta(4)
+    z8sq = zeta(8, 2)
     assert z4.to_order(8) == z8sq
     assert Cyclotomic.from_rational(2, 5).to_order(8) == 5
     with pytest.raises(ValueError):
-        Cyclotomic.zeta(8).to_order(4)
+        zeta(8).to_order(4)
 
 
 def _random_value(rng, n):
@@ -89,7 +89,7 @@ def test_ring_axioms_randomized():
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
-        assert a + (-a) == Cyclotomic.zero(n)
+        assert a + neg(a) == Cyclotomic.zero(n)
         assert a * 1 == a
 
 
@@ -119,24 +119,23 @@ def test_int_operands_match_the_general_path(pair):
     ck = Cyclotomic.from_rational(x.n, k)
     assert x * k == k * x == x * ck
     assert x + k == k + x == x + ck
-    assert x - k == x - ck and k - x == ck - x
+    assert sub(x, k) == sub(x, ck) and sub(k, x) == sub(ck, x)
     assert (x == k) == (x == ck) == (k == x)
 
 
 @given(cyclotomic_values(), cyclotomic_values())
 def test_conjugation_is_ring_homomorphism(a, b):
-    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-    assert a.conjugate().conjugate() == a
+    assert conjugate(a + b) == conjugate(a) + conjugate(b)
+    assert conjugate(a * b) == conjugate(a) * conjugate(b)
+    assert conjugate(conjugate(a)) == a
 
 
 @given(cyclotomic_values())
 def test_galois_automorphisms(a):
     for k in (1, 3, 5, 7):
-        g = a.galois(k)
-        assert g.galois(pow(k, -1, 8)) == a
+        assert galois(galois(a, k), pow(k, -1, 8)) == a
     with pytest.raises(ValueError):
-        a.galois(2)
+        galois(a, 2)
 
 
 @settings(max_examples=50)
@@ -155,7 +154,7 @@ def test_numeric_oracle(a, b, a7, b7):
 
 @given(cyclotomic_values())
 def test_norm_is_nonnegative_real(a):
-    norm = a * a.conjugate()
+    norm = a * conjugate(a)
 
     def as_complex(x):
         z = cmath.exp(2j * cmath.pi / x.n)
@@ -174,6 +173,6 @@ def test_render_parse_roundtrip(a):
 def test_render_examples():
     assert Cyclotomic.zero(8).render() == "0"
     assert Cyclotomic.from_rational(8, -1).render() == "-1"
-    z = Cyclotomic.zeta(8)
+    z = zeta(8)
     assert (1 + z).render() == "1 + z"
     assert (z / 2).render() == "1/2*z"

@@ -1,12 +1,18 @@
 """Checks on the source tree itself and on how it runs."""
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 import types
 
+import pytest
+
+from conftest import cayley_table, dihedral_mul
 from test_audit import LOOP5_TABLE
+from test_faults import CASES, arrange, raise_sites
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fusionaudit"
 
@@ -20,15 +26,126 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
-def test_no_galois_calls_outside_cyclotomic():
-    # The character routes read g^-1 from the power map; conjugate() and
-    # galois() stay in Cyclotomic as the tests' independent oracle.
+def test_no_src_module_defines_the_oracle_operations():
+    # The character routes read g^-1 from the power map, and no value is
+    # negated, subtracted or hashed: conjugation, the Galois action, zeta,
+    # negation and subtraction are the tests' oracles (tests/oracles.py), and
+    # Cyclotomic, compared by value, is not hashable.
+    oracle_only = {"conjugate", "galois", "zeta", "__neg__", "__sub__", "__rsub__", "__hash__"}
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py")) if path.name != "cyclotomic.py"
+             for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr in ("conjugate", "galois")]
+             if isinstance(node, ast.FunctionDef) and node.name in oracle_only
+             or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+             and node.id in oracle_only]
     assert found == []
+
+
+def test_every_raise_in_src_has_a_fault_case():
+    # test_faults makes each raise fire and checks its message; a raise
+    # added without a case, or a case left behind by a removed raise, fails here.
+    keys = [site.key for site in raise_sites()]
+    assert len(keys) == len(set(keys)), "two raises in one function share a message"
+    assert sorted(set(keys) - set(CASES)) == [], "raises without a case"
+    assert sorted(set(CASES) - set(keys)) == [], "cases without a raise"
+
+
+def _src_defs():
+    """Every def in src/ as (file, first line) -> module.qualified.name.  The
+    first line is its first decorator's, if any, as in its code object."""
+    defs = {}
+    for path in sorted(SRC.glob("*.py")):
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    if isinstance(child, ast.FunctionDef):
+                        first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                        defs[str(path), first] = ".".join((path.stem, *scope, child.name))
+                    visit(child, scope + (child.name,))
+                else:
+                    visit(child, scope)
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return defs
+
+
+def _defs_at(places, defs):
+    """The names of the defs whose code starts at one of the (file, line) places."""
+    resolved = {(str(pathlib.Path(path).resolve()), line) for path, line in places}
+    return {name for at, name in defs.items() if at in resolved}
+
+
+# A small corpus of commands: the builtin groups, a `table` file, a
+# `semidirect-gf2` file and a few bad inputs, each run by cli.main in one
+# interpreter that a profile hook watches from before the package is imported.
+CORPUS = [
+    ["verify"], ["verify", "--all-lambdas", "--report", "json"], ["scan"],
+    ["table", "--table-method", "both"], ["table", "--table-method", "constructive"],
+    ["scan", "--group", "builtin:q8", "--report", "json"], ["table", "--group", "builtin:h16"],
+    ["table", "--group", "file:s3.grp", "--max-order", "16"], ["scan", "--group", "file:swap.grp"],
+    ["scan", "--group", "builtin:nope"], ["scan", "--group", "q8"],
+    ["table", "--group", "builtin:q8", "--table-method", "both"],
+    ["table", "--group", "file:zero.grp"], ["table", "--group", "file:loop5.grp"],
+    ["scan", "--group", "builtin:q8", "--out", "missing/report.json"],
+    ["table", "--max-order", "0"],
+]
+CORPUS_FILES = {
+    "s3.grp": "table 6\n" + "".join(" ".join(map(str, row)) + "\n"
+                                    for row in cayley_table(6, dihedral_mul(3))),
+    "swap.grp": "semidirect-gf2\ngen A 0100 1000 0010 0001\nrel A^2\nrel A^-1*A\n",
+    "zero.grp": "table 0\n",
+    "loop5.grp": LOOP5_TABLE,
+}
+PROFILED_CORPUS = f"""
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+places = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and places.add(
+    (frame.f_code.co_filename, frame.f_code.co_firstlineno)))
+from fusionaudit import cli
+for argv in {CORPUS!r}:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+sys.setprofile(None)
+print(json.dumps(sorted(places)))
+"""
+
+# The defs no command in the corpus calls, each with the test_faults case
+# that does: they run only on a fault.
+FAULT_ONLY = {
+    "cyclotomic.Cyclotomic.__repr__": "half_is_not_an_integer",    # as_integer's message
+}
+
+
+def test_every_src_function_runs_under_a_command(tmp_path, request):
+    for name, text in CORPUS_FILES.items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    start = time.monotonic()
+    run = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", PROFILED_CORPUS],
+                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    elapsed = time.monotonic() - start
+    assert run.returncode == 0, run.stderr
+    defs = _src_defs()
+    by_corpus = _defs_at(json.loads(run.stdout), defs)
+    assert elapsed < 5, f"the profiled corpus took {elapsed:.1f} s"
+    assert sorted(set(defs.values()) - by_corpus - set(FAULT_ONLY)) == []
+    assert sorted(by_corpus & set(FAULT_ONLY)) == [], "a command now calls these"
+
+    cases = {case.__name__: case for case in CASES.values()}
+    for name, case_name in FAULT_ONLY.items():
+        fault = arrange(cases[case_name], request)
+        places = set()
+        sys.setprofile(lambda frame, event, arg: event == "call" and places.add(
+            (frame.f_code.co_filename, frame.f_code.co_firstlineno)))
+        try:
+            with pytest.raises(Exception):
+                fault.call()
+        finally:
+            sys.setprofile(None)
+        assert name in _defs_at(places, defs), case_name
 
 
 def test_runtime_imports_only_the_standard_library():
