@@ -11,7 +11,7 @@ import json
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .characters import CharacterTable, dixon_table, fusion_tensor
-from .groups import FiniteGroup, elementary_abelian_16, q8_group, quotient_group
+from .groups import FiniteGroup, elementary_abelian_16, q8_group
 
 if TYPE_CHECKING:
     from .construction import ConstructedGroup
@@ -99,10 +99,11 @@ def builtin_group(name: str) -> Tuple[FiniteGroup, Optional[ConstructedGroup]]:
 
 def constructive_data(cg: ConstructedGroup,
                       covector: Optional[int] = None) -> ConstructiveData:
+    from .construction import q8_quotient
     from .constructive import ConstructiveData, _lambda_and_chi, lift_from_quotient
     G = cg.group
     lam, chi = _lambda_and_chi(cg, covector)
-    quot, proj = quotient_group(G, cg.h_subgroup)
+    quot, proj = q8_quotient(cg)
     qtab = dixon_table(quot)
     lifts = tuple(lift_from_quotient(c, G, proj) for c in qtab.irreducibles)
     phi = next((l for l, d in zip(lifts, qtab.degrees()) if d == 2), None)

@@ -346,13 +346,14 @@ def _central_blocks(G: FiniteGroup, omega_pows: List[int]) -> List[Tuple[List[Li
     return blocks
 
 
-def _eigenvalues(sums: List[int], roots: List[int], p: int) -> List[Tuple[int, int]]:
+def _eigenvalues(sums: List[int], roots: List[int], p: int,
+                 cls: int) -> List[Tuple[int, int]]:
     """(j, m) for each roots[j] of multiplicity m > 0 in f = prod_i (x - eps_i),
     from the power sums sums[t - 1] = sum_i eps_i^t mod p, t = 1..deg, by
     Newton's identities k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} s_i.  For the
     coefficients c_k = (-1)^k e_k of f = sum_k c_k x^(deg-k) they read
-    k c_k = -sum_{i<k} c_i s_{k-i}.  Raises AssertionError unless f splits
-    into the roots listed."""
+    k c_k = -sum_{i<k} c_i s_{k-i}.  Raises AssertionError, naming class
+    cls, unless f splits into the roots listed."""
     f = [1]                                             # top coefficient first
     for k in range(1, len(sums) + 1):
         f.append(-sum(map(mul, f, reversed(sums[:k]))) * pow(k, -1, p) % p)
@@ -372,8 +373,8 @@ def _eigenvalues(sums: List[int], roots: List[int], p: int) -> List[Tuple[int, i
         j = roots.index(-f[1] % p)
         f, out[j] = [1], out.get(j, 0) + 1
     if len(f) > 1:
-        raise AssertionError(f"power sums {sums} mod {p}: the eigenvalue polynomial "
-                             f"does not split into {len(roots)}-th roots of unity")
+        raise AssertionError(f"power sums {sums} mod {p} at class {cls}: the eigenvalue "
+                             f"polynomial does not split into roots of x^{len(roots)} - 1")
     return sorted(out.items())
 
 
@@ -474,12 +475,12 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
             getters[deg] = [(n // len(pw), itemgetter(*(pw[t % len(pw)] for t in range(deg + 1))))
                             for pw in power_class]
         pairs = []
-        for step, getter in getters[deg]:
+        for cls, (step, getter) in enumerate(getters[deg]):
             memo = (step, getter(chi_mod))
             pair = lifted.get(memo)
             if pair is None:            # _eigenvalues raises before a bad lift is kept
                 key = tuple((j * step, m) for j, m in
-                            _eigenvalues(list(memo[1][1:]), omega_pows[::step], p))
+                            _eigenvalues(list(memo[1][1:]), omega_pows[::step], p, cls))
                 if key not in built:
                     value = Cyclotomic.from_powers(n, dict(key))
                     built[key] = (value, value.render())

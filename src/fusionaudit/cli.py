@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not args.group.startswith("builtin:g128"):
+    if args.command == "verify" and args.group != "builtin:g128":
         parser.error("verify applies to the construction; use --group builtin:g128")
     t0 = time.monotonic()
     try:

@@ -17,6 +17,7 @@ from .groups import (
     Q8_TABLE,
     centralizer_of_set,
     commutator_span,
+    q8_group,
 )
 
 Permutation = Tuple[int, ...]
@@ -101,7 +102,8 @@ class ConstructedGroup:
     """The 128-element group H x| Q with its distinguished subgroups.
 
     Element index = 8 * (vector bits as 0..15) + (Q8 index 0..7); the
-    identity (0, 1) is index 0.
+    identity (0, 1) is index 0.  So g -> g & 7 is the projection onto
+    G/H = Q8 (q8_quotient), which build_g certifies by _check_quotient_is_q8.
     """
     __slots__ = ("group", "embedding", "h_subgroup", "q_subgroup", "z_lift",
                  "_lambda_facts")
@@ -137,11 +139,26 @@ def build_g(embedding: Q8Embedding) -> ConstructedGroup:
 
 
 def _check_quotient_is_q8(cg: ConstructedGroup) -> bool:
-    # Cosets of H are indexed by the Q8 component; their multiplication
-    # must reproduce the Q8 Cayley table.
+    """True iff pi: g -> g & 7 is a homomorphism from G onto Q8 with kernel H,
+    so that H is normal and G/H is Q8 with projection pi.
+
+    It checks pi(a s) = pi(a) pi(s) in Q8_TABLE for every a in G and every
+    s in G.generators(), |G| log2|G| lookups at most.  That suffices: every
+    g is a word w = s_1 ... s_k in the generators, and pi(a w) = pi(a) pi(w)
+    for all a by induction on k.  For k = 0, pi(1) = 1.  For w = v s,
+    pi(a v s) = pi(a v) pi(s) = pi(a) pi(v) pi(s) = pi(a) pi(v s), by the
+    check at a v, the induction at v, and the check at v.  pi is onto, as
+    it fixes 0..7, and its kernel is {g : g & 7 = 0}, the 16 indices 8h of
+    H.  A kernel is normal, and G/ker pi is the image: gH goes to pi(g).
+    """
     G = cg.group
-    return all(G.mul(q1, q2) & 7 == Q8_TABLE[q1][q2]
-               for q1 in range(8) for q2 in range(8))
+    return all(G.mul(a, s) & 7 == Q8_TABLE[a & 7][s & 7]
+               for s in G.generators() for a in range(G.order))
+
+
+def q8_quotient(cg: ConstructedGroup) -> Tuple[FiniteGroup, List[int]]:
+    """G/H as Q8, and the projection pi: g -> g & 7 that build_g certifies."""
+    return q8_group(), [g & 7 for g in range(cg.group.order)]
 
 
 def compute_h0(cg: ConstructedGroup) -> Tuple[int, ...]:

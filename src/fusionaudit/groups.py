@@ -232,30 +232,3 @@ def squares_in(G: FiniteGroup, S: Iterable[int]) -> Tuple[int, ...]:
     s = set(S)
     return tuple(g for g in range(G.order) if G.mul(g, g) in s)
 
-
-def quotient_group(G: FiniteGroup, N: Iterable[int]) -> Tuple[FiniteGroup, List[int]]:
-    """Quotient by a normal subgroup.
-
-    Returns (G/N, projection) where projection[g] is the index of gN.
-    Cosets are indexed by their least member, identity coset first.
-    """
-    members = set(N)
-    n_set = sorted(members)
-    if not is_subgroup(G, n_set):
-        raise ValueError("N is not a subgroup")
-    for g in range(G.order):
-        if any(G.conj(h, g) not in members for h in n_set):
-            raise ValueError("N is not normal")
-    proj = [-1] * G.order
-    cosets: List[Tuple[int, ...]] = []
-    for g in range(G.order):
-        if proj[g] >= 0:
-            continue
-        coset = sorted(G.mul(g, h) for h in n_set)
-        idx = len(cosets)
-        cosets.append(tuple(coset))
-        for x in coset:
-            proj[x] = idx
-    reps = [c[0] for c in cosets]
-    table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
-    return FiniteGroup(table), proj

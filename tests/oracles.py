@@ -105,6 +105,27 @@ def subgroup_as_group(G: FiniteGroup, S) -> Tuple[FiniteGroup, List[int]]:
     return FiniteGroup(table), members
 
 
+def quotient_group(G: FiniteGroup, N) -> Tuple[FiniteGroup, List[int]]:
+    """G/N by a normal subgroup N, with projection[g] the index of gN;
+    cosets are indexed by their least member, identity coset first.  The
+    reference for construction.q8_quotient, computed from the table alone."""
+    members = set(N)
+    n_set = sorted(members)
+    if not is_subgroup(G, n_set):
+        raise ValueError("N is not a subgroup")
+    if any(G.conj(h, g) not in members for g in range(G.order) for h in n_set):
+        raise ValueError("N is not normal")
+    proj = [-1] * G.order
+    reps: List[int] = []
+    for g in range(G.order):
+        if proj[g] < 0:
+            for x in (G.mul(g, h) for h in n_set):
+                proj[x] = len(reps)
+            reps.append(g)
+    table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
+    return FiniteGroup(table), proj
+
+
 def power_walk(G: FiniteGroup, g: int) -> List[int]:
     """g^0, g^1, ..., g^(ord(g) - 1), walked one product at a time up to the
     identity: the reference for FiniteGroup.power_classes, element_order and

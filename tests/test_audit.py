@@ -846,9 +846,16 @@ def test_cli_verify_all_lambdas_walks_each_group_once(monkeypatch, tmp_path):
     assert all(m is walked[0] for walked in maps.values() for m in walked)
 
 
-def test_cli_verify_rejects_other_groups():
-    with pytest.raises(SystemExit):
-        main(["verify", "--group", "builtin:q8"])
+def test_cli_verify_rejects_other_groups(capsys):
+    # The guard compares the whole name: one with builtin:g128 as a prefix
+    # is bad usage too, not an unknown builtin group found later.
+    for group in ("builtin:q8", "builtin:g128x", "builtin:g1280"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--group", group])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "verify applies to the construction; use --group builtin:g128" in err
+        assert "unknown builtin group" not in err
 
 
 def test_cli_scan_builtin(capsys):

