@@ -101,15 +101,13 @@ def constructive_data(cg: ConstructedGroup,
                       covector: Optional[int] = None) -> ConstructiveData:
     from .construction import q8_quotient
     from .constructive import ConstructiveData, _lambda_and_chi, lift_from_quotient
-    G = cg.group
     lam, chi = _lambda_and_chi(cg, covector)
-    quot, proj = q8_quotient(cg)
-    qtab = dixon_table(quot)
-    lifts = tuple(lift_from_quotient(c, G, proj) for c in qtab.irreducibles)
+    qtab = dixon_table(q8_quotient(cg)[0])
+    lifts = tuple(lift_from_quotient(c, cg) for c in qtab.irreducibles)
     phi = next((l for l, d in zip(lifts, qtab.degrees()) if d == 2), None)
     if phi is None:
         raise AssertionError(f"G/H has no irreducible of degree 2: degrees {qtab.degrees()}")
-    return ConstructiveData(cg, lam, chi, quot, proj, lifts, phi)
+    return ConstructiveData(cg, lam, chi, lifts, phi)
 
 
 def verify_claims(cg: ConstructedGroup, covector: Optional[int] = None) -> AuditReport:

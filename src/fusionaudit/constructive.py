@@ -1,9 +1,9 @@
 """The constructive route: chi = lambda^G by induction, and the six claims.
 
 Class functions on G with values in Q(zeta_e), e = exp G (induction, inner
-and pointwise products, FS indicators, lifts from G/H) build the order-128
-group's chi and phi; a value from another field raises ValueError.  Only
-`verify` and the constructive methods of `table` import this module.
+and pointwise products, FS indicators, lifts from G/H = Q8 along the certified
+pi) build the order-128 group's chi and phi; a value from another field raises
+ValueError.  Only `verify` and the constructive methods of `table` import it.
 """
 from __future__ import annotations
 
@@ -75,13 +75,12 @@ def fs_indicator(a: ClassFunction) -> int:
                 zip(G.conjugacy_classes(), G.power_classes())) / G.order).as_integer()
 
 
-def lift_from_quotient(c: ClassFunction, G: FiniteGroup,
-                       proj: Sequence[int]) -> ClassFunction:
-    """Pull a class function on G/N back to G along the projection, into
-    Q(zeta_e), e = exp G: exp(G/N) divides e."""
-    Q, e = c.group, G.exponent()
-    if len(proj) != G.order or max(proj) != Q.order - 1:
-        raise ValueError("projection does not match the quotient")
+def lift_from_quotient(c: ClassFunction, cg: ConstructedGroup) -> ClassFunction:
+    """Pull a class function on G/H = Q8 back to G along construction.q8_quotient's
+    pi, into Q(zeta_e), e = exp G.  build_g certifies pi by _check_quotient_is_q8:
+    a homomorphism onto Q8 with kernel H.  So pi maps each class of G into one
+    class of Q8, and the class's first element gives its value; exp(G/H) divides e."""
+    G, e, proj = cg.group, cg.group.exponent(), construction.q8_quotient(cg)[1]
     return ClassFunction(G, tuple(
         c.value_at(proj[cl[0]]).to_order(e) for cl in G.conjugacy_classes()))
 
@@ -102,23 +101,20 @@ def conjugate_stabilizer_check(cg: ConstructedGroup, lam: LambdaChoice) -> bool:
 
 
 class ConstructiveData:
-    __slots__ = ("cg", "lam", "chi", "quotient", "proj", "lifts", "phi")
+    __slots__ = ("cg", "lam", "chi", "lifts", "phi")
 
     def __init__(self, cg: ConstructedGroup, lam: LambdaChoice, chi: ClassFunction,
-                 quotient: FiniteGroup, proj: List[int],
                  lifts: Tuple[ClassFunction, ...], phi: ClassFunction):
         self.cg = cg
         self.lam = lam
         self.chi = chi
-        self.quotient = quotient
-        self.proj = proj
         self.lifts = lifts      # the 5 quotient irreducibles, lifted
         self.phi = phi          # the lifted 2-dimensional irreducible
 
     def for_covector(self, covector: int) -> "ConstructiveData":
         """The same data with lambda and chi for another covector."""
         return ConstructiveData(self.cg, *_lambda_and_chi(self.cg, covector),
-                                self.quotient, self.proj, self.lifts, self.phi)
+                                self.lifts, self.phi)
 
 
 def _lambda_and_chi(cg: ConstructedGroup,
@@ -137,7 +133,7 @@ def induced_square_constituent(data: ConstructiveData) -> ClassFunction:
     sq_values = {g: Cyclotomic.from_rational(n, data.lam.value_sign(g) ** 2)
                  for g in cg.h_subgroup}
     ind = induce(G, cg.h_subgroup, sq_values)
-    reg_lift = lift_from_quotient(regular_character(data.quotient), G, data.proj)
+    reg_lift = lift_from_quotient(regular_character(construction.q8_quotient(cg)[0]), cg)
     if ind != reg_lift:
         raise AssertionError("(lambda^2)^G differs from the lifted regular character")
     return ind

@@ -993,6 +993,13 @@ GOLDEN_REPORTS = [
 ]
 
 
+@pytest.fixture(scope="session")
+def fixture_file_reports():
+    """The reports on fixture files by golden name, each built once for its
+    JSON and its text test."""
+    return {}
+
+
 def _golden_report_bytes(name, argv, fmt, tmp_path, request):
     """The report `name` as `--report fmt` writes it.
 
@@ -1001,10 +1008,13 @@ def _golden_report_bytes(name, argv, fmt, tmp_path, request):
     that the fixture's temporary path does not enter it.
     """
     if argv is None:
-        command, label = name.split("-")
-        G = load_group_file(str(request.getfixturevalue(f"{label}_file")))
-        report = (audit.scan_report if command == "scan" else audit.table_report)(
-            f"file:{label}.grp", G)
+        reports = request.getfixturevalue("fixture_file_reports")
+        if name not in reports:
+            command, label = name.split("-")
+            G = load_group_file(str(request.getfixturevalue(f"{label}_file")))
+            reports[name] = (audit.scan_report if command == "scan" else audit.table_report)(
+                f"file:{label}.grp", G)
+        report = reports[name]
         return (report.to_json() if fmt == "json" else report.to_text()).encode("utf-8")
     out = tmp_path / f"live.{fmt}"
     assert main([*argv, "--report", fmt, "--out", str(out)]) == 0

@@ -26,7 +26,7 @@ from fusionaudit.characters import (
     dixon_table,
     fusion_tensor,
 )
-from fusionaudit.construction import choose_lambda, compute_h0, valid_covectors
+from fusionaudit.construction import choose_lambda, compute_h0, q8_quotient, valid_covectors
 from fusionaudit.constructive import (
     fs_indicator,
     induce,
@@ -48,7 +48,6 @@ from oracles import (
     galois,
     is_real,
     power_walk,
-    quotient_group,
     rebuild,
     restrict,
     squaring_fs_indicator,
@@ -175,16 +174,27 @@ def test_pointwise_square(cg, data):
 
 def test_lift_from_quotient(cg, data):
     G = cg.group
-    lifted_triv = lift_from_quotient(
-        trivial_character(data.quotient), G, data.proj)
+    lifted_triv = lift_from_quotient(trivial_character(q8_quotient(cg)[0]), cg)
     assert lifted_triv == trivial_character(G)
     assert data.phi.degree() == 2
     for h in cg.h_subgroup:
         assert data.phi.value_at(h) == 2
 
 
+def test_every_lift_is_the_pull_back_along_pi_at_every_element(cg, data):
+    # A lift is read at class representatives; pi: g -> g & 7 sends each class
+    # of G into one class of Q8, so c(g & 7) is its value at every g.
+    Q, G = q8_quotient(cg)[0], cg.group
+    assert all(len({Q.class_of(g & 7) for g in cl}) == 1 for cl in G.conjugacy_classes())
+    pairs = [*zip(data.lifts, dixon_table(Q).irreducibles),
+             (lift_from_quotient(regular_character(Q), cg), regular_character(Q))]
+    assert len(pairs) == 6
+    for lift, c in pairs:
+        assert all(lift.value_at(g) == c.value_at(g & 7) for g in range(G.order))
+
+
 def test_every_class_function_lives_in_its_groups_field(cg, data, q8_table, h16_table,
-                                                        g128_table, d120_file, d10_table):
+                                                        g128_table, d120_file):
     # One field per group: every value is in Q(zeta_e), e = exp G, so class
     # functions on G multiply and compare with no conversion.
     d120_table = dixon_table(load_group_file(str(d120_file)))
@@ -193,11 +203,6 @@ def test_every_class_function_lives_in_its_groups_field(cg, data, q8_table, h16_
     assert len(chis) == 8 and len(data.lifts) == 5
     built.append((cg.group, [*chis, data.phi, *data.lifts,
                              constructive.induced_square_constituent(data)]))
-    # g128 / H has g128's exponent 4; D_10 / <r> = C_2 has 2, against D_10's 10.
-    D = d10_table.group
-    Q, proj = quotient_group(D, range(10))
-    assert (Q.exponent(), D.exponent()) == (2, 10)
-    built.append((D, [lift_from_quotient(c, D, proj) for c in dixon_table(Q).irreducibles]))
     for G, functions in built:
         assert all(c.group is G for c in functions)
         assert {v.n for c in functions for v in c.values} == {G.exponent()}
