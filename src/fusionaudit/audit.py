@@ -2,8 +2,9 @@
 
 scan_report checks a Dixon table's fusion data against the positivity and
 Wang conjectures and the odd-multiplicity rule, which must never fail.
-verify_claims and verify_all_lambdas check the six claims on g128.  The
-`construction` and `constructive` modules are imported only where used.
+verify_claims and verify_all_lambdas report the six claims on g128, which
+`constructive` returns as dicts.  The `construction` and `constructive`
+modules are imported only where used.
 """
 from __future__ import annotations
 
@@ -100,8 +101,8 @@ def builtin_group(name: str) -> Tuple[FiniteGroup, Optional[ConstructedGroup]]:
 def constructive_data(cg: ConstructedGroup,
                       covector: Optional[int] = None) -> ConstructiveData:
     from .construction import q8_quotient
-    from .constructive import ConstructiveData, _lambda_and_chi, lift_from_quotient
-    lam, chi = _lambda_and_chi(cg, covector)
+    from .constructive import ConstructiveData, lambda_and_chi, lift_from_quotient
+    lam, chi = lambda_and_chi(cg, covector)
     qtab = dixon_table(q8_quotient(cg)[0])
     lifts = tuple(lift_from_quotient(c, cg) for c in qtab.irreducibles)
     phi = next((l for l, d in zip(lifts, qtab.degrees()) if d == 2), None)
@@ -111,9 +112,10 @@ def constructive_data(cg: ConstructedGroup,
 
 
 def verify_claims(cg: ConstructedGroup, covector: Optional[int] = None) -> AuditReport:
-    from . import constructive
+    from .constructive import covector_claims, covector_free_claims
     data = constructive_data(cg, covector)
-    return constructive._claims_report(data, constructive._covector_free_claims(data))
+    claims = covector_claims(data, covector_free_claims(data))
+    return AuditReport("verify", "builtin:g128", claims=claims, lambda_covector=data.lam.covector)
 
 
 def verify_all_lambdas(cg: ConstructedGroup) -> AuditReport:
@@ -122,14 +124,14 @@ def verify_all_lambdas(cg: ConstructedGroup) -> AuditReport:
     The quotient, its Dixon table, the lifts, phi and the covector-free
     claims are built once; only lambda and chi change per covector.
     """
-    from . import constructive
+    from .construction import valid_covectors
+    from .constructive import covector_claims, covector_free_claims
     base = constructive_data(cg)
-    fixed = constructive._covector_free_claims(base)
+    fixed = covector_free_claims(base)
     runs = []
-    for v in fixed["valid"]:
-        data = base if v == base.lam.covector else base.for_covector(v)
-        sub = constructive._claims_report(data, fixed)
-        runs.append({"covector": v, "ok": sub.ok, "claims": sub.sections["claims"]})
+    for v in valid_covectors(cg):
+        claims = covector_claims(base if v == base.lam.covector else base.for_covector(v), fixed)
+        runs.append({"covector": v, "ok": all(c["passed"] for c in claims), "claims": claims})
     all_ok = all(r["ok"] for r in runs)
     return AuditReport("verify", "builtin:g128", claims=[
         {"name": "all_lambdas", "passed": all_ok,

@@ -71,7 +71,8 @@ class CharacterTable:
         per row, computed once.  Exact: nu is -1, 0 or 1 and prime >= 3."""
         if self._indicators is None:
             G, p = self.group, self.prime
-            weights = [(len(cl) * pow(G.order, -1, p), pw[2 % len(pw)])
+            inverse_order = pow(G.order, -1, p)
+            weights = [(len(cl) * inverse_order, pw[2 % len(pw)])
                        for cl, pw in zip(G.conjugacy_classes(), G.power_classes())]
             nus = [sum(w * row[c] for w, c in weights) % p for row in self.residues]
             if any(nu not in (0, 1, p - 1) for nu in nus):

@@ -103,7 +103,7 @@ class ConstructedGroup:
 
     Element index = 8 * (vector bits as 0..15) + (Q8 index 0..7); the
     identity (0, 1) is index 0.  So g -> g & 7 is the projection onto
-    G/H = Q8 (q8_quotient), which build_g certifies by _check_quotient_is_q8.
+    G/H = Q8 (q8_quotient), which build_g certifies by check_quotient_is_q8.
     """
     __slots__ = ("group", "embedding", "h_subgroup", "q_subgroup", "z_lift",
                  "_lambda_facts")
@@ -133,12 +133,12 @@ def build_g(embedding: Q8Embedding) -> ConstructedGroup:
 
     if centralizer_of_set(G, H) != H:
         raise AssertionError("C_G(H) != H; the action is not faithful")
-    if not _check_quotient_is_q8(cg):
+    if not check_quotient_is_q8(cg):
         raise AssertionError("G/H does not multiply like Q8")
     return cg
 
 
-def _check_quotient_is_q8(cg: ConstructedGroup) -> bool:
+def check_quotient_is_q8(cg: ConstructedGroup) -> bool:
     """True iff pi: g -> g & 7 is a homomorphism from G onto Q8 with kernel H,
     so that H is normal and G/H is Q8 with projection pi.
 

@@ -3,14 +3,14 @@
 Class functions on G with values in Q(zeta_e), e = exp G (induction, inner
 and pointwise products, FS indicators, lifts from G/H = Q8 along the certified
 pi) build the order-128 group's chi and phi; a value from another field raises
-ValueError.  Only `verify` and the constructive methods of `table` import it.
+ValueError.  The claims are returned as the dicts `audit` puts in its reports.
+Only `verify` and the constructive methods of `table` import it.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import construction
-from .audit import AuditReport
 from .characters import ClassFunction
 from .construction import ConstructedGroup, LambdaChoice
 from .cyclotomic import Cyclotomic
@@ -77,7 +77,7 @@ def fs_indicator(a: ClassFunction) -> int:
 
 def lift_from_quotient(c: ClassFunction, cg: ConstructedGroup) -> ClassFunction:
     """Pull a class function on G/H = Q8 back to G along construction.q8_quotient's
-    pi, into Q(zeta_e), e = exp G.  build_g certifies pi by _check_quotient_is_q8:
+    pi, into Q(zeta_e), e = exp G.  build_g certifies pi by check_quotient_is_q8:
     a homomorphism onto Q8 with kernel H.  So pi maps each class of G into one
     class of Q8, and the class's first element gives its value; exp(G/H) divides e."""
     G, e, proj = cg.group, cg.group.exponent(), construction.q8_quotient(cg)[1]
@@ -113,12 +113,12 @@ class ConstructiveData:
 
     def for_covector(self, covector: int) -> "ConstructiveData":
         """The same data with lambda and chi for another covector."""
-        return ConstructiveData(self.cg, *_lambda_and_chi(self.cg, covector),
+        return ConstructiveData(self.cg, *lambda_and_chi(self.cg, covector),
                                 self.lifts, self.phi)
 
 
-def _lambda_and_chi(cg: ConstructedGroup,
-                    covector: Optional[int]) -> Tuple[LambdaChoice, ClassFunction]:
+def lambda_and_chi(cg: ConstructedGroup,
+                   covector: Optional[int]) -> Tuple[LambdaChoice, ClassFunction]:
     """The fields of ConstructiveData that depend on the covector."""
     n = cg.group.exponent()
     lam = construction.choose_lambda(cg, covector)
@@ -139,9 +139,9 @@ def induced_square_constituent(data: ConstructiveData) -> ClassFunction:
     return ind
 
 
-def _covector_free_claims(data: ConstructiveData) -> Dict:
-    """Claims 3, setup and 4, and the facts of claims 5 and 2 that do not
-    depend on the covector: lambda^2 = 1_H, so even (lambda^2)^G is fixed."""
+def covector_free_claims(data: ConstructiveData) -> Dict:
+    """Claims 3, setup and 4, and the facts of claim 2 that do not depend on
+    the covector: lambda^2 = 1_H, so even (lambda^2)^G is fixed."""
     cg, G = data.cg, data.cg.group
     claims = []
 
@@ -167,7 +167,7 @@ def _covector_free_claims(data: ConstructiveData) -> Dict:
 
     # Structural facts about G itself.
     c_g_h = centralizer_of_set(G, cg.h_subgroup)
-    quotient_ok = construction._check_quotient_is_q8(cg)
+    quotient_ok = construction.check_quotient_is_q8(cg)
     claims.append({
         "name": "setup_group_structure",
         "passed": G.order == 128 and c_g_h == cg.h_subgroup and quotient_ok,
@@ -186,26 +186,23 @@ def _covector_free_claims(data: ConstructiveData) -> Dict:
                     "h0_central": set(h0) <= center}})
 
     ind_sq = induced_square_constituent(data)
-    return {"claims": claims, "h0": h0,
-            "inter": construction.intersect_commutators(cg),
-            "valid": construction.valid_covectors(cg),
-            "reg_mult": inner_product(ind_sq, data.phi),
+    return {"claims": claims, "reg_mult": inner_product(ind_sq, data.phi),
             "nu_phi": fs_indicator(data.phi)}
 
 
-def _claims_report(data: ConstructiveData, fixed: Dict) -> AuditReport:
+def covector_claims(data: ConstructiveData, fixed: Dict) -> List[Dict]:
     """The six claims for data's covector, given its covector-free facts."""
     cg, lam, chi, phi = data.cg, data.lam, data.chi, data.phi
     claims = list(fixed["claims"])
 
     # Claim 5 / Eq. (2): lambda exists; the commutator intersection is H0.
-    lam_at_h0 = lam.value_sign(lam.h0_element)
+    h0, inter = construction.compute_h0(cg), construction.intersect_commutators(cg)
+    valid, lam_at_h0 = construction.valid_covectors(cg), lam.value_sign(lam.h0_element)
     claims.append({
         "name": "claim5_lambda_exists",
-        "passed": fixed["inter"] == fixed["h0"] and len(fixed["valid"]) == 8
-        and lam_at_h0 == -1,
-        "witness": {"commutator_intersection": list(fixed["inter"]), "h0": list(fixed["h0"]),
-                    "valid_covectors": fixed["valid"], "chosen_covector": lam.covector,
+        "passed": inter == h0 and len(valid) == 8 and lam_at_h0 == -1,
+        "witness": {"commutator_intersection": list(inter), "h0": list(h0),
+                    "valid_covectors": valid, "chosen_covector": lam.covector,
                     "lambda_at_h0": lam_at_h0}})
 
     # Claim 1: chi is irreducible, by both criteria.
@@ -240,7 +237,7 @@ def _claims_report(data: ConstructiveData, fixed: Dict) -> AuditReport:
         and breakdown["total"] == 128,
         "witness": {"nu2_chi": str(nu_chi), **breakdown}})
 
-    return AuditReport("verify", "builtin:g128", claims=claims, lambda_covector=lam.covector)
+    return claims
 
 
 def claim6_breakdown(data: ConstructiveData) -> Dict:

@@ -101,6 +101,24 @@ def test_verify_all_lambdas(cg):
     assert all(r["ok"] for r in runs)
 
 
+def test_each_verify_command_builds_one_report(monkeypatch):
+    # constructive returns each covector's claims as dicts; audit wraps them
+    # in the command's one AuditReport, with no report per covector.
+    built = []
+    real = audit.AuditReport.__init__
+
+    def spy(self, command, group_label, **sections):
+        built.append((command, group_label, sorted(sections)))
+        real(self, command, group_label, **sections)
+
+    monkeypatch.setattr(audit.AuditReport, "__init__", spy)
+    assert main(["verify", "--all-lambdas", "--report", "json"]) == 0
+    assert built == [("verify", "builtin:g128", ["claims", "lambda_runs"])]
+    built.clear()
+    assert main(["verify", "--report", "json"]) == 0
+    assert built == [("verify", "builtin:g128", ["claims", "lambda_covector"])]
+
+
 def test_all_lambdas_runs_match_single_covector_runs(cg):
     runs = audit.verify_all_lambdas(cg).sections["lambda_runs"]
     for run in runs:
@@ -926,13 +944,13 @@ def test_cli_non_integer_computed_value_exits_1(monkeypatch, capsys):
     # is no integer.  That is an internal failure (exit 1), not bad usage.
     from fusionaudit import constructive
     from fusionaudit.characters import ClassFunction
-    real = constructive._lambda_and_chi
+    real = constructive.lambda_and_chi
 
     def halved(cg, covector):
         lam, chi = real(cg, covector)
         return lam, ClassFunction(chi.group, tuple(v / 2 for v in chi.values))
 
-    monkeypatch.setattr(constructive, "_lambda_and_chi", halved)
+    monkeypatch.setattr(constructive, "lambda_and_chi", halved)
     assert main(["verify"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("internal check failed: ")

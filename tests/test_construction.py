@@ -10,8 +10,8 @@ from fusionaudit import construction, gf2
 from fusionaudit.construction import (
     LambdaChoice,
     Q8Embedding,
-    _check_quotient_is_q8,
     build_g,
+    check_quotient_is_q8,
     choose_lambda,
     compute_h0,
     find_q8_in_gl42,
@@ -303,9 +303,9 @@ def test_embedding_check_survives_python_O(cg, index, replacement, message):
 
 
 def test_quotient_check_is_a_verdict(cg):
-    assert _check_quotient_is_q8(cg) is True
+    assert check_quotient_is_q8(cg) is True
     cyclic = FiniteGroup([[(x + y) % 128 for y in range(128)] for x in range(128)])
-    assert _check_quotient_is_q8(rebuild(cg, group=cyclic)) is False
+    assert check_quotient_is_q8(rebuild(cg, group=cyclic)) is False
     # Swapping labels 8 = (e1, 1) and 9 = (e1, -1) leaves the products of
     # 0..7 alone, so the 64 products inside Q still multiply like Q8.  But
     # label 8 is now (e1, -1), and 8 * i = (e1, -i) = 11: pi(8 * i) = -i,
@@ -319,7 +319,7 @@ def test_quotient_check_is_a_verdict(cg):
     assert all(relabelled.mul(q1, q2) & 7 == Q8_TABLE[q1][q2]
                for q1 in range(8) for q2 in range(8))
     assert relabelled.mul(8, 2) == 11
-    assert _check_quotient_is_q8(rebuild(cg, group=relabelled)) is False
+    assert check_quotient_is_q8(rebuild(cg, group=relabelled)) is False
 
 
 def test_q8_quotient_matches_the_general_quotient(cg):

@@ -1,5 +1,6 @@
 """Checks on the source tree itself and on how it runs."""
 import ast
+import graphlib
 import json
 import os
 import pathlib
@@ -164,6 +165,36 @@ def test_runtime_imports_only_the_standard_library():
     assert found == []
 
 
+def test_src_imports_run_one_way_and_read_no_private_names():
+    # Each src module imports the modules below it and only their public
+    # names.  Imports inside functions and under TYPE_CHECKING count too.
+    graph, private = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        deps, bound = graph.setdefault(path.stem, set()), {}   # bound: local name -> module
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            if node.module:     # from .module import name, ...
+                deps.add(node.module)
+                private += [f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+            else:               # from . import module, ...
+                deps.update(alias.name for alias in node.names)
+                bound.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        private += [f"{path.name}:{node.lineno}: {bound[node.value.id]}.{node.attr}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in bound]
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+        cycle = []
+    except graphlib.CycleError as exc:
+        cycle = exc.args[1]
+    assert cycle == []
+    assert private == []
+
+
 def test_no_dataclasses_in_src():
     # dataclasses pulls in inspect and generates code at import, which every
     # CLI child would pay for; the record classes are plain __slots__ classes.
@@ -309,15 +340,20 @@ def _benchmark_tracing():
 
 def test_benchmark_tracing_wraps_live_functions(tmp_path, d30_file):
     # The benchmark's per-layer spans wrap functions by name; a renamed one
-    # would fail here rather than only in the benchmark's own tests.
+    # would fail here rather than only in the benchmark's own tests.  The
+    # last three commands are the g128-paper workload's op.
     tracing = _benchmark_tracing()
-    commands = [["scan", "--group", "builtin:q8"], ["table", "--group", f"file:{d30_file}"]]
+    commands = [["scan", "--group", "builtin:q8"], ["table", "--group", f"file:{d30_file}"],
+                ["verify", "--all-lambdas"], ["scan", "--group", "builtin:g128"],
+                ["table", "--group", "builtin:g128", "--table-method", "both"]]
     plain = [tracing.run_cli(argv, tmp_path / "plain.json")[:2] for argv in commands]
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         runs = [tracing.run_cli(argv, tmp_path / "traced.json") for argv in commands]
     assert all("Traceback" not in err for _, _, err in runs), runs
     assert [run[:2] for run in runs] == plain
-    assert [code for code, _ in plain] == [0, 0] and all(report for _, report in plain)
-    names = [span["name"] for span in tracer.spans]
-    assert "groups.check_axioms" in names and "groups.conjugacy_classes" in names
+    assert [code for code, _ in plain] == [0] * 5 and all(report for _, report in plain)
+    names = {span["name"] for span in tracer.spans}
+    assert names >= {"groups.check_axioms", "groups.conjugacy_classes",
+                     "audit.verify_all_lambdas", "audit.constructive_data",
+                     "construction.build_g", "construction.find_q8_in_gl42"}
