@@ -1,23 +1,11 @@
-"""Command-line driver.
-
-Subcommands:
-  verify   build the order-128 counterexample and check all six claims
-  scan     run the three conjecture scans on a built-in or file group
-  table    print a character table (dixon / constructive / both)
-
-Group selectors are `builtin:<name>` (g128, q8, h16) or `file:<path>`.
-"""
+"""The `fusion-audit` command line: its commands and their options are the table COMMANDS."""
 from __future__ import annotations
 
-# audit (with characters, cyclotomic and groups) is imported before argparse:
-# with no bytecode cache, each command's peak RSS is then 0.15-0.3 MB lower.
-from . import audit
-
-import argparse
 import sys
 import time
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from . import audit
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
 
 if TYPE_CHECKING:
@@ -37,7 +25,7 @@ def _resolve_group(spec: str, max_order: int) -> Tuple[FiniteGroup, Optional[Con
 
 def _emit(report: audit.AuditReport, fmt: str, out: Optional[str]) -> None:
     text = report.to_json() if fmt == "json" else report.to_text()
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -50,68 +38,105 @@ def _order_cap(text: str) -> int:
     except ValueError:
         n = 0
     if not 1 <= n <= DEFAULT_ORDER_CAP:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer from 1 to {DEFAULT_ORDER_CAP}, got {text!r}")
+        raise ValueError(
+            f"--max-order: must be an integer from 1 to {DEFAULT_ORDER_CAP}, got {text!r}")
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fusion-audit",
-        description="Exact character-theory audit of fusion-rule positivity.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's help line and options, and each option's default, allowed values
+# (a tuple) or converter (None: a flag, which takes no value and sets True), and help line.
+_COMMON = {
+    "--group": ("builtin:g128", str, "builtin:<g128|q8|h16> or file:<path>"),
+    "--report": ("text", ("text", "json"), "the report's format"),
+    "--out": (None, str, "write the report to a file"),
+    "--max-order": (DEFAULT_ORDER_CAP, _order_cap, "size cap for file groups, 1..1024"),
+}
+COMMANDS = {
+    "verify": ("run the six-claim pipeline", {**_COMMON, "--all-lambdas": (
+        False, None, "repeat the pipeline for every valid covector")}),
+    "scan": ("run the three conjecture scans", _COMMON),
+    "table": ("print a character table", {**_COMMON, "--table-method": (
+        "dixon", ("dixon", "constructive", "both"), "the route to the characters")}),
+}
 
-    def common(p):
-        p.add_argument("--group", default="builtin:g128",
-                       help="builtin:<g128|q8|h16> or file:<path>")
-        p.add_argument("--report", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write the report to a file")
-        p.add_argument("--max-order", type=_order_cap, default=DEFAULT_ORDER_CAP,
-                       help="size cap for loaded groups, 1..1024 (default 1024)")
 
-    p_verify = sub.add_parser("verify", help="run the six-claim pipeline")
-    common(p_verify)
-    p_verify.add_argument("--all-lambdas", action="store_true",
-                          help="repeat the pipeline for every valid covector")
+def _exit_with_usage(command: str, error: Optional[str] = None) -> None:
+    """Print a command's help and exit 0; with an error, its usage line and the error, exit 2."""
+    if command in COMMANDS:
+        intro, options = COMMANDS[command]
+        rows = [(opt if kind is None else f"{opt} {{{','.join(kind)}}}" if isinstance(kind, tuple)
+                 else f"{opt} {opt[2:].upper()}", doc) for opt, (_, kind, doc) in options.items()]
+        usage = f"usage: fusion-audit {command} [-h] " + " ".join(f"[{name}]" for name, _ in rows)
+    else:
+        intro = "Exact character-theory audit of fusion-rule positivity."
+        rows = [(name, text) for name, (text, _) in COMMANDS.items()]
+        usage = "usage: fusion-audit [-h] {" + ",".join(COMMANDS) + "} ..."
+    if error is not None:
+        print(usage, f"fusion-audit: error: {error}", sep="\n", file=sys.stderr)
+        sys.exit(2)
+    print(usage, "", intro, "", *(f"  {name:<22}  {text}" for name, text in rows), sep="\n")
+    sys.exit(0)
 
-    p_scan = sub.add_parser("scan", help="run the three conjecture scans")
-    common(p_scan)
 
-    p_table = sub.add_parser("table", help="print a character table")
-    common(p_table)
-    p_table.add_argument("--table-method",
-                         choices=("dixon", "constructive", "both"),
-                         default="dixon")
-    return parser
+def parse_args(argv: List[str]) -> Tuple[str, Dict[str, object]]:
+    """The command and its option values; -h prints the help, a usage error raises ValueError."""
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        _exit_with_usage(command)
+    if command not in COMMANDS:
+        raise ValueError(f"the command must be one of {', '.join(COMMANDS)}, got {command!r}")
+    options = COMMANDS[command][1]
+    values = {opt: default for opt, (default, _, _) in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _exit_with_usage(command)
+        opt, eq, value = token.partition("=")
+        if opt not in options or eq and options[opt][1] is None:
+            raise ValueError(f"{command} has no option {token!r}")
+        kind = options[opt][1]
+        if kind is not None:
+            value = value if eq else next(tokens, None)
+            if value is None:
+                raise ValueError(f"{opt}: expected a value")
+            if isinstance(kind, tuple) and value not in kind:
+                raise ValueError(f"{opt}: {value!r} is not one of {', '.join(kind)}")
+        values[opt] = True if kind is None else value if isinstance(kind, tuple) else kind(value)
+    if values["--out"] == "":
+        raise ValueError("--out: must name a file, got ''")
+    if command == "verify" and values["--group"] != "builtin:g128":
+        raise ValueError("verify applies to the construction; use --group builtin:g128")
+    return command, values
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.group != "builtin:g128":
-        parser.error("verify applies to the construction; use --group builtin:g128")
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        command, opts = parse_args(argv)
+    except ValueError as exc:
+        _exit_with_usage(argv[0] if argv else "", str(exc))
     t0 = time.monotonic()
     try:
         try:
-            G, cg = _resolve_group(args.group, args.max_order)
-            if args.command == "table":
-                audit.check_table_method(args.table_method, cg)
+            G, cg = _resolve_group(opts["--group"], opts["--max-order"])
+            if command == "table":
+                audit.check_table_method(opts["--table-method"], cg)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.command == "verify":
-            report = (audit.verify_all_lambdas(cg) if args.all_lambdas
+        if command == "verify":
+            report = (audit.verify_all_lambdas(cg) if opts["--all-lambdas"]
                       else audit.verify_claims(cg=cg))
-        elif args.command == "scan":
-            report = audit.scan_report(args.group, G)
+        elif command == "scan":
+            report = audit.scan_report(opts["--group"], G)
         else:
-            report = audit.table_report(args.group, G, method=args.table_method, cg=cg)
+            report = audit.table_report(opts["--group"], G, method=opts["--table-method"], cg=cg)
     except (ValueError, AssertionError) as exc:
         # The input was accepted: a computed value or self-check failed.
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
     try:
-        _emit(report, args.report, args.out)
+        _emit(report, opts["--report"], opts["--out"])
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from conftest import cayley_file, cayley_table, dihedral_mul
 from oracles import parse_cyclotomic
 from test_cli_fuzz import ODD_TOKENS
 
-from fusionaudit import audit, gf2
+from fusionaudit import audit, cli, gf2
 from fusionaudit.characters import fusion_tensor
 from fusionaudit.cli import main
 from fusionaudit.groups import Q8_TABLE
@@ -1183,3 +1183,64 @@ def test_cli_max_order_must_be_within_the_cap(value, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert "--max-order: must be an integer from 1 to 1024" in err
+
+
+# Each usage error with what its message must name: the option or the value.
+# Options are spelled in full, so `--all` and `--table` are not abbreviations.
+USAGE_ERRORS = {
+    "no_command": ([], "the command must be one of verify, scan, table"),
+    "unknown_command": (["audit"], "'audit'"),
+    "unknown_option": (["scan", "--bogus"], "'--bogus'"),
+    "verify_option_on_scan": (["scan", "--all-lambdas"], "'--all-lambdas'"),
+    "table_option_on_verify": (["verify", "--table-method", "both"], "'--table-method'"),
+    "missing_value": (["scan", "--group"], "--group: expected a value"),
+    "bad_report": (["scan", "--report", "xml"], "'xml'"),
+    "bad_table_method": (["table", "--table-method=none"], "'none'"),
+    "abbreviated_all_lambdas": (["verify", "--all"], "'--all'"),
+    "abbreviated_table_method": (["table", "--table", "both"], "'--table'"),
+    "flag_with_a_value": (["verify", "--all-lambdas=yes"], "'--all-lambdas=yes'"),
+    "empty_out": (["scan", "--group", "builtin:q8", "--out", ""], "--out: must name a file"),
+    "empty_out_inline": (["scan", "--out="], "--out: must name a file"),
+}
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_cli_usage_errors_exit_2(argv, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: fusion-audit")
+    assert error.startswith("fusion-audit: error: ") and named in error
+    assert "Traceback" not in captured.err
+    assert captured.out == ""           # no report, not even for an empty --out
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS], ids=["program", *cli.COMMANDS])
+def test_cli_help_lists_the_options_of_its_command(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag] if command is None else [command, "--report", "json", flag])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command is None:
+        assert captured.out.startswith("usage: fusion-audit [-h] {verify,scan,table} ...\n")
+        assert all(f"\n  {name} " in captured.out for name in cli.COMMANDS)
+        return
+    assert captured.out.startswith(f"usage: fusion-audit {command} [-h] [--group GROUP] ")
+    options = cli.COMMANDS[command][1]
+    assert all(f"\n  {opt} " in captured.out for opt in options)
+    others = {opt for _, opts in cli.COMMANDS.values() for opt in opts} - set(options)
+    assert not any(opt in captured.out for opt in others)
+
+
+def test_cli_options_take_inline_values_and_the_last_one_wins(capsys):
+    assert main(["scan", "--group", "builtin:q8", "--report", "json"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["scan", "--group=builtin:q8", "--report=json"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert main(["scan", "--group", "builtin:g128", "--report", "text",
+                 "--group", "builtin:q8", "--report=json"]) == 0
+    assert capsys.readouterr().out == spaced

@@ -1,6 +1,6 @@
 """Fuzzing of the group-file loader and the CLI.
 
-Whatever the input, `cli.main` returns (or argparse exits with) 0, 1 or 2,
+Whatever the input, `cli.main` returns (or exits with) 0, 1 or 2,
 writes no traceback to stderr and lets no other exception escape.  Sizes
 are bounded (groups of order at most 16) and the runs are derandomized.
 """
@@ -64,7 +64,7 @@ OPTIONS = {
     "--group": ["builtin:q8", "builtin:h16", "builtin:g128", "builtin:nope", "file:",
                 "file:.", "file:missing.grp", "q8"],
     "--report": ["json", "text", "xml"],
-    "--out": ["report.json", "missing-dir/report.json"],
+    "--out": ["report.json", "missing-dir/report.json", ""],
     "--max-order": ["0", "16", "1024", "1025", "two"],
     "--table-method": ["dixon", "constructive", "both", "none"],
 }
@@ -86,7 +86,7 @@ def _exit_code(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:           # argparse's usage errors and --help
+        except SystemExit as exc:           # usage errors and --help
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), err.getvalue()

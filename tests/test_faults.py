@@ -158,7 +158,7 @@ def abelian_quotient_has_no_phi(monkeypatch, cg):
 
 @fault("audit", "check_table_method", "unknown table method {}")
 def unknown_table_method():
-    # argparse offers only the three methods; a library call can name another.
+    # The command line offers only the three methods; a library call can name another.
     return Fault(lambda: audit.check_table_method("none", None))
 
 
@@ -361,9 +361,45 @@ def group_spec_without_a_kind():
     return Fault(lambda: cli._resolve_group("q8", 1024), ["scan", "--group", "q8"], exit_code=2)
 
 
-@fault("cli", "_order_cap", "must be an integer from 1 to {}, got {}")
+@fault("cli", "_order_cap", "--max-order: must be an integer from 1 to {}, got {}")
 def order_cap_out_of_range():
     return Fault(lambda: cli._order_cap("0"), ["table", "--max-order", "0"], exit_code=2)
+
+
+# The usage errors: cli.main prints the usage line and the message, and exits 2.
+
+def _usage_fault(argv: List[str]) -> Fault:
+    return Fault(lambda: cli.parse_args(argv), argv, exit_code=2)
+
+
+@fault("cli", "parse_args", "the command must be one of {}, got {}")
+def unknown_command():
+    return _usage_fault(["audit"])
+
+
+@fault("cli", "parse_args", "{} has no option {}")
+def option_of_another_command():
+    return _usage_fault(["scan", "--all-lambdas"])
+
+
+@fault("cli", "parse_args", "{}: expected a value")
+def option_without_its_value():
+    return _usage_fault(["table", "--group", "builtin:q8", "--max-order"])
+
+
+@fault("cli", "parse_args", "{}: {} is not one of {}")
+def report_format_not_offered():
+    return _usage_fault(["scan", "--report", "xml"])
+
+
+@fault("cli", "parse_args", "--out: must name a file, got ''")
+def empty_out_path():
+    return _usage_fault(["scan", "--group", "builtin:q8", "--out", ""])
+
+
+@fault("cli", "parse_args", "verify applies to the construction; use --group builtin:g128")
+def verify_on_another_group():
+    return _usage_fault(["verify", "--group", "builtin:q8"])
 
 
 # -- construction -------------------------------------------------------------
@@ -722,7 +758,7 @@ def arrange(case: Callable[..., Fault], request) -> Fault:
 
 
 def run_cli(argv: Sequence[str]) -> Tuple[int, str]:
-    """cli.main's exit code (argparse's too) and what it wrote to stderr."""
+    """cli.main's exit code (returned, or raised as SystemExit) and what it wrote to stderr."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:

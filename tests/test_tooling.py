@@ -221,9 +221,11 @@ def test_no_duck_typed_operands_in_src():
 
 
 # Modules the CLI loads only for a command that runs them (dataclasses, inspect
-# and the last three: never).
+# and the last six: never; the command line is read from cli.COMMANDS, not by
+# argparse, which loads gettext, and gettext loads locale).
 WATCHED = ("dataclasses", "inspect", "fusionaudit.groupfile", "fusionaudit.construction",
-           "fusionaudit.gf2", "fusionaudit.constructive", "fractions", "decimal", "numbers")
+           "fusionaudit.gf2", "fusionaudit.constructive", "fractions", "decimal", "numbers",
+           "argparse", "gettext", "locale")
 
 
 def _modules_after(code, tmp_path):
@@ -259,6 +261,11 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, d30_file):
                     "'fusionaudit.gf2']")
     code = "from fusionaudit import cli\nassert cli.main(['verify']) == 0"
     assert _modules_after(code, tmp_path) == constructive
+    code = "from fusionaudit import cli\nassert cli.main(['verify', '--all-lambdas']) == 0"
+    assert _modules_after(code, tmp_path) == constructive
+    code = ("from fusionaudit import cli\n"
+            "assert cli.main(['scan', '--group', 'builtin:g128']) == 0")
+    assert _modules_after(code, tmp_path) == "['fusionaudit.construction', 'fusionaudit.gf2']"
     code = ("from fusionaudit import cli\nassert cli.main(['table', '--group', "
             "'builtin:g128', '--table-method', 'both']) == 0")
     assert _modules_after(code, tmp_path) == constructive
