@@ -3,16 +3,16 @@
 scan_report checks a Dixon table's fusion data against the positivity and
 Wang conjectures and the odd-multiplicity rule, which must never fail.
 verify_claims and verify_all_lambdas report the six claims on g128, which
-`constructive` returns as dicts.  The `construction` and `constructive`
-modules are imported only where used.
+`constructive` returns as dicts.  Each takes a group, which `cli` builds;
+`construction` and `constructive` are imported only where used.
 """
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .characters import CharacterTable, dixon_table, fusion_tensor
-from .groups import FiniteGroup, elementary_abelian_16, q8_group
+from .groups import FiniteGroup
 
 if TYPE_CHECKING:
     from .construction import ConstructedGroup
@@ -83,20 +83,8 @@ class AuditReport:
 
 
 # ---------------------------------------------------------------------------
-# Built-in groups and the six claims
+# The six claims
 # ---------------------------------------------------------------------------
-
-def builtin_group(name: str) -> Tuple[FiniteGroup, Optional[ConstructedGroup]]:
-    if name == "g128":
-        from . import construction
-        cg = construction.build_default()
-        return cg.group, cg
-    if name == "q8":
-        return q8_group(), None
-    if name == "h16":
-        return elementary_abelian_16(), None
-    raise ValueError(f"unknown builtin group {name!r} (have: g128, q8, h16)")
-
 
 def constructive_data(cg: ConstructedGroup,
                       covector: Optional[int] = None) -> ConstructiveData:
@@ -212,24 +200,15 @@ def table_to_dict(table: CharacterTable) -> Dict:
     }
 
 
-def check_table_method(method: str, cg: Optional[ConstructedGroup]) -> None:
-    """Raise ValueError unless `table` can run method on a group with construction cg."""
-    if method not in ("dixon", "constructive", "both"):
-        raise ValueError(f"unknown table method {method!r}")
-    if method in ("constructive", "both") and cg is None:
-        raise ValueError("constructive characters are defined only for builtin:g128")
-
-
 def table_report(group_label: str, G: FiniteGroup, method: str = "dixon",
                  cg: Optional[ConstructedGroup] = None) -> AuditReport:
     """The `table` command: print/serialize the character table.
 
     method "constructive" lists only the characters the construction
-    produces directly (the induced chi and the five quotient lifts) and is
-    available for g128 alone; "both" additionally requires every
+    produces directly (the induced chi and the five quotient lifts) and
+    needs g128's construction cg; "both" additionally requires every
     constructive character to match a Dixon row verbatim.
     """
-    check_table_method(method, cg)
     dix = dixon_table(G) if method in ("dixon", "both") else None
     if method == "dixon":
         return AuditReport("table", group_label, table=table_to_dict(dix))

@@ -6,21 +6,27 @@ import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from . import audit
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, elementary_abelian_16, q8_group
 
 if TYPE_CHECKING:
     from .construction import ConstructedGroup
 
 
+BUILTINS = ("g128", "q8", "h16")
+GROUP_FORMS = f"builtin:<{'|'.join(BUILTINS)}> or file:<path>"
+
+
 def _resolve_group(spec: str, max_order: int) -> Tuple[FiniteGroup, Optional[ConstructedGroup]]:
-    if spec.startswith("builtin:"):
-        return audit.builtin_group(spec.split(":", 1)[1])
-    if spec.startswith("file:"):
-        # Imported here so the builtin groups never load the file parser.
+    """The group of a spec that parse_args accepted; groupfile loads only for a file."""
+    kind, _, name = spec.partition(":")
+    if kind == "file":
         from . import groupfile
-        path = spec.split(":", 1)[1]
-        return groupfile.load_group_file(path, max_order=max_order), None
-    raise ValueError(f"group spec must be builtin:<name> or file:<path>, got {spec!r}")
+        return groupfile.load_group_file(name, max_order=max_order), None
+    if name == "g128":
+        from . import construction
+        cg = construction.build_default()
+        return cg.group, cg
+    return (q8_group() if name == "q8" else elementary_abelian_16()), None
 
 
 def _emit(report: audit.AuditReport, fmt: str, out: Optional[str]) -> None:
@@ -33,10 +39,9 @@ def _emit(report: audit.AuditReport, fmt: str, out: Optional[str]) -> None:
 
 
 def _order_cap(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
+    # int() alone would read a sign, spaces, `_`, other scripts' digits, and at most 4300 digits.
+    digits = text.lstrip("0")
+    n = int(digits) if text.isascii() and text.isdigit() and 0 < len(digits) <= 4 else 0
     if not 1 <= n <= DEFAULT_ORDER_CAP:
         raise ValueError(
             f"--max-order: must be an integer from 1 to {DEFAULT_ORDER_CAP}, got {text!r}")
@@ -46,7 +51,7 @@ def _order_cap(text: str) -> int:
 # Each command's help line and options, and each option's default, allowed values
 # (a tuple) or converter (None: a flag, which takes no value and sets True), and help line.
 _COMMON = {
-    "--group": ("builtin:g128", str, "builtin:<g128|q8|h16> or file:<path>"),
+    "--group": ("builtin:g128", str, GROUP_FORMS),
     "--report": ("text", ("text", "json"), "the report's format"),
     "--out": (None, str, "write the report to a file"),
     "--max-order": (DEFAULT_ORDER_CAP, _order_cap, "size cap for file groups, 1..1024"),
@@ -60,8 +65,8 @@ COMMANDS = {
 }
 
 
-def _exit_with_usage(command: str, error: Optional[str] = None) -> None:
-    """Print a command's help and exit 0; with an error, its usage line and the error, exit 2."""
+def _usage(command: str, error: Optional[str] = None) -> int:
+    """Print a command's help, return 0; with an error, its usage line and the error, return 2."""
     if command in COMMANDS:
         intro, options = COMMANDS[command]
         rows = [(opt if kind is None else f"{opt} {{{','.join(kind)}}}" if isinstance(kind, tuple)
@@ -73,16 +78,16 @@ def _exit_with_usage(command: str, error: Optional[str] = None) -> None:
         usage = "usage: fusion-audit [-h] {" + ",".join(COMMANDS) + "} ..."
     if error is not None:
         print(usage, f"fusion-audit: error: {error}", sep="\n", file=sys.stderr)
-        sys.exit(2)
+        return 2
     print(usage, "", intro, "", *(f"  {name:<22}  {text}" for name, text in rows), sep="\n")
-    sys.exit(0)
+    return 0
 
 
-def parse_args(argv: List[str]) -> Tuple[str, Dict[str, object]]:
-    """The command and its option values; -h prints the help, a usage error raises ValueError."""
+def parse_args(argv: List[str]) -> Tuple[str, Optional[Dict[str, object]]]:
+    """The command and its option values, or None for -h; a usage error raises ValueError."""
     command = argv[0] if argv else ""
     if command in ("-h", "--help"):
-        _exit_with_usage(command)
+        return command, None
     if command not in COMMANDS:
         raise ValueError(f"the command must be one of {', '.join(COMMANDS)}, got {command!r}")
     options = COMMANDS[command][1]
@@ -90,7 +95,7 @@ def parse_args(argv: List[str]) -> Tuple[str, Dict[str, object]]:
     tokens = iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
-            _exit_with_usage(command)
+            return command, None
         opt, eq, value = token.partition("=")
         if opt not in options or eq and options[opt][1] is None:
             raise ValueError(f"{command} has no option {token!r}")
@@ -104,23 +109,29 @@ def parse_args(argv: List[str]) -> Tuple[str, Dict[str, object]]:
         values[opt] = True if kind is None else value if isinstance(kind, tuple) else kind(value)
     if values["--out"] == "":
         raise ValueError("--out: must name a file, got ''")
-    if command == "verify" and values["--group"] != "builtin:g128":
-        raise ValueError("verify applies to the construction; use --group builtin:g128")
+    method = values.get("--table-method", "dixon")
+    if (command == "verify" or method != "dixon") and values["--group"] != "builtin:g128":
+        needs = command if command == "verify" else f"--table-method {method}"
+        raise ValueError(f"{needs} applies to the construction; use --group builtin:g128")
+    kind, _, name = values["--group"].partition(":")
+    if not (kind == "builtin" and name in BUILTINS or kind == "file" and name):
+        raise ValueError(f"--group: must be {GROUP_FORMS}, got {values['--group']!r}")
     return command, values
 
 
 def main(argv=None) -> int:
+    """Run a command and return its exit code; nothing, not even -h, raises SystemExit."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         command, opts = parse_args(argv)
     except ValueError as exc:
-        _exit_with_usage(argv[0] if argv else "", str(exc))
+        return _usage(argv[0] if argv else "", str(exc))
+    if opts is None:
+        return _usage(command)
     t0 = time.monotonic()
     try:
         try:
             G, cg = _resolve_group(opts["--group"], opts["--max-order"])
-            if command == "table":
-                audit.check_table_method(opts["--table-method"], cg)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -252,10 +252,10 @@ def test_scan_report_q8(q8):
 
 
 def test_builtin_group_names():
-    G, cg = audit.builtin_group("q8")
+    G, cg = cli._resolve_group("builtin:q8", 1024)
     assert G.order == 8 and cg is None
     with pytest.raises(ValueError):
-        audit.builtin_group("nope")
+        cli.parse_args(["scan", "--group", "builtin:nope"])
 
 
 def test_table_report_methods(cg):
@@ -266,10 +266,12 @@ def test_table_report_methods(cg):
     assert all(v is not None for v in matches.values())
     cons = audit.table_report("builtin:g128", cg.group, method="constructive", cg=cg)
     assert len(cons.sections["table"]["irreducibles"]) == 6
+    # The command line refuses another method, and the constructive route off
+    # g128, before any group is built.
     with pytest.raises(ValueError):
-        audit.table_report("builtin:q8", cg.group, method="constructive")
+        cli.parse_args(["table", "--group", "builtin:q8", "--table-method", "constructive"])
     with pytest.raises(ValueError):
-        audit.table_report("builtin:g128", cg.group, method="bogus", cg=cg)
+        cli.parse_args(["table", "--table-method", "bogus"])
 
 
 def test_constructive_table_text_names_its_rows(cg):
@@ -868,9 +870,7 @@ def test_cli_verify_rejects_other_groups(capsys):
     # The guard compares the whole name: one with builtin:g128 as a prefix
     # is bad usage too, not an unknown builtin group found later.
     for group in ("builtin:q8", "builtin:g128x", "builtin:g1280"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--group", group])
-        assert exc.value.code == 2
+        assert main(["verify", "--group", group]) == 2
         err = capsys.readouterr().err
         assert "verify applies to the construction; use --group builtin:g128" in err
         assert "unknown builtin group" not in err
@@ -1175,11 +1175,11 @@ def test_cli_max_order_leaves_builtin_groups_alone(capsys):
     assert capsys.readouterr().out == plain
 
 
-@pytest.mark.parametrize("value", ["-5", "0", "1025", "100000000", "two"])
+# ASCII decimal digits only: int() would also take "1_0", "+5", " 7" and Arabic-Indic 12.
+@pytest.mark.parametrize("value", ["-5", "0", "1025", "100000000", "two",
+                                   "1_0", "+5", " 7", "\u0661\u0662"])
 def test_cli_max_order_must_be_within_the_cap(value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--group", "builtin:q8", "--max-order", value])
-    assert exc.value.code == 2
+    assert main(["scan", "--group", "builtin:q8", "--max-order", value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert "--max-order: must be an integer from 1 to 1024" in err
@@ -1201,14 +1201,16 @@ USAGE_ERRORS = {
     "flag_with_a_value": (["verify", "--all-lambdas=yes"], "'--all-lambdas=yes'"),
     "empty_out": (["scan", "--group", "builtin:q8", "--out", ""], "--out: must name a file"),
     "empty_out_inline": (["scan", "--out="], "--out: must name a file"),
+    "unknown_builtin": (["scan", "--group", "builtin:nope"], "'builtin:nope'"),
+    "empty_file_path": (["scan", "--group", "file:"], "'file:'"),
+    "table_method_off_g128": (["table", "--group", "builtin:q8", "--table-method", "both"],
+                              "--table-method both applies to the construction"),
 }
 
 
 @pytest.mark.parametrize("argv, named", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
 def test_cli_usage_errors_exit_2(argv, named, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     usage, error = captured.err.splitlines()
     assert usage.startswith("usage: fusion-audit")
@@ -1220,9 +1222,7 @@ def test_cli_usage_errors_exit_2(argv, named, capsys):
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 @pytest.mark.parametrize("command", [None, *cli.COMMANDS], ids=["program", *cli.COMMANDS])
 def test_cli_help_lists_the_options_of_its_command(command, flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([flag] if command is None else [command, "--report", "json", flag])
-    assert exc.value.code == 0
+    assert main([flag] if command is None else [command, "--report", "json", flag]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     if command is None:

@@ -4,9 +4,9 @@ A case arranges the narrowest fault that reaches its raise, a corrupted
 input or a monkeypatched layer below, and returns the call that raises.
 test_fault requires the exception to come from that very raise statement,
 with a message its template matches.  A case with a command line also runs
-it through cli.main: a failed check exits 1 with `internal check failed:
-<message>`, bad input exits 2 with `error: <message>`, and stderr never
-holds a traceback.
+it through cli.main: a failed check returns 1 with `internal check failed:
+<message>`, bad input returns 2 with `error: <message>` (after the usage
+line, for bad usage), and stderr never holds a traceback.
 
 Some raises no real input reaches; their cases inject the fault, and a
 comment gives the argument.  test_tooling requires a case for every raise.
@@ -108,15 +108,16 @@ class Fault(NamedTuple):
     exit_code: int = 1
 
 
-# Each case is registered under the key of the raise it reaches.  Its
-# parameters are fixtures, monkeypatch among them.
-CASES: Dict[Key, Callable[..., Fault]] = {}
+# Each case is registered with the key of the raise it reaches; two cases
+# may reach one raise by different inputs.  Its parameters are fixtures,
+# monkeypatch among them.
+CASES: Dict[Callable[..., Fault], Key] = {}
 
 
 def fault(module: str, function: str, template: str):
     def register(arrange):
-        assert (module, function, template) not in CASES, arrange.__name__
-        CASES[module, function, template] = arrange
+        assert all(case.__name__ != arrange.__name__ for case in CASES), arrange.__name__
+        CASES[arrange] = module, function, template
         return arrange
     return register
 
@@ -141,12 +142,6 @@ def _z2_cubed() -> List[List[int]]:
 
 # -- audit ------------------------------------------------------------------
 
-@fault("audit", "builtin_group", "unknown builtin group {} (have: g128, q8, h16)")
-def unknown_builtin_group():
-    return Fault(lambda: audit.builtin_group("nope"),
-                 ["scan", "--group", "builtin:nope"], exit_code=2)
-
-
 @fault("audit", "constructive_data", "G/H has no irreducible of degree 2: degrees {}")
 def abelian_quotient_has_no_phi(monkeypatch, cg):
     # Injected: G/H is Q8, whose 2-dimensional irreducible is phi.
@@ -154,19 +149,6 @@ def abelian_quotient_has_no_phi(monkeypatch, cg):
     monkeypatch.setattr(construction, "q8_quotient",
                         lambda cg: (FiniteGroup(_z2_cubed()), real(cg)[1]))
     return Fault(lambda: audit.constructive_data(cg), ["verify"])
-
-
-@fault("audit", "check_table_method", "unknown table method {}")
-def unknown_table_method():
-    # The command line offers only the three methods; a library call can name another.
-    return Fault(lambda: audit.check_table_method("none", None))
-
-
-@fault("audit", "check_table_method",
-       "constructive characters are defined only for builtin:g128")
-def constructive_method_off_g128():
-    return Fault(lambda: audit.check_table_method("both", None),
-                 ["table", "--group", "builtin:q8", "--table-method", "both"], exit_code=2)
 
 
 # -- characters -------------------------------------------------------------
@@ -356,17 +338,12 @@ def fusion_sum_rule(monkeypatch):
 
 # -- cli --------------------------------------------------------------------
 
-@fault("cli", "_resolve_group", "group spec must be builtin:<name> or file:<path>, got {}")
-def group_spec_without_a_kind():
-    return Fault(lambda: cli._resolve_group("q8", 1024), ["scan", "--group", "q8"], exit_code=2)
-
-
 @fault("cli", "_order_cap", "--max-order: must be an integer from 1 to {}, got {}")
 def order_cap_out_of_range():
     return Fault(lambda: cli._order_cap("0"), ["table", "--max-order", "0"], exit_code=2)
 
 
-# The usage errors: cli.main prints the usage line and the message, and exits 2.
+# The usage errors: cli.main prints the usage line and the message, and returns 2.
 
 def _usage_fault(argv: List[str]) -> Fault:
     return Fault(lambda: cli.parse_args(argv), argv, exit_code=2)
@@ -397,9 +374,24 @@ def empty_out_path():
     return _usage_fault(["scan", "--group", "builtin:q8", "--out", ""])
 
 
-@fault("cli", "parse_args", "verify applies to the construction; use --group builtin:g128")
+@fault("cli", "parse_args", "{} applies to the construction; use --group builtin:g128")
 def verify_on_another_group():
     return _usage_fault(["verify", "--group", "builtin:q8"])
+
+
+@fault("cli", "parse_args", "{} applies to the construction; use --group builtin:g128")
+def constructive_method_off_g128():
+    return _usage_fault(["table", "--group", "builtin:q8", "--table-method", "both"])
+
+
+@fault("cli", "parse_args", "--group: must be {}, got {}")
+def unknown_builtin_group():
+    return _usage_fault(["scan", "--group", "builtin:nope"])
+
+
+@fault("cli", "parse_args", "--group: must be {}, got {}")
+def group_spec_without_a_kind():
+    return _usage_fault(["scan", "--group", "q8"])
 
 
 # -- construction -------------------------------------------------------------
@@ -758,23 +750,20 @@ def arrange(case: Callable[..., Fault], request) -> Fault:
 
 
 def run_cli(argv: Sequence[str]) -> Tuple[int, str]:
-    """cli.main's exit code (returned, or raised as SystemExit) and what it wrote to stderr."""
+    """cli.main's exit code and what it wrote to stderr."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(list(argv))
     return code, err.getvalue()
 
 
-@pytest.mark.parametrize("key", list(CASES), ids=[case.__name__ for case in CASES.values()])
-def test_fault(key, request):
-    case = arrange(CASES[key], request)
+@pytest.mark.parametrize("registered", list(CASES), ids=[case.__name__ for case in CASES])
+def test_fault(registered, request):
+    case = arrange(registered, request)
     with pytest.raises(Exception) as info:
         case.call()
     site = raised_at(info.value)
-    assert site.key == key
+    assert site.key == CASES[registered]
     message = str(info.value)
     # GroupFileError puts the line before the message.
     assert re.fullmatch(r"(line [0-9]+: )?" + site.message, message, re.S), message

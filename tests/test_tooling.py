@@ -47,8 +47,8 @@ def test_every_raise_in_src_has_a_fault_case():
     # added without a case, or a case left behind by a removed raise, fails here.
     keys = [site.key for site in raise_sites()]
     assert len(keys) == len(set(keys)), "two raises in one function share a message"
-    assert sorted(set(keys) - set(CASES)) == [], "raises without a case"
-    assert sorted(set(CASES) - set(keys)) == [], "cases without a raise"
+    assert sorted(set(keys) - set(CASES.values())) == [], "raises without a case"
+    assert sorted(set(CASES.values()) - set(keys)) == [], "cases without a raise"
 
 
 def _src_defs():
@@ -105,10 +105,7 @@ sys.setprofile(lambda frame, event, arg: event == "call" and places.add(
 from fusionaudit import cli
 for argv in {CORPUS!r}:
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        try:
-            cli.main(argv)
-        except SystemExit:
-            pass
+        cli.main(argv)
 sys.setprofile(None)
 print(json.dumps(sorted(places)))
 """
@@ -135,7 +132,7 @@ def test_every_src_function_runs_under_a_command(tmp_path, request):
     assert sorted(set(defs.values()) - by_corpus - set(FAULT_ONLY)) == []
     assert sorted(by_corpus & set(FAULT_ONLY)) == [], "a command now calls these"
 
-    cases = {case.__name__: case for case in CASES.values()}
+    cases = {case.__name__: case for case in CASES}
     for name, case_name in FAULT_ONLY.items():
         fault = arrange(cases[case_name], request)
         places = set()
@@ -257,6 +254,11 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, d30_file):
     code = ("from fusionaudit import cli\n"
             f"assert cli.main(['table', '--group', 'file:{d30_file}']) == 0")
     assert _modules_after(code, tmp_path) == "['fusionaudit.groupfile']"
+    # A usage error is found from argv alone, before the file is read.
+    code = ("from fusionaudit import cli\n"
+            f"assert cli.main(['table', '--group', 'file:{d30_file}', "
+            "'--table-method', 'both']) == 2")
+    assert _modules_after(code, tmp_path) == "[]"
     constructive = ("['fusionaudit.construction', 'fusionaudit.constructive', "
                     "'fusionaudit.gf2']")
     code = "from fusionaudit import cli\nassert cli.main(['verify']) == 0"
@@ -364,3 +366,15 @@ def test_benchmark_tracing_wraps_live_functions(tmp_path, d30_file):
     assert names >= {"groups.check_axioms", "groups.conjugacy_classes",
                      "audit.verify_all_lambdas", "audit.constructive_data",
                      "construction.build_g", "construction.find_q8_in_gl42"}
+
+
+def test_benchmark_tracing_returns_the_exit_code_of_bad_usage_and_help(tmp_path, capsys):
+    # cli.main returns these codes rather than raising SystemExit, so a traced
+    # op with a bad argv counts as a failed op instead of ending the run.
+    tracing = _benchmark_tracing()
+    code, report, err = tracing.run_cli(["scan", "--bogus"], tmp_path / "bogus.json")
+    assert (code, report) == (2, "")
+    assert err.startswith("usage: fusion-audit scan ") and "'--bogus'" in err
+    code, report, err = tracing.run_cli(["-h"], tmp_path / "help.json")
+    assert (code, report, err) == (0, "", "")
+    assert capsys.readouterr().out.startswith("usage: fusion-audit [-h] ")
