@@ -8,8 +8,9 @@ arithmetic of the constructive route lives in `constructive`.
 """
 from __future__ import annotations
 
+from itertools import compress, repeat
 from math import isqrt
-from operator import itemgetter, mul
+from operator import itemgetter, mod, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .cyclotomic import Cyclotomic
@@ -247,15 +248,21 @@ def _split_eigenspaces(rows: List[List[int]], basis: List[List[int]],
     one eigenspace, already in rref, and is returned without a solve.  Any
     other M with a single root lambda has ker(M - lambda) smaller than the
     subspace, so it still reaches the fill check and raises.
+
+    Supports: each basis vector is read at its nonzero entries alone.  A
+    block's first split runs on the b_O of _central_blocks, and b_O vanishes
+    off its Z-orbit O, so rows[l] . b_O needs |O| <= |Z| products, not r,
+    and an eigenvector sum_m c_m b_m needs one product per class of the
+    block's orbits.  The eigenspaces found are dense and cost r per entry.
     """
     d = len(basis)
     # A b_m = sum_l (A b_m)[pivot_l] b_l, so M[l][m] = (A b_m)[pivot_l] = rows[l] . b_m.
-    M = [[sum(map(mul, row, b)) % p for b in basis] for row in rows]
+    support = [list(compress(range(len(b)), b)) for b in basis]
+    M = [[sum(row[k] * b[k] for k in at) % p for b, at in zip(basis, support)] for row in rows]
     if all(x == (M[0][0] if i == j else 0) for i, row in enumerate(M)
            for j, x in enumerate(row)):
         return [(basis, pivots)]
     f = _charpoly_mod(M, p)
-    cols = list(zip(*basis))
     krylov = None                       # krylov[l][i] = (M^i e_0)[l]
     out = []
     split_total = 0
@@ -280,7 +287,13 @@ def _split_eigenspaces(rows: List[List[int]], basis: List[List[int]],
             shifted = [[(M[i][j] - (lam if i == j else 0)) % p for j in range(d)]
                        for i in range(d)]
             null = _nullspace_mod(shifted, p)
-        vecs = [[sum(map(mul, c, col)) % p for col in cols] for c in null]
+        vecs = []
+        for c in null:
+            vec = [0] * len(basis[0])
+            for cm, b, at in zip(c, basis, support):
+                for k in at:
+                    vec[k] += cm * b[k]
+            vecs.append([x % p for x in vec])
         out.append(_rref_mod(vecs, p))
         split_total += len(null)
     if split_total != d:
@@ -563,29 +576,64 @@ def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
     Exactness bound: N_pq^r = N_{r q*}^p gives N <= d_p d_q / d_r and
     N <= d_r d_q / d_p, so N <= d_q, and N <= d_p by symmetry.  As
     sum d^2 = |G|, 0 <= N <= min(d_p, d_q) <= sqrt|G| < P: the residue is N.
-    Two exact checks per (p, q) guard the table: every residue satisfies
-    N d_r <= d_p d_q, and the sum rule sum_r N_pq^r d_r = d_p d_q holds.
+
+    Lookup: if d_p = 1 or d_q = 1, chi_p chi_q is irreducible (a linear
+    character times an irreducible one), so N_pq^r is 1 at one row r and 0
+    elsewhere.  Reduction mod P is a ring map, so that row's residues are
+    the pointwise product of rows p and q, and the lookup finds no other
+    row: two rows a != b are distinct mod P, since _checked requires
+    <chi_a*, chi_b> = 0 and <chi_a*, chi_a> = |G| != 0 mod P within a
+    central block, and equal residue rows share a block.
+
+    Packing (Kronecker substitution): every other pair takes one sum
+    s = sum_j prod_j D_j, with prod_j = |C_j| chi_p(g_j) chi_q(g_j) / |G|
+    and D_j = sum_r chi_r*(g_j) 2^(w r), every operand reduced into [0, P).
+    Slot r of s is sum_j prod_j chi_r*(g_j) <= r_count (P - 1)^2 < 2^w, so
+    no slot carries into the next, and slot r mod P is N_pq^r.
+
+    Two exact checks per (p, q), lookups included, guard the table: every
+    residue satisfies N d_r <= d_p d_q, and the sum rule sum_r N_pq^r d_r =
+    d_p d_q holds, which a product row missing from the table fails.
     """
     P, rows, degrees = table.prime, table.residues, table.degrees()
     r_count = len(degrees)
     order_inv = pow(table.group.order, -1, P)
     weights = [len(cl) * order_inv % P for cl in table.group.conjugacy_classes()]
-    dual_rows = [rows[d] for d in table.duals]
-    N = [[[0] * r_count for _ in range(r_count)] for _ in range(r_count)]
+    index = {row: a for a, row in enumerate(rows)}
+    w = _slot_width(r_count, P)
+    packed = [sum(x % P << w * k for k, x in enumerate(col))
+              for col in zip(*(rows[d] for d in table.duals))]
+    N = [[None] * r_count for _ in range(r_count)]
     for pi in range(r_count):
         for qi in range(pi, r_count):
-            prod = [a * b % P * w for a, b, w in zip(rows[pi], rows[qi], weights)]
-            bound = degrees[pi] * degrees[qi]
-            total = 0
-            for ri in range(r_count):
-                val = sum(map(mul, prod, dual_rows[ri])) % P
-                if val * degrees[ri] > bound:
-                    raise AssertionError(
-                        f"fusion multiplicity at ({pi},{qi},{ri}) exceeds d_p d_q / d_r")
-                total += val * degrees[ri]
-                N[pi][qi][ri] = val
-                N[qi][pi][ri] = val
-            if total != bound:
+            pointwise = map(mod, map(mul, rows[pi], rows[qi]), repeat(P))
+            if degrees[pi] == 1 or degrees[qi] == 1:
+                vals = [0] * r_count
+                at = index.get(tuple(pointwise))
+                if at is not None:
+                    vals[at] = 1
+            else:
+                prod = map(mod, map(mul, pointwise, weights), repeat(P))
+                vals = _slots(sum(map(mul, prod, packed)), w, r_count, P)
+            bound, weighted = degrees[pi] * degrees[qi], list(map(mul, vals, degrees))
+            if max(weighted) > bound:
+                ri = weighted.index(max(weighted))
                 raise AssertionError(
-                    f"sum rule fails at ({pi},{qi}): {total} != {bound}")
+                    f"fusion multiplicity at ({pi},{qi},{ri}) exceeds d_p d_q / d_r")
+            if sum(weighted) != bound:
+                raise AssertionError(
+                    f"sum rule fails at ({pi},{qi}): {sum(weighted)} != {bound}")
+            N[pi][qi], N[qi][pi] = vals[:], vals[:]      # copies hold no spare capacity
     return N
+
+
+def _slot_width(terms: int, P: int) -> int:
+    """The least w with 2^w > terms (P - 1)^2: a sum of that many products of
+    residues in [0, P) fits in a w-bit slot."""
+    return (terms * (P - 1) ** 2).bit_length()
+
+
+def _slots(s: int, w: int, count: int, P: int) -> List[int]:
+    """The first count w-bit slots of s, lowest first, each mod P."""
+    mask = (1 << w) - 1
+    return [(s >> w * k & mask) % P for k in range(count)]

@@ -92,6 +92,7 @@ def parse_args(argv: List[str]) -> Tuple[str, Optional[Dict[str, object]]]:
         raise ValueError(f"the command must be one of {', '.join(COMMANDS)}, got {command!r}")
     options = COMMANDS[command][1]
     values = {opt: default for opt, (default, _, _) in options.items()}
+    groups = []                         # every --group value, checked after the verify guard
     tokens = iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
@@ -107,15 +108,18 @@ def parse_args(argv: List[str]) -> Tuple[str, Optional[Dict[str, object]]]:
             if isinstance(kind, tuple) and value not in kind:
                 raise ValueError(f"{opt}: {value!r} is not one of {', '.join(kind)}")
         values[opt] = True if kind is None else value if isinstance(kind, tuple) else kind(value)
+        if opt == "--group":
+            groups.append(value)
     if values["--out"] == "":
         raise ValueError("--out: must name a file, got ''")
     method = values.get("--table-method", "dixon")
     if (command == "verify" or method != "dixon") and values["--group"] != "builtin:g128":
         needs = command if command == "verify" else f"--table-method {method}"
         raise ValueError(f"{needs} applies to the construction; use --group builtin:g128")
-    kind, _, name = values["--group"].partition(":")
-    if not (kind == "builtin" and name in BUILTINS or kind == "file" and name):
-        raise ValueError(f"--group: must be {GROUP_FORMS}, got {values['--group']!r}")
+    for group in groups:
+        kind, _, name = group.partition(":")
+        if not (kind == "builtin" and name in BUILTINS or kind == "file" and name):
+            raise ValueError(f"--group: must be {GROUP_FORMS}, got {group!r}")
     return command, values
 
 

@@ -2,6 +2,7 @@
 and field-by-field access to the program's record classes."""
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Iterator, List, Sequence, Tuple
 
 from fusionaudit import gf2
@@ -187,6 +188,22 @@ def squaring_fs_indicator(a: ClassFunction) -> int:
     G = a.group
     return (sum(len(cl) * a.value_at(G.mul(cl[0], cl[0])) for cl in G.conjugacy_classes())
             / G.order).as_integer()
+
+
+def fusion_residues(table) -> List[List[List[int]]]:
+    """N[p][q][r] = |G|^-1 sum_j |C_j| chi_p(g_j) chi_q(g_j) chi_r*(g_j) mod P,
+    one dot product over the classes per entry, read from the table's fields
+    alone: the reference for characters.fusion_tensor's lookups and packed sums."""
+    P, rows, G = table.prime, table.residues, table.group
+    order_inv = pow(G.order, -1, P)
+    weights = [len(cl) * order_inv % P for cl in G.conjugacy_classes()]
+    dual_rows = [rows[d] for d in table.duals]
+    N = [[None] * len(rows) for _ in rows]
+    for p, x in enumerate(rows):
+        for q in range(p, len(rows)):
+            prod = [w * a * b % P for w, a, b in zip(weights, x, rows[q])]
+            N[p][q] = N[q][p] = [sum(map(mul, prod, z)) % P for z in dual_rows]
+    return N
 
 
 def class_matrix(G: FiniteGroup, i: int) -> List[List[int]]:

@@ -1203,6 +1203,8 @@ USAGE_ERRORS = {
     "empty_out_inline": (["scan", "--out="], "--out: must name a file"),
     "unknown_builtin": (["scan", "--group", "builtin:nope"], "'builtin:nope'"),
     "empty_file_path": (["scan", "--group", "file:"], "'file:'"),
+    "bad_group_before_a_good_one": (["scan", "--group", "q8", "--group", "builtin:q8"],
+                                    "--group: must be builtin:<g128|q8|h16> or file:<path>, got 'q8'"),
     "table_method_off_g128": (["table", "--group", "builtin:q8", "--table-method", "both"],
                               "--table-method both applies to the construction"),
 }

@@ -21,6 +21,8 @@ from fusionaudit.characters import (
     _nullspace_mod,
     _primitive_root,
     _rref_mod,
+    _slot_width,
+    _slots,
     _split_eigenspaces,
     dixon_prime,
     dixon_table,
@@ -45,6 +47,7 @@ from oracles import (
     conjugate_inner_product,
     dual_character,
     fields,
+    fusion_residues,
     galois,
     is_real,
     power_walk,
@@ -451,6 +454,36 @@ def d10_table(d10_file):
 def test_fusion_tensor_matches_exact_oracle(name, request):
     table = request.getfixturevalue(name)
     assert fusion_tensor(table) == exact_fusion_tensor(table)
+
+
+@pytest.mark.parametrize("name", ["q8_table", "h16_table", "g128_table", "d10_table"])
+def test_residue_oracle_matches_exact_oracle(name, request):
+    table = request.getfixturevalue(name)
+    assert fusion_residues(table) == exact_fusion_tensor(table)
+
+
+@pytest.mark.parametrize("name", ["d120_file", "c120", "g128xc2_file"])
+def test_fusion_tensor_matches_residue_oracle(name, request):
+    # Relabelled D120 (r = 33: four linear rows, the rest packed), C120 (every
+    # row linear: lookups alone) and relabelled g128 x C2 (mixed degrees).
+    if name == "c120":
+        G = FiniteGroup(cayley_table(120, lambda x, y: (x + y) % 120))
+    else:
+        G = load_group_file(str(request.getfixturevalue(name)))
+    table = dixon_table(G)
+    assert fusion_tensor(table) == fusion_residues(table)
+
+
+@pytest.mark.parametrize("terms, P", [(1, 3), (23, 41), (33, 61), (115, 73), (1024, 12289)])
+def test_packed_slots_are_exact_at_the_width_bound(terms, P):
+    # Operands of P - 1 in every slot give each slot its largest sum,
+    # terms (P - 1)^2 < 2^w.  One bit short, slot 0 carries into slot 1.
+    top, w = terms * (P - 1) ** 2, _slot_width(terms, P)
+    assert top < 1 << w <= 2 * top
+    for width, exact in ((w, True), (w - 1, False)):
+        packed = [sum((P - 1) << width * k for k in range(3))] * terms
+        slots = _slots(sum(map(operator.mul, [P - 1] * terms, packed)), width, 3, P)
+        assert (slots == [top % P] * 3) is exact
 
 
 @pytest.mark.parametrize("name", ["q8_table", "h16_table", "g128_table",

@@ -327,13 +327,24 @@ def _fusion_sees(monkeypatch, corrupt) -> Fault:
 
 @fault("characters", "fusion_tensor", "fusion multiplicity at ({},{},{}) exceeds d_p d_q / d_r")
 def fusion_multiplicity_bound(monkeypatch):
-    return _fusion_sees(monkeypatch, lambda t: _bump(t, 0, 2))
+    # Every linear row is 1 at -1 (class 1), so the lookups chi_a chi_4 still find
+    # the bumped row 4; the packed pair (4, 4) then reads N = 5/8 = 12 mod 13 at
+    # each linear row and 20/8 = 9 at row 4, each above d_4 d_4 / d_r.
+    return _fusion_sees(monkeypatch, lambda t: _bump(t, 4, 1))
 
 
 @fault("characters", "fusion_tensor", "sum rule fails at ({},{}): {} != {}")
 def fusion_sum_rule(monkeypatch):
-    # With the trivial row 3 read as row 0's dual, chi_0 chi_0 = 1 holds rows 0 and 3.
-    return _fusion_sees(monkeypatch, lambda t: rebuild(t, duals=(3,) + t.duals[1:]))
+    # With row 4 read as row 0's dual, the packed pair (4, 4) reads
+    # <chi_4 chi_4, chi_4> = 0 in row 0's slot: chi_4 chi_4 loses a linear row.
+    return _fusion_sees(monkeypatch, lambda t: rebuild(t, duals=(4,) + t.duals[1:]))
+
+
+@fault("characters", "fusion_tensor", "sum rule fails at ({},{}): {} != {}")
+def fusion_product_row_missing(monkeypatch):
+    # Row 0 bumped at class 2 squares to (1, 1, 0, 1, 1), no row of the table:
+    # the lookup of the linear pair (0, 0) finds nothing, and the sum is 0.
+    return _fusion_sees(monkeypatch, lambda t: _bump(t, 0, 2))
 
 
 # -- cli --------------------------------------------------------------------
