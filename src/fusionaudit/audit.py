@@ -86,11 +86,10 @@ class AuditReport:
 # The six claims
 # ---------------------------------------------------------------------------
 
-def constructive_data(cg: ConstructedGroup,
-                      covector: Optional[int] = None) -> ConstructiveData:
+def constructive_data(cg: ConstructedGroup) -> ConstructiveData:
     from .construction import q8_quotient
     from .constructive import ConstructiveData, lambda_and_chi, lift_from_quotient
-    lam, chi = lambda_and_chi(cg, covector)
+    lam, chi = lambda_and_chi(cg, None)
     qtab = dixon_table(q8_quotient(cg)[0])
     lifts = tuple(lift_from_quotient(c, cg) for c in qtab.irreducibles)
     phi = next((l for l, d in zip(lifts, qtab.degrees()) if d == 2), None)
@@ -99,9 +98,9 @@ def constructive_data(cg: ConstructedGroup,
     return ConstructiveData(cg, lam, chi, lifts, phi)
 
 
-def verify_claims(cg: ConstructedGroup, covector: Optional[int] = None) -> AuditReport:
+def verify_claims(cg: ConstructedGroup) -> AuditReport:
     from .constructive import covector_claims, covector_free_claims
-    data = constructive_data(cg, covector)
+    data = constructive_data(cg)
     claims = covector_claims(data, covector_free_claims(data))
     return AuditReport("verify", "builtin:g128", claims=claims, lambda_covector=data.lam.covector)
 

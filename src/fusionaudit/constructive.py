@@ -2,8 +2,10 @@
 
 Class functions on G with values in Q(zeta_e), e = exp G (induction, inner
 and pointwise products, FS indicators, lifts from G/H = Q8 along the certified
-pi) build the order-128 group's chi and phi; a value from another field raises
-ValueError.  The claims are returned as the dicts `audit` puts in its reports.
+pi) build the order-128 group's chi and phi.  A lift reads G/H's values as
+they are, so lift_from_quotient raises ValueError unless exp(G/H) = exp G; a
+sum or product of values from two fields raises ValueError in Cyclotomic.
+The claims are returned as the dicts `audit` puts in its reports.
 Only `verify` and the constructive methods of `table` import it.
 """
 from __future__ import annotations
@@ -77,12 +79,14 @@ def fs_indicator(a: ClassFunction) -> int:
 
 def lift_from_quotient(c: ClassFunction, cg: ConstructedGroup) -> ClassFunction:
     """Pull a class function on G/H = Q8 back to G along construction.q8_quotient's
-    pi, into Q(zeta_e), e = exp G.  build_g certifies pi by check_quotient_is_q8:
-    a homomorphism onto Q8 with kernel H.  So pi maps each class of G into one
-    class of Q8, and the class's first element gives its value; exp(G/H) divides e."""
-    G, e, proj = cg.group, cg.group.exponent(), construction.q8_quotient(cg)[1]
-    return ClassFunction(G, tuple(
-        c.value_at(proj[cl[0]]).to_order(e) for cl in G.conjugacy_classes()))
+    pi.  build_g certifies pi by check_quotient_is_q8: a homomorphism onto Q8
+    with kernel H.  So pi maps each class of G into one class of Q8, and the
+    class's first element gives its value.  The values lie in Q(zeta_e),
+    e = exp(G/H), and are read as they are once e = exp G (= 4 for g128)."""
+    G, proj = cg.group, construction.q8_quotient(cg)[1]
+    if c.group.exponent() != G.exponent():
+        raise ValueError(f"exp(G/H) = {c.group.exponent()} differs from exp G = {G.exponent()}")
+    return ClassFunction(G, tuple(c.value_at(proj[cl[0]]) for cl in G.conjugacy_classes()))
 
 
 def conjugate_stabilizer_check(cg: ConstructedGroup, lam: LambdaChoice) -> bool:
@@ -220,9 +224,9 @@ def covector_claims(data: ConstructiveData, fixed: Dict) -> List[Dict]:
     reg_mult, nu_phi = fixed["reg_mult"], fixed["nu_phi"]
     claims.append({
         "name": "claim2_constituent_phi",
-        # a multiplicity is an integer: mult must equal its constant term, and that be >= 1
-        "passed": mult == mult.num[0] >= 1 and nu_phi == -1 and phi.degree() == 2
-        and reg_mult == 2,
+        # a multiplicity is an integer: mult must equal its z^0 term, and that be >= 1
+        "passed": mult == dict(mult.terms()).get(0, 0) >= 1 and nu_phi == -1
+        and phi.degree() == 2 and reg_mult == 2,
         "witness": {"multiplicity_in_chi_squared": mult.render(),
                     "multiplicity_in_induced_square": reg_mult.render(),
                     "phi_degree": phi.degree(), "nu2_phi": str(nu_phi)}})

@@ -4,13 +4,14 @@ Values are stored in the power basis 1, z, ..., z^(d-1) modulo the n-th
 cyclotomic polynomial (d = deg Phi_n), as an integer coefficient vector over
 a common positive denominator, gcd-reduced.  Canonical form is unique, so
 equality is tuple comparison.  This is the program's one exact number type:
-no floating point anywhere, and rationals are the elements with num[1:] = 0.
+no floating point anywhere.  The basis is private to this module: `terms()`
+is its one outside reader, and gives a value as sum c z^k / den.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 @lru_cache(maxsize=None)
@@ -159,17 +160,6 @@ class Cyclotomic:
             return NotImplemented
         return Cyclotomic(self.n, self.num, self.den * other)
 
-    def to_order(self, m: int) -> "Cyclotomic":
-        """Re-express in Q(zeta_m).  Needs self rational or n | m."""
-        if m == self.n:
-            return self
-        if not any(self.num[1:]):
-            return Cyclotomic.from_rational(m, self.num[0]) / self.den
-        if m % self.n == 0:
-            terms = ((i * (m // self.n), c) for i, c in enumerate(self.num))
-            return Cyclotomic(m, _reduce(m, terms), self.den)
-        raise ValueError(f"cannot move irrational value from order {self.n} to {m}")
-
     # -- predicates / conversions ---------------------------------------
 
     def is_zero(self) -> bool:
@@ -189,12 +179,15 @@ class Cyclotomic:
 
     # -- rendering -------------------------------------------------------
 
+    def terms(self) -> Iterator[Tuple[int, int]]:
+        """(k, c) for each nonzero numerator coefficient c of z^k, in ascending
+        k, so that the value is sum c z^k / den."""
+        return ((k, c) for k, c in enumerate(self.num) if c)
+
     def render(self) -> str:
         """Canonical string `a0 + a1*z + ...` with z = zeta_n."""
         parts = []
-        for k, c in enumerate(self.num):
-            if c == 0:
-                continue
+        for k, c in self.terms():
             g = gcd(c, self.den)
             coeff = f"{c // g}/{self.den // g}" if self.den > g else str(c // g)
             if k == 0:

@@ -48,7 +48,7 @@ def galois(v: Cyclotomic, k: int) -> Cyclotomic:
     """The automorphism zeta -> zeta^k of Q(zeta_n), gcd(k, n) = 1."""
     if gcd(k, v.n) != 1:
         raise ValueError(f"zeta -> zeta^{k} is not an automorphism for n={v.n}")
-    return Cyclotomic.from_powers(v.n, {i * k: c for i, c in enumerate(v.num)}) / v.den
+    return Cyclotomic.from_powers(v.n, {i * k: c for i, c in v.terms()}) / v.den
 
 
 def conjugate(v: Cyclotomic) -> Cyclotomic:
@@ -68,7 +68,101 @@ def sub(a, b):
 def value_key(v: Cyclotomic) -> Tuple[int, Tuple[int, ...], int]:
     """The canonical form as a tuple: Cyclotomic compares by value but is
     not hashable, so sets and dicts of values are keyed by this."""
-    return v.n, v.num, v.den
+    return v.n, tuple(v.terms()), v.den
+
+
+def to_order(v: Cyclotomic, m: int) -> Cyclotomic:
+    """v re-expressed in Q(zeta_m): zeta_n^k -> zeta_m^(k m/n) when n | m.
+    Otherwise v must be rational, and it is Tr(v) / phi(n), each Tr(zeta_n^k)
+    a Ramanujan sum; raises ValueError if v is not rational."""
+    n = v.n
+    if m % n == 0:
+        return Cyclotomic.from_powers(m, {k * (m // n): c for k, c in v.terms()}) / v.den
+
+    phi_n = totient(n)
+
+    def trace(k):       # zeta_n^k has order e; the sum of its conjugates
+        e = n // gcd(n, k)
+        return mobius(e) * (phi_n // totient(e))
+
+    num, den = sum(c * trace(k) for k, c in v.terms()), phi_n * v.den
+    if Cyclotomic.from_rational(n, num) / den != v:
+        raise ValueError(f"cannot move irrational value from order {n} to {m}")
+    return Cyclotomic.from_rational(m, num) / den
+
+
+# ---------------------------------------------------------------------------
+# The power basis of Z[zeta_n], with Phi_n and its reduction computed here
+# ---------------------------------------------------------------------------
+
+def mobius(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def totient(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if gcd(n, k) == 1)
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of a by a monic b, low degree first."""
+    rem, d = list(a), len(b) - 1
+    quot = [0] * max(len(a) - d, 1)
+    for i in range(len(a) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - d] = c
+            for j, y in enumerate(b):
+                rem[i - d + j] -= c * y
+    return quot, rem[:d]
+
+
+@lru_cache(maxsize=None)
+def phi_by_mobius(n: int) -> Tuple[int, ...]:
+    """Phi_n = prod_{d | n} (x^d - 1)^mu(n/d), low degree first: the factors
+    with mu = 1 multiplied, then divided exactly by those with mu = -1."""
+    top, bottom = [1], [1]
+    for d in range(1, n + 1):
+        if n % d == 0 and mobius(n // d):
+            factor = [-1] + [0] * (d - 1) + [1]
+            if mobius(n // d) == 1:
+                top = poly_mul(top, factor)
+            else:
+                bottom = poly_mul(bottom, factor)
+    quot, rem = _poly_divmod(top, bottom)
+    if any(rem):
+        raise AssertionError(f"the Moebius product for Phi_{n} leaves a remainder")
+    return tuple(quot)
+
+
+def power_basis_reduce(n: int, poly: Sequence[int]) -> List[int]:
+    """sum poly[k] z^k in the power basis of Z[zeta_n]: its remainder mod Phi_n."""
+    phi = phi_by_mobius(n)
+    rem = _poly_divmod(poly, phi)[1]
+    return rem + [0] * (len(phi) - 1 - len(rem))
+
+
+def power_basis(v: Cyclotomic) -> List[int]:
+    """The numerator of v (over v.den) in the power basis, from its terms."""
+    poly = [0] * v.n
+    for k, c in v.terms():
+        poly[k % v.n] += c
+    return power_basis_reduce(v.n, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +183,7 @@ def restrict(a: ClassFunction, H: FiniteGroup, embed: Sequence[int]) -> ClassFun
     raises ValueError if a value does not lie there."""
     e = H.exponent()
     return ClassFunction(H, tuple(
-        a.value_at(embed[cl[0]]).to_order(e) for cl in H.conjugacy_classes()))
+        to_order(a.value_at(embed[cl[0]]), e) for cl in H.conjugacy_classes()))
 
 
 def subgroup_as_group(G: FiniteGroup, S) -> Tuple[FiniteGroup, List[int]]:

@@ -7,10 +7,10 @@ import tracemalloc
 
 import pytest
 from conftest import cayley_file, cayley_table, dihedral_mul
-from oracles import parse_cyclotomic
+from oracles import parse_cyclotomic, to_order
 from test_cli_fuzz import ODD_TOKENS
 
-from fusionaudit import audit, cli, gf2
+from fusionaudit import audit, cli, constructive, gf2
 from fusionaudit.characters import fusion_tensor
 from fusionaudit.cli import main
 from fusionaudit.groups import Q8_TABLE
@@ -120,10 +120,14 @@ def test_each_verify_command_builds_one_report(monkeypatch):
 
 
 def test_all_lambdas_runs_match_single_covector_runs(cg):
+    # Each run against data built afresh for its covector, not by for_covector.
+    base = audit.constructive_data(cg)
     runs = audit.verify_all_lambdas(cg).sections["lambda_runs"]
     for run in runs:
-        single = audit.verify_claims(covector=run["covector"], cg=cg)
-        assert run["claims"] == single.sections["claims"]
+        data = constructive.ConstructiveData(
+            cg, *constructive.lambda_and_chi(cg, run["covector"]), base.lifts, base.phi)
+        assert run["claims"] == constructive.covector_claims(
+            data, constructive.covector_free_claims(data))
 
 
 def test_report_json_is_deterministic(cg):
@@ -284,7 +288,6 @@ def test_constructive_table_text_names_its_rows(cg):
 def test_table_both_builds_no_constructive_rows(monkeypatch, cg):
     # "both" reports the Dixon table and the row matches only: the
     # constructive rows' indicators and renders are for "constructive".
-    from fusionaudit import constructive
     calls = []
     real = constructive.fs_indicator
     monkeypatch.setattr(constructive, "fs_indicator", lambda c: calls.append(c) or real(c))
@@ -942,7 +945,6 @@ def test_cli_internal_check_failure_exits_1(monkeypatch, capsys):
 def test_cli_non_integer_computed_value_exits_1(monkeypatch, capsys):
     # verify reads no input: a halved chi has degree 4 but nu(chi) = 1/2, which
     # is no integer.  That is an internal failure (exit 1), not bad usage.
-    from fusionaudit import constructive
     from fusionaudit.characters import ClassFunction
     real = constructive.lambda_and_chi
 
@@ -961,7 +963,6 @@ def test_cli_non_integer_computed_value_exits_1(monkeypatch, capsys):
 def test_cli_verify_fails_claim2_on_a_non_integer_multiplicity(monkeypatch, capsys):
     # chi^2 scaled by 3/4 gives <chi^2, phi> = 3/2: a multiplicity that is no
     # integer fails claim 2 (exit 1) instead of passing as ">= 1".
-    from fusionaudit import constructive
     from fusionaudit.characters import ClassFunction
     real = constructive.pointwise_product
 
@@ -1004,6 +1005,8 @@ GOLDEN_REPORTS = [
     ("verify-all-lambdas", ["verify", "--all-lambdas"]),
     ("scan-g128", ["scan", "--group", "builtin:g128"]),
     ("table-g128-both", ["table", "--group", "builtin:g128", "--table-method", "both"]),
+    ("table-g128-constructive",
+     ["table", "--group", "builtin:g128", "--table-method", "constructive"]),
     ("table-d30", None),
     ("table-d120", None),
     ("scan-g128xc2", None),
@@ -1105,7 +1108,7 @@ def test_product_scans_match_the_tensor_product_oracle(label, seed, g128_table, 
     def product(a, b):
         chi, psi = g128_table.irreducibles[a], k_table.irreducibles[b]
         return ClassFunction(table.group, tuple(
-            chi.value_at(x // m).to_order(e) * psi.value_at(x % m).to_order(e) for x in reps))
+            to_order(chi.value_at(x // m), e) * to_order(psi.value_at(x % m), e) for x in reps))
 
     def dual(t, N):
         one = t.residues.index((1,) * len(N))          # the trivial character

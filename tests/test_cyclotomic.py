@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionaudit.cyclotomic import Cyclotomic, cyclotomic_polynomial
-from oracles import conjugate, galois, neg, parse_cyclotomic, sub, zeta
+from oracles import conjugate, galois, neg, parse_cyclotomic, phi_by_mobius, sub, to_order, zeta
 
 
 def test_cyclotomic_polynomials():
@@ -15,6 +15,8 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    # the Moebius product of the tests' own power basis agrees
+    assert all(phi_by_mobius(n) == cyclotomic_polynomial(n) for n in range(1, 121))
 
 
 def test_zeta8_relations():
@@ -37,7 +39,7 @@ def test_rational_reads():
     with pytest.raises(ValueError):
         zeta(8).as_integer()
     half = Cyclotomic.from_rational(4, 1) / 2
-    assert half * 2 == 1 and (half.num, half.den) == ((1, 0), 2)
+    assert half * 2 == 1 and (list(half.terms()), half.den) == ([(0, 1)], 2)
     with pytest.raises(ValueError):
         half.as_integer()
     assert Cyclotomic.from_rational(4, -6) / -4 == Cyclotomic.from_rational(4, 3) / 2
@@ -53,7 +55,7 @@ def test_canonical_form_unique():
     # same value assembled two ways reduces identically
     a = Cyclotomic.from_powers(8, {4: 1})
     b = Cyclotomic.from_rational(8, -1)
-    assert a == b and a.num == b.num and a.den == b.den
+    assert a == b and list(a.terms()) == list(b.terms()) and a.den == b.den
 
 
 def test_incompatible_orders_rejected():
@@ -62,12 +64,13 @@ def test_incompatible_orders_rejected():
 
 
 def test_to_order_promotion():
-    z4 = zeta(4)
-    z8sq = zeta(8, 2)
-    assert z4.to_order(8) == z8sq
-    assert Cyclotomic.from_rational(2, 5).to_order(8) == 5
+    # The tests' field change: up along n | m, and rationals to any order.
+    assert to_order(zeta(4), 8) == zeta(8, 2)
+    assert to_order(Cyclotomic.from_rational(2, 5), 8) == 5
+    assert to_order(Cyclotomic.from_rational(12, -3) / 4, 8) == Cyclotomic.from_rational(8, -3) / 4
+    assert to_order(zeta(3) + zeta(3, 2), 4) == -1
     with pytest.raises(ValueError):
-        zeta(8).to_order(4)
+        to_order(zeta(8), 4)
 
 
 def _random_value(rng, n):
@@ -145,7 +148,7 @@ def test_numeric_oracle(a, b, a7, b7):
     # exact path; at n = 7 the product reaches z^k with k >= n
     def as_complex(x):
         z = cmath.exp(2j * cmath.pi / x.n)
-        return sum(c * z ** k for k, c in enumerate(x.num)) / x.den
+        return sum(c * z ** k for k, c in x.terms()) / x.den
 
     for x, y in ((a, b), (a7, b7)):
         approx = as_complex(x) * as_complex(y)
@@ -158,7 +161,7 @@ def test_norm_is_nonnegative_real(a):
 
     def as_complex(x):
         z = cmath.exp(2j * cmath.pi / x.n)
-        return sum(c * z ** k for k, c in enumerate(x.num)) / x.den
+        return sum(c * z ** k for k, c in x.terms()) / x.den
 
     val = as_complex(norm)
     assert abs(val.imag) < 1e-7

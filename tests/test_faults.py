@@ -142,13 +142,20 @@ def _z2_cubed() -> List[List[int]]:
 
 # -- audit ------------------------------------------------------------------
 
-@fault("audit", "constructive_data", "G/H has no irreducible of degree 2: degrees {}")
-def abelian_quotient_has_no_phi(monkeypatch, cg):
-    # Injected: G/H is Q8, whose 2-dimensional irreducible is phi.
+def _quotient_replaced_by(monkeypatch, cg, table) -> Fault:
+    """constructive_data, with G/H replaced by the group of table and pi kept."""
     real = construction.q8_quotient
     monkeypatch.setattr(construction, "q8_quotient",
-                        lambda cg: (FiniteGroup(_z2_cubed()), real(cg)[1]))
+                        lambda cg: (FiniteGroup(table), real(cg)[1]))
     return Fault(lambda: audit.constructive_data(cg), ["verify"])
+
+
+@fault("audit", "constructive_data", "G/H has no irreducible of degree 2: degrees {}")
+def abelian_quotient_has_no_phi(monkeypatch, cg):
+    # Injected: G/H is Q8, whose 2-dimensional irreducible is phi.  C4 x C2
+    # has Q8's exponent 4, so its lifts pass the field check.
+    c4_c2 = cayley_table(8, lambda x, y: (x + y) % 4 + 4 * (x // 4 ^ y // 4))     # a + 4b
+    return _quotient_replaced_by(monkeypatch, cg, c4_c2)
 
 
 # -- characters -------------------------------------------------------------
@@ -509,6 +516,12 @@ def pointwise_product_across_groups():
         trivial_character(q8_group()), trivial_character(elementary_abelian_16())))
 
 
+@fault("constructive", "lift_from_quotient", "exp(G/H) = {} differs from exp G = {}")
+def quotient_of_exponent_2(monkeypatch, cg):
+    # Injected: G/H is Q8, of exponent 4 = exp G; Z2^3 has exponent 2.
+    return _quotient_replaced_by(monkeypatch, cg, _z2_cubed())
+
+
 @fault("constructive", "induced_square_constituent",
        "(lambda^2)^G differs from the lifted regular character")
 def induced_square_on_a_wrong_projection(monkeypatch, data):
@@ -586,11 +599,6 @@ def too_few_coefficients():
 @fault("cyclotomic", "Cyclotomic._check_field", "incompatible root orders {} and {}")
 def add_across_fields():
     return Fault(lambda: zeta(8) + zeta(12))
-
-
-@fault("cyclotomic", "Cyclotomic.to_order", "cannot move irrational value from order {} to {}")
-def move_zeta8_into_q_i():
-    return Fault(lambda: zeta(8).to_order(4))
 
 
 @fault("cyclotomic", "Cyclotomic.as_integer", "{} is not a rational integer")

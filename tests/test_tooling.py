@@ -192,6 +192,22 @@ def test_src_imports_run_one_way_and_read_no_private_names():
     assert private == []
 
 
+def test_only_cyclotomic_reads_its_basis():
+    # The power basis is cyclotomic's own decision: every other module and
+    # test reads a value through Cyclotomic.terms() and .den, so a change of
+    # basis is an edit to that one module (and the tests' own power basis).
+    private = {"_power_reductions", "_reduce"}
+    tests = pathlib.Path(__file__).resolve().parent
+    found = sorted({f"{path.relative_to(tests.parent)}:{node.lineno}"
+                    for path in sorted(SRC.glob("*.py")) + sorted(tests.rglob("*.py"))
+                    if path != SRC / "cyclotomic.py"
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Attribute) and node.attr in private | {"num"}
+                    or isinstance(node, ast.ImportFrom)
+                    and any(alias.name in private for alias in node.names)})
+    assert found == []
+
+
 def test_no_dataclasses_in_src():
     # dataclasses pulls in inspect and generates code at import, which every
     # CLI child would pay for; the record classes are plain __slots__ classes.
