@@ -1,11 +1,22 @@
 """Exact arithmetic in Z[zeta_n] with rational coefficients.
 
-Values are stored in the power basis 1, z, ..., z^(d-1) modulo the n-th
-cyclotomic polynomial (d = deg Phi_n), as an integer coefficient vector over
-a common positive denominator, gcd-reduced.  Canonical form is unique, so
-equality is tuple comparison.  This is the program's one exact number type:
-no floating point anywhere.  The basis is private to this module: `terms()`
-is its one outside reader, and gives a value as sum c z^k / den.
+A value is an integer coefficient vector over a common positive denominator,
+gcd-reduced, in the basis below.  Its coordinates are unique, so equality is
+tuple comparison.  This is the program's one exact number type: no floating
+point anywhere.  The basis is private to this module: `terms()` is its one
+outside reader, and gives a value as sum c z^k / den over basis exponents k.
+
+The basis.  For each prime power q = p^a that exactly divides n, zeta_q =
+z^(n/q) is a primitive q-th root of unity, and z^k = prod_q zeta_q^c_q(k)
+with c_q(k) = k (n/q)^-1 mod q (Chinese remainders).  Z[zeta_n] is the tensor
+product of the Z[zeta_q] over these coprime q, so the products of their power
+bases 1, zeta_q, ..., zeta_q^(phi(q)-1) form a Z-basis of Z[zeta_n]
+(Washington, Introduction to Cyclotomic Fields, ch. 2): z^k is a basis
+element iff every c_q(k) < phi(q).  A component c >= phi(q) is rewritten in
+one step by Phi_q(zeta_q) = 0, zeta_q^c = -sum_{j=1}^{p-1} zeta_q^(c - j q/p),
+each new exponent below phi(q).  So z^k is prod (p - 1) terms over its high
+components, each -1 or +1, and no Phi_n is ever computed.  When n is a prime
+power the basis is the power basis 1, z, ..., z^(phi(n)-1).
 """
 from __future__ import annotations
 
@@ -15,64 +26,40 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
-    """Coefficients of Phi_n, low degree first, monic."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    # x^n - 1 divided by Phi_d for proper divisors d.
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-def _poly_divexact(num: List[int], den: List[int]) -> List[int]:
-    # Exact division of integer polynomials, den monic up to sign.
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] // lead
-        if c * lead != num[i]:
-            raise AssertionError("polynomial division is not exact")
-        quot[i - dd] = c
-        for j in range(dd + 1):
-            num[i - dd + j] -= c * den[j]
-    if any(num):
-        raise AssertionError("polynomial division leaves a remainder")
-    return quot
-
-
-@lru_cache(maxsize=None)
-def _power_reductions(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Reduced coefficient vectors of z^k mod Phi_n, k < n."""
-    phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    rows: List[Tuple[int, ...]] = []
-    cur = [0] * d
-    cur[0] = 1
-    rows.append(tuple(cur))
-    for _ in range(n - 1):
-        nxt = [0] + cur[:-1]
-        top = cur[-1]
-        if top:
-            for j in range(d):
-                nxt[j] -= top * phi[j]
-        cur = nxt
-        rows.append(tuple(cur))
-    return tuple(rows)
+def _basis(n: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...]]:
+    """The basis exponents k of Q(zeta_n), ascending, and each z^k, k < n, as
+    its sparse row of (basis position, +-1) pairs."""
+    factors, m, p = [], n, 2            # (p, q, (n/q)^-1 mod q) for each q = p^a || n
+    while m > 1:
+        q = 1
+        while m % p == 0:
+            m, q = m // p, q * p
+        if q > 1:
+            factors.append((p, q, pow(n // q, -1, q)))
+        p += 1
+    rows = []
+    for k in range(n):
+        row = [(0, 1)]                              # (exponent, sign) pairs
+        for p, q, inv in factors:
+            c, step = k * inv % q, q // p           # c = c_q(k), and phi(q) = q - step
+            parts = ([(c, 1)] if c < q - step else
+                     [(c - j * step, -1) for j in range(1, p)])
+            row = [((e + x * (n // q)) % n, s * t) for e, s in row for x, t in parts]
+        rows.append(row)
+    # z^k is a basis element iff no component is high, that is, iff it is its own row.
+    exponents = tuple(k for k, row in enumerate(rows) if row == [(k, 1)])
+    position = {k: i for i, k in enumerate(exponents)}
+    return exponents, tuple(tuple((position[e], s) for e, s in row) for row in rows)
 
 
 def _reduce(n: int, terms: Iterable[Tuple[int, int]]) -> List[int]:
-    """Reduced coefficients of sum c * z^k over the (k, c) in terms, k any int."""
-    red = _power_reductions(n)
-    num = [0] * len(red[0])
+    """Basis coefficients of sum c * z^k over the (k, c) in terms, k any int."""
+    exponents, rows = _basis(n)
+    num = [0] * len(exponents)
     for k, c in terms:
         if c:
-            for j, x in enumerate(red[k % n]):
-                num[j] += c * x
+            for i, s in rows[k % n]:
+                num[i] += c * s
     return num
 
 
@@ -84,7 +71,7 @@ class Cyclotomic:
     def __init__(self, n: int, num: Sequence[int], den: int = 1):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        d = len(cyclotomic_polynomial(n)) - 1
+        d = len(_basis(n)[0])
         if len(num) != d:
             raise ValueError(f"need {d} reduced coefficients for n={n}")
         if den < 0:
@@ -110,8 +97,7 @@ class Cyclotomic:
     @staticmethod
     def from_rational(n: int, value: int) -> "Cyclotomic":
         """The integer value as an element of Q(zeta_n)."""
-        d = len(cyclotomic_polynomial(n)) - 1
-        return Cyclotomic(n, [value] + [0] * (d - 1))
+        return Cyclotomic(n, [value] + [0] * (len(_basis(n)[0]) - 1))
 
     @staticmethod
     def from_powers(n: int, powers: dict) -> "Cyclotomic":
@@ -145,12 +131,11 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         self._check_field(other)
-        conv = [0] * (2 * len(self.num) - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    if b:
-                        conv[i + j] += a * b
+        theirs = list(other.terms())
+        conv = [0] * (2 * _basis(self.n)[0][-1] + 1)     # up to twice the top exponent
+        for i, a in self.terms():
+            for j, b in theirs:
+                conv[i + j] += a * b
         return Cyclotomic(self.n, _reduce(self.n, enumerate(conv)), self.den * other.den)
 
     __rmul__ = __mul__
@@ -180,9 +165,9 @@ class Cyclotomic:
     # -- rendering -------------------------------------------------------
 
     def terms(self) -> Iterator[Tuple[int, int]]:
-        """(k, c) for each nonzero numerator coefficient c of z^k, in ascending
-        k, so that the value is sum c z^k / den."""
-        return ((k, c) for k, c in enumerate(self.num) if c)
+        """(k, c) for each nonzero numerator coefficient c of the basis element
+        z^k, in ascending k, so that the value is sum c z^k / den."""
+        return ((k, c) for k, c in zip(_basis(self.n)[0], self.num) if c)
 
     def render(self) -> str:
         """Canonical string `a0 + a1*z + ...` with z = zeta_n."""

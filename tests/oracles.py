@@ -2,8 +2,8 @@
 and field-by-field access to the program's record classes."""
 from functools import lru_cache
 from math import gcd
-from operator import mul
-from typing import Iterator, List, Sequence, Tuple
+from operator import itemgetter, mul
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from fusionaudit import gf2
 from fusionaudit.characters import ClassFunction
@@ -73,22 +73,39 @@ def value_key(v: Cyclotomic) -> Tuple[int, Tuple[int, ...], int]:
 
 def to_order(v: Cyclotomic, m: int) -> Cyclotomic:
     """v re-expressed in Q(zeta_m): zeta_n^k -> zeta_m^(k m/n) when n | m.
-    Otherwise v must be rational, and it is Tr(v) / phi(n), each Tr(zeta_n^k)
-    a Ramanujan sum; raises ValueError if v is not rational."""
+    Otherwise v must lie in Q(zeta_n) & Q(zeta_m) = Q(zeta_g), g = gcd(n, m),
+    and it is its relative trace down to Q(zeta_g) over the degree, moved up
+    to m; raises ValueError if v does not lie there."""
     n = v.n
     if m % n == 0:
         return Cyclotomic.from_powers(m, {k * (m // n): c for k, c in v.terms()}) / v.den
+    g = gcd(n, m)
+    down = sum((relative_trace(n, k, g) * c for k, c in v.terms()),
+               Cyclotomic.zero(g)) / (v.den * (totient(n) // totient(g)))
+    if to_order(down, n) != v:
+        raise ValueError(f"cannot move {v.render()} from order {n} to {m}")
+    return to_order(down, m)
 
-    phi_n = totient(n)
 
-    def trace(k):       # zeta_n^k has order e; the sum of its conjugates
-        e = n // gcd(n, k)
-        return mobius(e) * (phi_n // totient(e))
+def relative_trace(n: int, k: int, g: int) -> Cyclotomic:
+    """The trace of zeta_n^k from Q(zeta_n) down to Q(zeta_g), g | n.
 
-    num, den = sum(c * trace(k) for k, c in v.terms()), phi_n * v.den
-    if Cyclotomic.from_rational(n, num) / den != v:
-        raise ValueError(f"cannot move irrational value from order {n} to {m}")
-    return Cyclotomic.from_rational(m, num) / den
+    zeta_n^k is a primitive e-th root, e = n / gcd(n, k), and the Galois group
+    of Q(zeta_n) / Q(zeta_g) maps onto that of Q(zeta_e) / Q(zeta_h),
+    h = gcd(g, e), each fibre of size [n : g] / [e : h].  Prime by prime, the
+    trace of a primitive p^a-th root down to Q(zeta_p^b), b < a, is 0 unless
+    b = 0 and a = 1, where it is -1.  So with s = e / h, the trace is 0 unless
+    s is squarefree and prime to h, and then mu(s) times the Q(zeta_h) part of
+    zeta_n^k, zeta_h^x with x = (k / gcd(n, k)) s^-1 mod h.
+    """
+    e = n // gcd(n, k)
+    h = gcd(g, e)
+    s = e // h
+    if gcd(s, h) != 1 or mobius(s) == 0:
+        return Cyclotomic.zero(g)
+    fibre = (totient(n) // totient(g)) // (totient(e) // totient(h))
+    x = (k // (n // e)) * pow(s, -1, h) % h
+    return zeta(g, x * (g // h)) * (fibre * mobius(s))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +261,76 @@ def conjugacy_classes_sweep(G: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
                 seen[h] = True
             classes.append(orbit)
     return tuple(classes)
+
+
+def permutation_group(gens: Sequence[Sequence[int]]) -> Tuple[FiniteGroup, List[Tuple[int, ...]]]:
+    """The group generated by permutations of range(m), each the tuple of its
+    images, as (G, perms): perms[i] is element i, found by a closure from the
+    identity (element 0) under right products by gens, and G's table is read
+    off the tuples, (a b)(x) = a(b(x))."""
+    perms = [tuple(range(len(gens[0])))]
+    index = {perms[0]: 0}
+    for a in perms:                     # grows while it is read
+        for g in gens:
+            ag = tuple(a[x] for x in g)
+            if ag not in index:
+                index[ag] = len(perms)
+                perms.append(ag)
+    after = [itemgetter(*b) for b in perms]          # after[j](a) = a o perms[j]
+    table = [[index[get(a)] for get in after] for a in perms]
+    return FiniteGroup(table), perms
+
+
+def psl2(p: int) -> Tuple[FiniteGroup, List[Tuple[int, ...]]]:
+    """PSL(2, p), p an odd prime, on the projective line 0, ..., p - 1 and
+    p = infinity, generated by x -> x + 1 and x -> -1/x."""
+    shift = tuple(range(1, p)) + (0, p)
+    invert = (p,) + tuple(-pow(x, -1, p) % p for x in range(1, p)) + (0,)
+    return permutation_group([shift, invert])
+
+
+def cycle_type(perm: Sequence[int]) -> Tuple[int, ...]:
+    """The cycle lengths of a permutation, largest first: a partition."""
+    seen, lengths = set(), []
+    for x in range(len(perm)):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x, length = perm[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def partitions(n: int, top: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
+    """The partitions of n with parts at most top, largest part first."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, top or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def symmetric_character(shape: Sequence[int], mu: Sequence[int]) -> int:
+    """chi^shape(mu) for S_n by the Murnaghan-Nakayama rule (James and
+    Kerber 1981, ch. 2).  shape is held as its beta-set, the first-column
+    hook lengths; removing a border strip of length r moves a bead b to an
+    empty b - r >= 0, with sign (-1)^(beads passed)."""
+    k = len(shape)
+    return _border_strips(frozenset(part + k - 1 - i for i, part in enumerate(shape)),
+                          tuple(mu))
+
+
+@lru_cache(maxsize=None)
+def _border_strips(beta: frozenset, mu: Tuple[int, ...]) -> int:
+    if not mu:
+        return 1
+    r, total = mu[0], 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            passed = sum(1 for c in beta if b - r < c < b)
+            total += (-1) ** passed * _border_strips(beta - {b} | {b - r}, mu[1:])
+    return total
 
 
 def is_real(v: Cyclotomic) -> bool:

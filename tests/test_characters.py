@@ -45,19 +45,24 @@ from oracles import (
     class_matrix,
     conjugate,
     conjugate_inner_product,
+    cycle_type,
     dual_character,
     fields,
     fusion_residues,
     galois,
     is_real,
+    partitions,
+    permutation_group,
     poly_mul,
     power_basis,
     power_basis_reduce,
     power_walk,
+    psl2,
     rebuild,
     restrict,
     squaring_fs_indicator,
     subgroup_as_group,
+    symmetric_character,
     to_order,
     totient,
     trivial_character,
@@ -968,12 +973,24 @@ def c512_file(tmp_path_factory):
     return cayley_file(tmp_path_factory, "c512", 512, lambda x, y: (x + y) % 512, seed=3)
 
 
+@pytest.fixture(scope="module")
+def c105_file(tmp_path_factory):
+    return cayley_file(tmp_path_factory, "c105", 105, lambda x, y: (x + y) % 105, seed=2)
+
+
+@pytest.fixture(scope="module")
+def c210_file(tmp_path_factory):
+    return cayley_file(tmp_path_factory, "c210", 210, lambda x, y: (x + y) % 210)
+
+
 # In C60 the first class matrix is multiplication by a generator, so every
 # root of the first split is simple and no nullspace is solved; the
 # relabelled C120 splits through repeated roots as well.  The Galois orbits
 # of classes are as large as phi(m).  The relabelled C512 takes the oracle
-# near the cap.
-@pytest.mark.parametrize("name", ["c60_file", "c120_file", "c512_file"])
+# near the cap.  C105 and C210 have three odd primes in their exponent, so
+# their values are in the tensor basis of Q(zeta_m).
+@pytest.mark.parametrize("name", ["c60_file", "c120_file", "c512_file", "c105_file",
+                                  "c210_file"])
 def test_dixon_matches_closed_form_on_cyclic_groups(name, request):
     G = load_group_file(str(request.getfixturevalue(name)))
     m = G.order
@@ -1008,11 +1025,12 @@ def _closed_forms(family, m):
 
 
 @pytest.mark.parametrize("family, m, seed", [("dihedral", 256, 2), ("dicyclic", 128, 4),
-                                             ("dihedral", 512, 1)])
+                                             ("dihedral", 512, 1), ("dihedral", 105, 3)])
 def test_dixon_matches_closed_form_on_dihedral_and_dicyclic_groups(family, m, seed,
                                                                    tmp_path_factory):
-    # Relabelled D512, Q512 and D1024 (at the cap), value by value as rendered
-    # strings, with the indicators: nu = 1 on D_m, and nu(chi_h) = (-1)^h on Q_4m.
+    # Relabelled D512, Q512, D1024 (at the cap) and D210 (exponent 2 * 3 * 5 * 7),
+    # value by value as rendered strings, with the indicators: nu = 1 on D_m,
+    # and nu(chi_h) = (-1)^h on Q_4m.
     n_elems = 2 * m if family == "dihedral" else 4 * m
     mul = dihedral_mul(m) if family == "dihedral" else dicyclic_mul(m)
     path = cayley_file(tmp_path_factory, family, n_elems, mul, seed=seed)
@@ -1028,7 +1046,8 @@ def test_dixon_matches_closed_form_on_dihedral_and_dicyclic_groups(family, m, se
 
     closed = {tuple(render(tuple(k % (4 * m) for k in values(i, e))) for i, e in reps): nu
               for nu, values in _closed_forms(family, m)}
-    assert len(table.rendered) == len(closed) == (m // 2 + 3 if family == "dihedral" else m + 3)
+    count = m // 2 + 3 - m % 2 if family == "dihedral" else m + 3
+    assert len(table.rendered) == len(closed) == count
     assert dict(zip(table.rendered, table.indicators())) == closed
 
 
@@ -1278,3 +1297,80 @@ def test_eigenvalues_reject_power_sums_of_no_character(q8_table):
         _eigenvalues([1, p - 2], roots, p, 2)
     with pytest.raises(AssertionError, match=r"at class 0: .* x\^1 - 1$"):
         _eigenvalues([2], roots[:1], p, 0)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: non-solvable groups from permutations, checked against the ATLAS
+# and the Murnaghan-Nakayama rule
+# ---------------------------------------------------------------------------
+
+def symmetric_group(m):
+    """S_m from the m-cycle and the transposition (0 1)."""
+    return permutation_group([tuple(range(1, m)) + (0,), (1, 0) + tuple(range(2, m))])
+
+
+def alternating_group(m):
+    """A_m from (0 1 2) and an odd-length cycle: (0 ... m-1) for odd m,
+    (1 ... m-1) for even m."""
+    long = tuple(range(1, m)) + (0,) if m % 2 else (0,) + tuple(range(2, m)) + (1,)
+    return permutation_group([(1, 2, 0) + tuple(range(3, m)), long])
+
+
+# Degrees with indicators (ATLAS of Finite Groups, 1985); the exponents are
+# 30, 60, 84 and 330, each with two or three odd primes.
+ATLAS = {
+    "A5": (lambda: alternating_group(5), [(1, 1), (3, 1), (3, 1), (4, 1), (5, 1)]),
+    "A6": (lambda: alternating_group(6),
+           [(1, 1), (5, 1), (5, 1), (8, 1), (8, 1), (9, 1), (10, 1)]),
+    "PSL(2,7)": (lambda: psl2(7), [(1, 1), (3, 0), (3, 0), (6, 1), (7, 1), (8, 1)]),
+    "PSL(2,11)": (lambda: psl2(11), [(1, 1), (5, 0), (5, 0), (10, 1), (10, 1), (11, 1),
+                                     (12, 1), (12, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATLAS))
+def test_dixon_matches_the_atlas_on_simple_groups(name):
+    # The degrees and indicators, and exact column orthogonality:
+    # sum_chi chi(g_i) conj(chi(g_j)) = delta_ij |G| / |C_i|.
+    build, atlas = ATLAS[name]
+    G, _ = build()
+    table = dixon_table(G)
+    assert sorted(zip(table.degrees(), table.indicators())) == atlas
+    assert table.root_order == G.exponent() == {"A5": 30, "A6": 60, "PSL(2,7)": 84,
+                                                 "PSL(2,11)": 330}[name]
+    classes = G.conjugacy_classes()
+    for i, cl in enumerate(classes):
+        for j in range(i, len(classes)):
+            column = sum(chi.values[i] * conjugate(chi.values[j]) for chi in table.irreducibles)
+            assert column == (G.order // len(cl) if i == j else 0)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_dixon_matches_murnaghan_nakayama_on_symmetric_groups(m):
+    # chi^lambda(mu) read at each class's cycle type, as sets of rendered
+    # rows; the characters of S_m are rational, so every indicator is 1.
+    G, perms = symmetric_group(m)
+    table = dixon_table(G)
+    types = [cycle_type(perms[cl[0]]) for cl in G.conjugacy_classes()]
+    closed = {tuple(Cyclotomic.from_rational(table.root_order,
+                                             symmetric_character(shape, mu)).render()
+                    for mu in types) for shape in partitions(m)}
+    assert len(table.rendered) == len(closed) == {5: 7, 6: 11}[m]
+    assert set(table.rendered) == closed
+    assert set(table.indicators()) == {1}
+
+
+def test_permutation_oracles():
+    # The closure's table against the tuples, the orders, and the
+    # Murnaghan-Nakayama degrees (hook lengths) with sum d^2 = m!.
+    G, perms = psl2(7)
+    assert (G.order, len(symmetric_group(5)[0].table), alternating_group(6)[0].order) \
+        == (168, 120, 360)
+    assert all(perms[G.mul(a, b)] == tuple(perms[a][x] for x in perms[b])
+               for a in range(0, 168, 7) for b in range(168))
+    assert [cycle_type(p) for p in ((0, 1, 2), (1, 2, 0, 4, 3))] == [(1, 1, 1), (3, 2)]
+    assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    degrees = [symmetric_character(shape, (1,) * 6) for shape in partitions(6)]
+    assert degrees == [1, 5, 9, 10, 5, 16, 10, 5, 9, 5, 1]
+    assert sum(d * d for d in degrees) == 720
+    assert symmetric_character((2, 1), (3,)) == -1 and symmetric_character((3,), (2, 1)) == 1

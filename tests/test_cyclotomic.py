@@ -1,22 +1,57 @@
 import cmath
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionaudit.cyclotomic import Cyclotomic, cyclotomic_polynomial
-from oracles import conjugate, galois, neg, parse_cyclotomic, phi_by_mobius, sub, to_order, zeta
+from fusionaudit.cyclotomic import Cyclotomic
+from oracles import (conjugate, galois, neg, parse_cyclotomic, phi_by_mobius, sub, to_order,
+                     totient, zeta)
 
 
-def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-    # the Moebius product of the tests' own power basis agrees
-    assert all(phi_by_mobius(n) == cyclotomic_polynomial(n) for n in range(1, 121))
+def basis_exponents(n):
+    """The basis of Q(zeta_n) as terms() reads it: every exponent that some
+    zeta_n^k is written in."""
+    return sorted({j for k in range(n) for j, _ in zeta(n, k).terms()})
+
+
+def prime_powers(n):
+    """(p, q) for each prime power q = p^a exactly dividing n."""
+    out, p = [], 2
+    while n > 1:
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    return out
+
+
+def test_basis_size_is_the_degree_of_phi_n():
+    # phi(n) exponents, each its own one term; for a prime power the power basis.
+    for n in range(1, 121):
+        basis = basis_exponents(n)
+        assert len(basis) == len(phi_by_mobius(n)) - 1 == totient(n)
+        assert all(list(zeta(n, k).terms()) == [(k, 1)] for k in basis)
+        if len(prime_powers(n)) <= 1:
+            assert basis == list(range(totient(n)))
+    assert basis_exponents(30) == [0, 6, 10, 12, 16, 18, 22, 28]
+
+
+def test_every_root_of_unity_is_sparse():
+    # zeta_n^k = prod_q zeta_q^c_q(k), zeta_q = zeta_n^(n/q): a component
+    # c_q >= phi(q) becomes p - 1 terms, a lower one stays one term.
+    for n in (105, 210, 1001):
+        factors = prime_powers(n)
+        for k in range(n):
+            high = [p for p, q in factors
+                    if k * pow(n // q, -1, q) % q >= q - q // p]
+            terms = list(zeta(n, k).terms())
+            assert len(terms) == prod(p - 1 for p in high)
+            assert {c for _, c in terms} == {(-1) ** len(high)}
 
 
 def test_zeta8_relations():
@@ -73,8 +108,20 @@ def test_to_order_promotion():
         to_order(zeta(8), 4)
 
 
+def test_to_order_moves_down_every_value_of_the_subfield():
+    # Down by the relative trace: zeta_8^2 = i lies in Q(zeta_4), zeta_12^2
+    # in Q(zeta_6) and so in Q(zeta_18); i does not lie in Q(zeta_18).
+    assert to_order(zeta(8, 2), 4) == zeta(4)
+    assert to_order(zeta(12, 2) * 3 + zeta(12, 4), 18) == zeta(18, 3) * 3 + zeta(18, 6)
+    with pytest.raises(ValueError):
+        to_order(zeta(12, 3), 18)
+    for n in range(1, 61):
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            assert all(to_order(zeta(n, j * (n // m)), m) == zeta(m, j) for j in range(m))
+
+
 def _random_value(rng, n):
-    d = len(cyclotomic_polynomial(n)) - 1
+    d = totient(n)
     num = [rng.randint(-4, 4) for _ in range(d)]
     return Cyclotomic(n, num, rng.randint(1, 3))
 
@@ -98,7 +145,7 @@ def test_ring_axioms_randomized():
 
 @st.composite
 def cyclotomic_values(draw, n=8):
-    d = len(cyclotomic_polynomial(n)) - 1
+    d = totient(n)
     num = draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d))
     den = draw(st.integers(1, 12))
     return Cyclotomic(n, num, den)

@@ -26,7 +26,7 @@ from conftest import cayley_table, dihedral_mul
 from fusionaudit import audit, characters, cli, construction, constructive, gf2, groupfile
 from fusionaudit.characters import ClassFunction, dixon_table
 from fusionaudit.construction import LambdaChoice, Q8Embedding
-from fusionaudit.cyclotomic import Cyclotomic, _poly_divexact, cyclotomic_polynomial
+from fusionaudit.cyclotomic import Cyclotomic
 from fusionaudit.groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
@@ -567,24 +567,6 @@ def trivial_character_is_not_induced(cg, data):
 
 
 # -- cyclotomic ---------------------------------------------------------------
-
-@fault("cyclotomic", "cyclotomic_polynomial", "n must be positive")
-def cyclotomic_polynomial_of_zero():
-    return Fault(lambda: cyclotomic_polynomial(0))
-
-
-# cyclotomic_polynomial divides x^n - 1 by the monic Phi_d, d | n, d < n,
-# which divide it exactly; only another divisor reaches these two.
-
-@fault("cyclotomic", "_poly_divexact", "polynomial division is not exact")
-def division_by_a_non_monic():
-    return Fault(lambda: _poly_divexact([1, 0, 1], [0, 2]))
-
-
-@fault("cyclotomic", "_poly_divexact", "polynomial division leaves a remainder")
-def division_with_a_remainder():
-    return Fault(lambda: _poly_divexact([1, 0, 1], [1, 1]))        # x^2 + 1 = 2 mod x + 1
-
 
 @fault("cyclotomic", "Cyclotomic.__init__", "zero denominator")
 def divide_by_zero():
