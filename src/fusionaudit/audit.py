@@ -87,10 +87,9 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 def constructive_data(cg: ConstructedGroup) -> ConstructiveData:
-    from .construction import q8_quotient
     from .constructive import ConstructiveData, lambda_and_chi, lift_from_quotient
     lam, chi = lambda_and_chi(cg, None)
-    qtab = dixon_table(q8_quotient(cg)[0])
+    qtab = dixon_table(cg.quotient)
     lifts = tuple(lift_from_quotient(c, cg) for c in qtab.irreducibles)
     phi = next((l for l, d in zip(lifts, qtab.degrees()) if d == 2), None)
     if phi is None:
@@ -111,12 +110,11 @@ def verify_all_lambdas(cg: ConstructedGroup) -> AuditReport:
     The quotient, its Dixon table, the lifts, phi and the covector-free
     claims are built once; only lambda and chi change per covector.
     """
-    from .construction import valid_covectors
     from .constructive import covector_claims, covector_free_claims
     base = constructive_data(cg)
     fixed = covector_free_claims(base)
     runs = []
-    for v in valid_covectors(cg):
+    for v in cg.covectors:
         claims = covector_claims(base if v == base.lam.covector else base.for_covector(v), fixed)
         runs.append({"covector": v, "ok": all(c["passed"] for c in claims), "claims": claims})
     all_ok = all(r["ok"] for r in runs)

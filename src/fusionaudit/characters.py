@@ -468,6 +468,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
                       [A[pc] for pc in pivots], basis, pivots, p))]
 
     size_inv = [pow(len(cl), -1, p) for cl in classes]
+    residue = list(range(p))            # each row reads its residues from here: p ints in all
 
     # getters[deg][j] = (n / ord(g_j), getter of chi(g_j^t) for t = 0..deg).
     getters: Dict[int, List[Tuple[int, itemgetter]]] = {}
@@ -484,7 +485,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         if deg is None:
             raise AssertionError(f"|G| / s = {d_sq} mod {p} is not the square of a degree "
                                  f"below {p} / 2")
-        chi_mod = [deg * x * si % p for x, si in zip(v, size_inv)]
+        chi_mod = [residue[deg * x * si % p] for x, si in zip(v, size_inv)]
         if deg not in getters:
             getters[deg] = [(n // len(pw), itemgetter(*(pw[t % len(pw)] for t in range(deg + 1))))
                             for pw in power_class]
@@ -623,7 +624,7 @@ def fusion_tensor(table: CharacterTable) -> List[List[List[int]]]:
             if sum(weighted) != bound:
                 raise AssertionError(
                     f"sum rule fails at ({pi},{qi}): {sum(weighted)} != {bound}")
-            N[pi][qi], N[qi][pi] = vals[:], vals[:]      # copies hold no spare capacity
+            N[pi][qi] = N[qi][pi] = vals[:]     # one exact-size list per unordered pair
     return N
 
 

@@ -123,15 +123,8 @@ def parse_args(argv: List[str]) -> Tuple[str, Optional[Dict[str, object]]]:
     return command, values
 
 
-def main(argv=None) -> int:
-    """Run a command and return its exit code; nothing, not even -h, raises SystemExit."""
-    argv = sys.argv[1:] if argv is None else argv
-    try:
-        command, opts = parse_args(argv)
-    except ValueError as exc:
-        return _usage(argv[0] if argv else "", str(exc))
-    if opts is None:
-        return _usage(command)
+def _run(command: str, opts: Dict[str, object]) -> int:
+    """Build the group, compute the report and write it; return the exit code."""
     t0 = time.monotonic()
     try:
         try:
@@ -157,6 +150,24 @@ def main(argv=None) -> int:
         return 2
     print(f"elapsed: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return 0 if report.ok else 1
+
+
+def main(argv=None) -> int:
+    """Run a command and return its exit code; nothing, not even -h, raises SystemExit."""
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        command, opts = parse_args(argv)
+    except ValueError as exc:
+        return _usage(argv[0] if argv else "", str(exc))
+    if opts is None:
+        return _usage(command)
+    try:
+        return _run(command, opts)
+    except MemoryError:
+        pass
+    # Out of the except block, the traceback and the frames holding the large lists are freed.
+    print(f"out of memory: {command} --group {opts['--group']}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Builds G = H x| Q with H = Z2^4 and Q the quaternion group acting
 faithfully through one embedding Q8 -> GL4(2), given by the images of
 i and j and checked to be a faithful homomorphism before it is used.
-Also computes H0 = [H, z], the commutator-intersection identity, and the
-linear character lambda of H driving the induced-character construction.
+build_g also certifies G/H = Q8 with its projection, H0 = [H, z], the
+covectors that cut H0 and the spans [H, x], once per group; only the
+linear character lambda of H, chosen by covector, varies.
 """
 from __future__ import annotations
 
@@ -99,24 +100,28 @@ def find_q8_in_gl42() -> Q8Embedding:
 
 
 class ConstructedGroup:
-    """The 128-element group H x| Q with its distinguished subgroups.
+    """The 128-element group H x| Q with the facts build_g certifies once.
 
     Element index = 8 * (vector bits as 0..15) + (Q8 index 0..7); the
-    identity (0, 1) is index 0.  So g -> g & 7 is the projection onto
-    G/H = Q8 (q8_quotient), which build_g certifies by check_quotient_is_q8.
+    identity (0, 1) is index 0.  No field depends on a covector.
     """
     __slots__ = ("group", "embedding", "h_subgroup", "q_subgroup", "z_lift",
-                 "_lambda_facts")
+                 "quotient", "projection", "h0", "covectors", "spans")
 
     def __init__(self, group: FiniteGroup, embedding: Q8Embedding,
-                 h_subgroup: Tuple[int, ...], q_subgroup: Tuple[int, ...],
-                 z_lift: int):
+                 h_subgroup: Tuple[int, ...], q_subgroup: Tuple[int, ...], z_lift: int,
+                 quotient: FiniteGroup, projection: List[int], h0: Tuple[int, ...],
+                 covectors: Tuple[int, ...], spans: Tuple[frozenset, ...]):
         self.group = group
         self.embedding = embedding
         self.h_subgroup = h_subgroup      # all (h, 1)
         self.q_subgroup = q_subgroup      # all (0, q)
         self.z_lift = z_lift              # (0, -1)
-        self._lambda_facts = None         # set by _lambda_facts()
+        self.quotient = quotient          # G/H = Q8
+        self.projection = projection      # pi: g -> g & 7, onto quotient with kernel H
+        self.h0 = h0                      # H0 = [H, z], of order 2
+        self.covectors = covectors        # the 8 v with lambda_v(H0) = -1, ascending
+        self.spans = spans                # [H, x] for each nontrivial coset xH
 
 
 def build_g(embedding: Q8Embedding) -> ConstructedGroup:
@@ -127,18 +132,21 @@ def build_g(embedding: Q8Embedding) -> ConstructedGroup:
     """
     embedding.check()
     G = FiniteGroup(gf2.semidirect_table(embedding.rho))
-    H = tuple(8 * h for h in range(16))
-    Q = tuple(range(8))
-    cg = ConstructedGroup(G, embedding, H, Q, z_lift=Q8_MINUS_ONE)
-
+    H, Q, z = tuple(8 * h for h in range(16)), tuple(range(8)), Q8_MINUS_ONE
     if centralizer_of_set(G, H) != H:
         raise AssertionError("C_G(H) != H; the action is not faithful")
-    if not check_quotient_is_q8(cg):
+    if not check_quotient_is_q8(G):
         raise AssertionError("G/H does not multiply like Q8")
-    return cg
+    h0 = commutator_span(G, H, z)
+    if len(h0) != 2:
+        raise AssertionError(f"|[H, z]| = {len(h0)}, expected 2")
+    return ConstructedGroup(
+        G, embedding, H, Q, z, quotient=q8_group(), projection=[g & 7 for g in range(G.order)],
+        h0=h0, covectors=tuple(v for v in range(1, 16) if gf2.dot(v, h0[1] >> 3) == 1),
+        spans=tuple(frozenset(commutator_span(G, H, x)) for x in Q[1:]))
 
 
-def check_quotient_is_q8(cg: ConstructedGroup) -> bool:
+def check_quotient_is_q8(G: FiniteGroup) -> bool:
     """True iff pi: g -> g & 7 is a homomorphism from G onto Q8 with kernel H,
     so that H is normal and G/H is Q8 with projection pi.
 
@@ -151,51 +159,16 @@ def check_quotient_is_q8(cg: ConstructedGroup) -> bool:
     it fixes 0..7, and its kernel is {g : g & 7 = 0}, the 16 indices 8h of
     H.  A kernel is normal, and G/ker pi is the image: gH goes to pi(g).
     """
-    G = cg.group
     return all(G.mul(a, s) & 7 == Q8_TABLE[a & 7][s & 7]
                for s in G.generators() for a in range(G.order))
 
 
-def q8_quotient(cg: ConstructedGroup) -> Tuple[FiniteGroup, List[int]]:
-    """G/H as Q8, and the projection pi: g -> g & 7 that build_g certifies."""
-    return q8_group(), [g & 7 for g in range(cg.group.order)]
-
-
-def compute_h0(cg: ConstructedGroup) -> Tuple[int, ...]:
-    """H0 = [H, z]; always of order 2 for a faithful Q8 action."""
-    return _lambda_facts(cg)[0]
-
-
-def _lambda_facts(cg: ConstructedGroup) -> Tuple[Tuple[int, ...], Tuple[int, ...],
-                                                   Tuple[frozenset, ...]]:
-    """H0, the valid covectors, and [H, x] for each nontrivial coset xH.
-
-    None of them depends on a covector, so they are computed once per group.
-    """
-    if cg._lambda_facts is None:
-        h0 = commutator_span(cg.group, cg.h_subgroup, cg.z_lift)
-        if len(h0) != 2:
-            raise AssertionError(f"|[H, z]| = {len(h0)}, expected 2")
-        h0_bits = h0[1] >> 3
-        valid = tuple(v for v in range(1, 16) if gf2.dot(v, h0_bits) == 1)
-        spans = tuple(frozenset(commutator_span(cg.group, cg.h_subgroup, x))
-                      for x in filter(None, cg.q_subgroup))
-        cg._lambda_facts = (h0, valid, spans)
-    return cg._lambda_facts
-
-
-def intersect_commutators(cg: ConstructedGroup) -> Tuple[int, ...]:
-    """Intersection of [H, x] over the 7 nontrivial cosets xH."""
-    return tuple(sorted(frozenset.intersection(*_lambda_facts(cg)[2])))
-
-
 class LambdaChoice:
     """A linear character lambda_v of H with h -> (-1)^(v.h)."""
-    __slots__ = ("covector", "h0_element")
+    __slots__ = ("covector",)
 
-    def __init__(self, covector: int, h0_element: int):
+    def __init__(self, covector: int):
         self.covector = covector
-        self.h0_element = h0_element      # G-index of the nonidentity element of H0
 
     def value_sign(self, g: int) -> int:
         """+1/-1 on H (g must be an H index, i.e. q-part trivial)."""
@@ -204,27 +177,21 @@ class LambdaChoice:
         return -1 if gf2.dot(self.covector, g >> 3) else 1
 
 
-def valid_covectors(cg: ConstructedGroup) -> List[int]:
-    """All covectors v with ker(lambda_v) not containing H0; exactly 8."""
-    return list(_lambda_facts(cg)[1])
-
-
 def choose_lambda(cg: ConstructedGroup, covector: int | None = None) -> LambdaChoice:
     """Deterministic lambda: least valid covector unless one is supplied.
 
     Verifies the defining condition directly: [H, x] is not inside
     ker(lambda) for any nontrivial coset xH.
     """
-    h0, valid, spans = _lambda_facts(cg)
     if covector is None:
-        covector = valid[0]
-    elif covector not in valid:
+        covector = cg.covectors[0]
+    elif covector not in cg.covectors:
         raise ValueError(f"covector {covector} does not cut H0")
     kernel = {8 * h for h in range(16) if gf2.dot(covector, h) == 0}
-    for x, span in zip(filter(None, cg.q_subgroup), spans):  # the nontrivial cosets
+    for x, span in zip(cg.q_subgroup[1:], cg.spans):  # the nontrivial cosets
         if span <= kernel:
             raise AssertionError(f"[H, x] lies in ker lambda for coset of {x}")
-    return LambdaChoice(covector=covector, h0_element=h0[1])
+    return LambdaChoice(covector)
 
 
 def build_default() -> ConstructedGroup:

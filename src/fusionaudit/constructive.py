@@ -16,7 +16,7 @@ from . import construction
 from .characters import ClassFunction
 from .construction import ConstructedGroup, LambdaChoice
 from .cyclotomic import Cyclotomic
-from .groups import FiniteGroup, centralizer_of_set, is_subgroup, q8_group, squares_in
+from .groups import FiniteGroup, centralizer_of_set, is_subgroup, squares_in
 
 
 def regular_character(G: FiniteGroup) -> ClassFunction:
@@ -78,12 +78,12 @@ def fs_indicator(a: ClassFunction) -> int:
 
 
 def lift_from_quotient(c: ClassFunction, cg: ConstructedGroup) -> ClassFunction:
-    """Pull a class function on G/H = Q8 back to G along construction.q8_quotient's
-    pi.  build_g certifies pi by check_quotient_is_q8: a homomorphism onto Q8
+    """Pull a class function on G/H = Q8 back to G along cg.projection, the
+    pi that build_g certifies by check_quotient_is_q8: a homomorphism onto Q8
     with kernel H.  So pi maps each class of G into one class of Q8, and the
     class's first element gives its value.  The values lie in Q(zeta_e),
     e = exp(G/H), and are read as they are once e = exp G (= 4 for g128)."""
-    G, proj = cg.group, construction.q8_quotient(cg)[1]
+    G, proj = cg.group, cg.projection
     if c.group.exponent() != G.exponent():
         raise ValueError(f"exp(G/H) = {c.group.exponent()} differs from exp G = {G.exponent()}")
     return ClassFunction(G, tuple(c.value_at(proj[cl[0]]) for cl in G.conjugacy_classes()))
@@ -137,7 +137,7 @@ def induced_square_constituent(data: ConstructiveData) -> ClassFunction:
     sq_values = {g: Cyclotomic.from_rational(n, data.lam.value_sign(g) ** 2)
                  for g in cg.h_subgroup}
     ind = induce(G, cg.h_subgroup, sq_values)
-    reg_lift = lift_from_quotient(regular_character(construction.q8_quotient(cg)[0]), cg)
+    reg_lift = lift_from_quotient(regular_character(cg.quotient), cg)
     if ind != reg_lift:
         raise AssertionError("(lambda^2)^G differs from the lifted regular character")
     return ind
@@ -152,10 +152,9 @@ def covector_free_claims(data: ConstructiveData) -> Dict:
     # Claim 3 first in dependency order: the embedding exists.
     regular = construction.q8_regular_embedding()
     evens = all(construction.permutation_is_even(p) for p in regular.values())
-    Q = q8_group()
     order4_cycles = all(
         construction.cycle_type(regular[q]) == (4, 4)
-        for q in range(8) if Q.element_order(q) == 4)
+        for q in range(8) if cg.quotient.element_order(q) == 4)
     try:
         cg.embedding.check()
         hom_ok = True
@@ -171,7 +170,7 @@ def covector_free_claims(data: ConstructiveData) -> Dict:
 
     # Structural facts about G itself.
     c_g_h = centralizer_of_set(G, cg.h_subgroup)
-    quotient_ok = construction.check_quotient_is_q8(cg)
+    quotient_ok = construction.check_quotient_is_q8(G)
     claims.append({
         "name": "setup_group_structure",
         "passed": G.order == 128 and c_g_h == cg.h_subgroup and quotient_ok,
@@ -179,8 +178,7 @@ def covector_free_claims(data: ConstructiveData) -> Dict:
                     "quotient_is_q8": quotient_ok}})
 
     # Claim 4: |H0| = 2 and |C_H(z)| = 8.
-    h0 = construction.compute_h0(cg)
-    h_set = set(cg.h_subgroup)
+    h0, h_set = cg.h0, set(cg.h_subgroup)
     c_h_z = [g for g in centralizer_of_set(G, [cg.z_lift]) if g in h_set]
     center = {cl[0] for cl in G.conjugacy_classes() if len(cl) == 1}
     claims.append({
@@ -200,12 +198,12 @@ def covector_claims(data: ConstructiveData, fixed: Dict) -> List[Dict]:
     claims = list(fixed["claims"])
 
     # Claim 5 / Eq. (2): lambda exists; the commutator intersection is H0.
-    h0, inter = construction.compute_h0(cg), construction.intersect_commutators(cg)
-    valid, lam_at_h0 = construction.valid_covectors(cg), lam.value_sign(lam.h0_element)
+    h0, inter = list(cg.h0), sorted(frozenset.intersection(*cg.spans))
+    valid, lam_at_h0 = list(cg.covectors), lam.value_sign(cg.h0[1])
     claims.append({
         "name": "claim5_lambda_exists",
         "passed": inter == h0 and len(valid) == 8 and lam_at_h0 == -1,
-        "witness": {"commutator_intersection": list(inter), "h0": list(h0),
+        "witness": {"commutator_intersection": inter, "h0": h0,
                     "valid_covectors": valid, "chosen_covector": lam.covector,
                     "lambda_at_h0": lam_at_h0}})
 

@@ -220,7 +220,8 @@ def subgroup_as_group(G: FiniteGroup, S) -> Tuple[FiniteGroup, List[int]]:
 def quotient_group(G: FiniteGroup, N) -> Tuple[FiniteGroup, List[int]]:
     """G/N by a normal subgroup N, with projection[g] the index of gN;
     cosets are indexed by their least member, identity coset first.  The
-    reference for construction.q8_quotient, computed from the table alone."""
+    reference for the quotient and projection fields that build_g certifies,
+    computed from the table alone."""
     members = set(N)
     n_set = sorted(members)
     if not is_subgroup(G, n_set):

@@ -54,15 +54,15 @@ def test_acceptance_claim6_ledger(data, capsys):
 def test_acceptance_structural_checks(cg, capsys):
     from fusionaudit.groups import centralizer_of_set
     G = cg.group
-    h0 = construction.compute_h0(cg)
+    h0 = cg.h0
     c_h_z = [g for g in centralizer_of_set(G, [cg.z_lift]) if g in set(cg.h_subgroup)]
     all_lam = audit.verify_all_lambdas(cg)
     ok = (G.order == 128
           and len(h0) == 2
           and len(c_h_z) == 8
           and centralizer_of_set(G, cg.h_subgroup) == cg.h_subgroup
-          and construction.intersect_commutators(cg) == h0
-          and len(construction.valid_covectors(cg)) == 8
+          and sorted(frozenset.intersection(*cg.spans)) == list(h0)
+          and len(cg.covectors) == 8
           and all_lam.ok)
     with capsys.disabled():
         _report("structural_checks", ok)

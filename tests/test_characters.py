@@ -28,7 +28,7 @@ from fusionaudit.characters import (
     dixon_table,
     fusion_tensor,
 )
-from fusionaudit.construction import choose_lambda, compute_h0, q8_quotient, valid_covectors
+from fusionaudit.construction import choose_lambda
 from fusionaudit.constructive import (
     fs_indicator,
     induce,
@@ -77,7 +77,7 @@ def characters_by_group(cg, data, request):
     """Characters to check the constructive route's products on, a list per
     group: chi for each of the 8 valid covectors, phi and the 5 quotient
     lifts on g128, then the Dixon rows of each of TABLES."""
-    chis = [data.for_covector(v).chi for v in valid_covectors(cg)]
+    chis = [data.for_covector(v).chi for v in cg.covectors]
     return [[*chis, data.phi, *data.lifts],
             *(request.getfixturevalue(name).irreducibles for name in TABLES)]
 
@@ -89,8 +89,7 @@ def test_induced_chi_values(cg, data):
     for g in range(cg.group.order):
         if g not in h_set:
             assert chi.value_at(g).is_zero()
-    h0 = compute_h0(cg)
-    assert chi.value_at(h0[1]) == -8
+    assert chi.value_at(cg.h0[1]) == -8
 
 
 def test_inner_products(cg, data, request):
@@ -116,10 +115,9 @@ def test_conjugate_stabilizer_check_matches_irreducibility(cg):
     from fusionaudit.construction import LambdaChoice
     G = cg.group
     n = G.exponent()
-    h0 = compute_h0(cg)
     passing = 0
     for v in range(1, 16):
-        lam = LambdaChoice(covector=v, h0_element=h0[1])
+        lam = LambdaChoice(covector=v)
         values = {g: Cyclotomic.from_rational(n, lam.value_sign(g))
                   for g in cg.h_subgroup}
         chi = induce(G, cg.h_subgroup, values)
@@ -131,16 +129,16 @@ def test_conjugate_stabilizer_check_matches_irreducibility(cg):
 
 def test_stabilizer_check_fails_for_trivial_lambda(cg):
     from fusionaudit.construction import LambdaChoice
-    lam = LambdaChoice(covector=0, h0_element=compute_h0(cg)[1])
+    lam = LambdaChoice(covector=0)
     assert not constructive.conjugate_stabilizer_check(cg, lam)
 
 
 def test_stabilizer_check_fails_when_kernel_contains_h0(cg):
     from fusionaudit import gf2
     from fusionaudit.construction import LambdaChoice
-    h0_bits = compute_h0(cg)[1] >> 3
+    h0_bits = cg.h0[1] >> 3
     v = next(f for f in range(1, 16) if gf2.dot(f, h0_bits) == 0)
-    lam = LambdaChoice(covector=v, h0_element=compute_h0(cg)[1])
+    lam = LambdaChoice(covector=v)
     # ^z(lambda) = lambda because [H, z] = H0 lies in the kernel
     G = cg.group
     assert all(lam.value_sign(G.conj(h, cg.z_lift)) == lam.value_sign(h)
@@ -187,7 +185,7 @@ def test_pointwise_square(cg, data):
 
 def test_lift_from_quotient(cg, data):
     G = cg.group
-    lifted_triv = lift_from_quotient(trivial_character(q8_quotient(cg)[0]), cg)
+    lifted_triv = lift_from_quotient(trivial_character(cg.quotient), cg)
     assert lifted_triv == trivial_character(G)
     assert data.phi.degree() == 2
     for h in cg.h_subgroup:
@@ -197,7 +195,7 @@ def test_lift_from_quotient(cg, data):
 def test_every_lift_is_the_pull_back_along_pi_at_every_element(cg, data):
     # A lift is read at class representatives; pi: g -> g & 7 sends each class
     # of G into one class of Q8, so c(g & 7) is its value at every g.
-    Q, G = q8_quotient(cg)[0], cg.group
+    Q, G = cg.quotient, cg.group
     assert all(len({Q.class_of(g & 7) for g in cl}) == 1 for cl in G.conjugacy_classes())
     pairs = [*zip(data.lifts, dixon_table(Q).irreducibles),
              (lift_from_quotient(regular_character(Q), cg), regular_character(Q))]
@@ -212,7 +210,7 @@ def test_every_class_function_lives_in_its_groups_field(cg, data, q8_table, h16_
     # functions on G multiply and compare with no conversion.
     d120_table = dixon_table(load_group_file(str(d120_file)))
     built = [(t.group, t.irreducibles) for t in (q8_table, h16_table, g128_table, d120_table)]
-    chis = [data.for_covector(v).chi for v in valid_covectors(cg)]
+    chis = [data.for_covector(v).chi for v in cg.covectors]
     assert len(chis) == 8 and len(data.lifts) == 5
     built.append((cg.group, [*chis, data.phi, *data.lifts,
                              constructive.induced_square_constituent(data)]))
@@ -373,7 +371,7 @@ def naive_induce(G, sub, values):
 def test_induce_matches_naive_oracle_for_every_lambda(cg):
     G, H = cg.group, cg.h_subgroup
     n = G.exponent()
-    covectors = valid_covectors(cg)
+    covectors = cg.covectors
     assert len(covectors) == 8
     for v in covectors:
         lam = choose_lambda(cg, v)
@@ -488,6 +486,20 @@ def test_fusion_tensor_of_c120_matches_the_closed_form():
     P, at_1 = table.prime, [row[1] for row in table.residues]
     assert fusion_tensor(table) == [[[int(a * b % P == c) for c in at_1] for b in at_1]
                                     for a in at_1]
+
+
+def test_fusion_tensor_keeps_one_list_per_unordered_pair(g128_fusion):
+    # N_pq^r = N_qp^r, and no caller writes to N: one list serves both orders.
+    r = len(g128_fusion)
+    assert all(g128_fusion[p][q] is g128_fusion[q][p] for p in range(r) for q in range(p, r))
+
+
+def test_dixon_residues_are_read_from_one_int_per_value():
+    # C300's p = 601 lies above CPython's shared small ints, so without the
+    # table's one list(range(p)) each residue would be an int object of its own.
+    table = dixon_table(FiniteGroup(cayley_table(300, lambda x, y: (x + y) % 300)))
+    assert table.prime == 601
+    assert len({id(x) for row in table.residues for x in row}) <= table.prime
 
 
 @pytest.mark.parametrize("terms, P", [(1, 3), (23, 41), (33, 61), (115, 73), (1024, 12289)])

@@ -13,13 +13,9 @@ from fusionaudit.construction import (
     build_g,
     check_quotient_is_q8,
     choose_lambda,
-    compute_h0,
     find_q8_in_gl42,
-    intersect_commutators,
     permutation_is_even,
-    q8_quotient,
     q8_regular_embedding,
-    valid_covectors,
 )
 from fusionaudit.groups import Q8_TABLE, FiniteGroup, centralizer_of_set, q8_group
 from oracles import (
@@ -153,7 +149,7 @@ def test_build_g_structure(cg):
 
 
 def test_h0(cg):
-    h0 = compute_h0(cg)
+    h0 = cg.h0
     assert len(h0) == 2
     assert set(h0) <= set(centralizer_of_set(cg.group, range(cg.group.order)))
     c_h_z = [g for g in centralizer_of_set(cg.group, [cg.z_lift])
@@ -161,20 +157,22 @@ def test_h0(cg):
     assert len(c_h_z) == 8
 
 
-def test_h0_order_is_checked_where_it_is_computed(cg):
-    # With z = 1, [H, z] = {1}; compute_h0 reads the value _lambda_facts checked.
+def test_h0_order_is_checked_where_it_is_computed(cg, monkeypatch):
+    # With z = 1, [H, z] = {1}; build_g checks |H0| before it stores the field.
+    # check() reads rho at Q8_MINUS_ONE too, and rho(1) = I would fail it first.
+    monkeypatch.setattr(Q8Embedding, "check", lambda self: None)
+    monkeypatch.setattr(construction, "Q8_MINUS_ONE", 0)
     with pytest.raises(AssertionError, match=r"\|\[H, z\]\| = 1, expected 2"):
-        compute_h0(rebuild(cg, z_lift=0))
-    assert compute_h0(cg) is construction._lambda_facts(cg)[0]
+        build_g(cg.embedding)
 
 
 def test_commutator_intersection_identity(cg):
-    assert intersect_commutators(cg) == compute_h0(cg)
+    assert sorted(frozenset.intersection(*cg.spans)) == list(cg.h0)
 
 
 def test_intersection_over_order4_cosets_contains_h0(cg):
     q8 = q8_group()
-    h0 = set(compute_h0(cg))
+    h0 = set(cg.h0)
     common = set(range(cg.group.order))
     from fusionaudit.groups import commutator_span
     for q in range(1, 8):
@@ -186,24 +184,23 @@ def test_intersection_over_order4_cosets_contains_h0(cg):
 
 def test_choose_lambda(cg):
     lam = choose_lambda(cg)
-    assert lam.value_sign(lam.h0_element) == -1
+    assert lam.value_sign(cg.h0[1]) == -1
     assert sum(lam.value_sign(8 * h) == 1 for h in range(16)) == 8
-    assert lam.covector == valid_covectors(cg)[0]
+    assert lam.covector == cg.covectors[0]
     with pytest.raises(ValueError):
         lam.value_sign(2)  # not an element of H
 
 
 def test_valid_covectors_count(cg):
-    valid = valid_covectors(cg)
-    assert len(valid) == 8
-    h0 = compute_h0(cg)
-    h0_bits = h0[1] >> 3
+    valid = cg.covectors
+    assert len(valid) == 8 and list(valid) == sorted(valid)
+    h0_bits = cg.h0[1] >> 3
     for v in range(1, 16):
         assert (v in valid) == (gf2.dot(v, h0_bits) == 1)
 
 
 def test_invalid_covector_rejected(cg):
-    valid = set(valid_covectors(cg))
+    valid = set(cg.covectors)
     bad = next(v for v in range(1, 16) if v not in valid)
     with pytest.raises(ValueError):
         choose_lambda(cg, bad)
@@ -221,12 +218,10 @@ def test_lambda_kernel_misses_all_commutator_spans(cg):
 def test_choose_lambda_checks_each_commutator_span(cg):
     # The spans are computed once per group; the kernel check still reads
     # every one of them for each covector.
-    h0, valid, spans = construction._lambda_facts(cg)
-    broken = rebuild(cg)
-    broken._lambda_facts = (h0, valid, spans[:3] + (frozenset({0}),) + spans[4:])
+    broken = rebuild(cg, spans=cg.spans[:3] + (frozenset({0}),) + cg.spans[4:])
     with pytest.raises(AssertionError, match="lies in ker lambda"):
-        choose_lambda(broken, valid[-1])
-    assert choose_lambda(cg, valid[-1]).covector == valid[-1]
+        choose_lambda(broken, cg.covectors[-1])
+    assert choose_lambda(cg, cg.covectors[-1]).covector == cg.covectors[-1]
 
 
 def test_every_presentation_pair_yields_the_counterexample_structure():
@@ -272,7 +267,7 @@ def test_every_presentation_pair_yields_the_counterexample_structure():
 
 def test_lambda_choice_direct_construction(cg):
     # a hand-built all-ones covector behaves like the library's choice
-    lam = LambdaChoice(covector=0b1111, h0_element=compute_h0(cg)[1])
+    lam = LambdaChoice(covector=0b1111)
     signs = {lam.value_sign(8 * h) for h in range(16)}
     assert signs == {1, -1}
 
@@ -303,9 +298,9 @@ def test_embedding_check_survives_python_O(cg, index, replacement, message):
 
 
 def test_quotient_check_is_a_verdict(cg):
-    assert check_quotient_is_q8(cg) is True
+    assert check_quotient_is_q8(cg.group) is True
     cyclic = FiniteGroup([[(x + y) % 128 for y in range(128)] for x in range(128)])
-    assert check_quotient_is_q8(rebuild(cg, group=cyclic)) is False
+    assert check_quotient_is_q8(cyclic) is False
     # Swapping labels 8 = (e1, 1) and 9 = (e1, -1) leaves the products of
     # 0..7 alone, so the 64 products inside Q still multiply like Q8.  But
     # label 8 is now (e1, -1), and 8 * i = (e1, -i) = 11: pi(8 * i) = -i,
@@ -319,12 +314,12 @@ def test_quotient_check_is_a_verdict(cg):
     assert all(relabelled.mul(q1, q2) & 7 == Q8_TABLE[q1][q2]
                for q1 in range(8) for q2 in range(8))
     assert relabelled.mul(8, 2) == 11
-    assert check_quotient_is_q8(rebuild(cg, group=relabelled)) is False
+    assert check_quotient_is_q8(relabelled) is False
 
 
 def test_q8_quotient_matches_the_general_quotient(cg):
     # The construction's G/H and pi, against G/H computed from the table.
-    quot, proj = q8_quotient(cg)
+    quot, proj = cg.quotient, cg.projection
     reference, reference_proj = quotient_group(cg.group, cg.h_subgroup)
     assert quot.table == reference.table == Q8_TABLE
     assert proj == reference_proj == [g & 7 for g in range(128)]

@@ -14,8 +14,11 @@ comment gives the argument.  test_tooling requires a case for every raise.
 import ast
 import inspect
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -144,10 +147,9 @@ def _z2_cubed() -> List[List[int]]:
 
 def _quotient_replaced_by(monkeypatch, cg, table) -> Fault:
     """constructive_data, with G/H replaced by the group of table and pi kept."""
-    real = construction.q8_quotient
-    monkeypatch.setattr(construction, "q8_quotient",
-                        lambda cg: (FiniteGroup(table), real(cg)[1]))
-    return Fault(lambda: audit.constructive_data(cg), ["verify"])
+    broken = rebuild(cg, quotient=FiniteGroup(table))
+    monkeypatch.setattr(construction, "build_default", lambda: broken)
+    return Fault(lambda: audit.constructive_data(broken), ["verify"])
 
 
 @fault("audit", "constructive_data", "G/H has no irreducible of degree 2: degrees {}")
@@ -464,15 +466,18 @@ def quotient_not_q8(monkeypatch):
     return Fault(construction.build_default, ["verify"])
 
 
-@fault("construction", "_lambda_facts", "|[H, z]| = {}, expected 2")
-def commutator_of_the_identity(cg):
-    # [H, z] has order 2 for the lift z of -1 (claim 4); z = 1 gives {1}.
-    return Fault(lambda: construction.compute_h0(rebuild(cg, z_lift=0)))
+@fault("construction", "build_g", "|[H, z]| = {}, expected 2")
+def commutator_of_the_identity(monkeypatch):
+    # Injected: [H, z] has order 2 for the lift z of -1 (claim 4); z = 1
+    # gives {1}.  check() would refuse rho(1) = I as rho(-1), so it is skipped.
+    monkeypatch.setattr(Q8Embedding, "check", lambda self: None)
+    monkeypatch.setattr(construction, "Q8_MINUS_ONE", 0)
+    return Fault(construction.build_default, ["verify"])
 
 
 @fault("construction", "LambdaChoice.value_sign", "element {} is not in H")
 def lambda_off_h():
-    return Fault(lambda: LambdaChoice(1, 8).value_sign(1))
+    return Fault(lambda: LambdaChoice(1).value_sign(1))
 
 
 @fault("construction", "choose_lambda", "covector {} does not cut H0")
@@ -483,11 +488,9 @@ def covector_zero(cg):
 @fault("construction", "choose_lambda", "[H, x] lies in ker lambda for coset of {}")
 def commutator_span_in_the_kernel(cg):
     # Injected: a valid covector's lambda is -1 on H0, which lies in every
-    # [H, x] (claim 5); here one cached span is replaced by {1}.
-    h0, valid, spans = construction._lambda_facts(cg)
-    broken = rebuild(cg)
-    broken._lambda_facts = (h0, valid, spans[:3] + (frozenset({0}),) + spans[4:])
-    return Fault(lambda: construction.choose_lambda(broken, valid[-1]))
+    # [H, x] (claim 5); here one certified span is replaced by {1}.
+    broken = rebuild(cg, spans=cg.spans[:3] + (frozenset({0}),) + cg.spans[4:])
+    return Fault(lambda: construction.choose_lambda(broken, cg.covectors[-1]))
 
 
 # -- constructive ---------------------------------------------------------------
@@ -524,12 +527,13 @@ def quotient_of_exponent_2(monkeypatch, cg):
 
 @fault("constructive", "induced_square_constituent",
        "(lambda^2)^G differs from the lifted regular character")
-def induced_square_on_a_wrong_projection(monkeypatch, data):
+def induced_square_on_a_wrong_projection(monkeypatch, cg, data):
     # Injected: (lambda^2)^G = (1_H)^G is the regular character of G/H lifted,
     # for H normal in G; here the projection sends g to g >> 4, not to gH.
-    bad_proj = [g >> 4 for g in range(128)]
-    monkeypatch.setattr(construction, "q8_quotient", lambda cg: (q8_group(), bad_proj))
-    return Fault(lambda: constructive.induced_square_constituent(data), ["verify"])
+    broken = rebuild(cg, projection=[g >> 4 for g in range(128)])
+    monkeypatch.setattr(construction, "build_default", lambda: broken)
+    return Fault(lambda: constructive.induced_square_constituent(rebuild(data, cg=broken)),
+                 ["verify"])
 
 
 @fault("constructive", "claim6_breakdown", "square preimage of H is not H union Hz")
@@ -776,3 +780,28 @@ def test_fault(registered, request):
         else:
             assert "error: " in err and message in err, err
         assert "Traceback" not in err, err
+
+
+# ---------------------------------------------------------------------------
+# Running out of memory
+# ---------------------------------------------------------------------------
+
+# A CLI child whose fusion layer runs out of memory, as `scan` at the cap can.
+OUT_OF_MEMORY = """
+import sys
+from fusionaudit import audit, cli
+def exhausted(table):
+    raise MemoryError
+audit.fusion_tensor = exhausted
+sys.exit(cli.main(["scan", "--group", "builtin:q8"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_out_of_memory_exits_3_with_one_line(flags):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, *flags, "-c", OUT_OF_MEMORY], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr == "out of memory: scan --group builtin:q8\n"
+    assert run.stdout == ""
